@@ -33,7 +33,7 @@ from .poly import (
     series_div,
     split_by_circle,
 )
-from .schur import PoleEvaluationError, as_rational_F, tail_schur
+from .schur import PoleEvaluationError, as_rational_F, tail_schur, uncancelled_den_roots
 
 DEFAULT_QUAD_TOL = 1e-11
 DEFAULT_QUAD_MAX_POINTS = 1 << 20
@@ -133,37 +133,42 @@ def circle_quadrature(g, tol: float = DEFAULT_QUAD_TOL,
         prev, m = cur, m2
 
 
-def _khrushchev_parts(seq: VerblunskySequence, n: int, thetas: np.ndarray):
-    """Grid samples of |B_t|^2, |A_t|^2 and |Phi_n* B_t - z Phi_n A_t|^2."""
-    zs = np.exp(1j * np.asarray(thetas, dtype=float))
+def _khrushchev_parts(seq: VerblunskySequence, n: int):
+    """Build Phi_n, Phi_n* and the tail f_n = A_t/B_t once; return a sampler
+    mapping angles to |B_t|^2, |A_t|^2, |Phi_n* B_t - z Phi_n A_t|^2 and
+    the scale |Phi_n* B_t| + |z Phi_n A_t| of that last difference."""
     phi, phistar = szego_polys(seq, n)
     t = tail_schur(seq, n)
-    tn = t.num(zs)
-    td = t.den(zs)
-    lead = phistar(zs) * td
-    trail = zs * phi(zs) * tn
-    d2 = np.abs(lead - trail) ** 2
-    return zs, np.abs(td) ** 2, np.abs(tn) ** 2, d2, np.abs(lead) + np.abs(trail)
+
+    def sample(thetas: np.ndarray):
+        zs = np.exp(1j * np.asarray(thetas, dtype=float))
+        tn = t.num(zs)
+        td = t.den(zs)
+        lead = phistar(zs) * td
+        trail = zs * phi(zs) * tn
+        d2 = np.abs(lead - trail) ** 2
+        return np.abs(td) ** 2, np.abs(tn) ** 2, d2, np.abs(lead) + np.abs(trail)
+
+    return sample
 
 
-def re_F_khrushchev(seq: VerblunskySequence, n: int, theta: float) -> float:
+def re_F_khrushchev(seq: VerblunskySequence, n: int, theta: float | np.ndarray):
     """Re F on the circle through the tail at index n:
 
         Re F = omega_{n-1} (1 - |f_n|^2) / |Phi_n* - z Phi_n f_n|^2,
 
-    evaluated in cleared form so only polynomial values enter.
+    evaluated in cleared form so only polynomial values enter.  ``theta``
+    is one angle (a float is returned) or an ndarray of angles (an ndarray
+    is returned, all from one build of the polynomials and the tail).
     """
-    _, bt2, at2, d2, scale = _khrushchev_parts(seq, n, np.asarray([theta]))
-    if d2[0] <= (1e-13 * max(scale[0], 1e-300)) ** 2:
-        raise PoleEvaluationError(f"Khrushchev denominator vanishes at theta = {theta!r}")
-    return omega(seq, n - 1) * float(bt2[0] - at2[0]) / float(d2[0])
-
-
-def _log_abs_re_F(seq: VerblunskySequence, n: int, thetas: np.ndarray) -> np.ndarray:
-    sign, logw = omega_log_sign(seq, n - 1)
-    _, bt2, at2, d2, _ = _khrushchev_parts(seq, n, thetas)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return logw + np.log(bt2 - at2) - np.log(d2)
+    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
+    bt2, at2, d2, scale = _khrushchev_parts(seq, n)(thetas)
+    at_pole = d2 <= (1e-13 * np.maximum(scale, 1e-300)) ** 2
+    if at_pole.any():
+        raise PoleEvaluationError(
+            f"Khrushchev denominator vanishes at theta = {float(thetas[at_pole][0])!r}")
+    values = omega(seq, n - 1) * (bt2 - at2) / d2
+    return values if np.ndim(theta) else float(values[0])
 
 
 def _cluster_poles(points: list[complex], tol: float = POLE_CLUSTER_TOL) -> list[complex]:
@@ -188,7 +193,7 @@ def _cluster_poles(points: list[complex], tol: float = POLE_CLUSTER_TOL) -> list
 
 def pole_set(seq: VerblunskySequence, guard: float = DEFAULT_DISK_GUARD) -> list[complex]:
     """Poles of F inside the unit disk: in-disk zeros of the cleared
-    denominator, after the constructor's numerator cancellation.
+    denominator that do not pair with a numerator zero within CANCEL_TOL.
 
     Raises AmbiguousRootError when a root lies in the circle guard band and
     CrossCheckError if the count exceeds the zeros of Phi_N* in the disk.
@@ -196,7 +201,7 @@ def pole_set(seq: VerblunskySequence, guard: float = DEFAULT_DISK_GUARD) -> list
     F = as_rational_F(seq)
     if F.den.degree < 1:
         return []
-    inside, ambiguous, _ = split_by_circle(poly_roots(F.den), guard)
+    inside, ambiguous, _ = split_by_circle(uncancelled_den_roots(F), guard)
     if ambiguous:
         raise AmbiguousRootError("denominator roots in the circle guard band", ambiguous)
     inside = _cluster_poles(inside)
@@ -217,20 +222,27 @@ def szego_lhs(seq: VerblunskySequence) -> float:
     return omega(seq, len(seq) - 1)
 
 
-def szego_rhs(seq: VerblunskySequence, tol: float = DEFAULT_QUAD_TOL,
-              max_points: int = DEFAULT_QUAD_MAX_POINTS,
-              guard: float = DEFAULT_DISK_GUARD) -> SzegoReport:
-    """Assemble the right-hand side of the signed Szego identity.
+def szego_verify(seq: VerblunskySequence, tol: float = DEFAULT_QUAD_TOL,
+                 max_points: int = DEFAULT_QUAD_MAX_POINTS,
+                 guard: float = DEFAULT_DISK_GUARD) -> SzegoReport:
+    """Both sides of the signed Szego identity with their relative error.
 
     The pole product and the integral are combined in log space; the sign
-    epsilon = sign(omega_{N-1}) is applied explicitly.
+    epsilon = sign(omega_{N-1}) is applied explicitly.  For a classical
+    sequence the pole product is empty and the report reduces to the
+    textbook statement.
     """
     poles = pole_set(seq, guard)
-    sign, _ = omega_log_sign(seq, seq.N - 1)
+    sign, logw = omega_log_sign(seq, seq.N - 1)
+    sample = _khrushchev_parts(seq, seq.N)  # shared by every quadrature level
+
+    def log_abs_re_F(thetas: np.ndarray) -> np.ndarray:
+        bt2, at2, d2, _ = sample(thetas)
+        return logw + np.log(bt2 - at2) - np.log(d2)
+
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", QuadratureWarning)
-        log_integral, pts = circle_quadrature(
-            lambda th: _log_abs_re_F(seq, seq.N, th), tol, max_points)
+        log_integral, pts = circle_quadrature(log_abs_re_F, tol, max_points)
     notes = tuple(str(w.message) for w in caught)
     log_pole_product = -2.0 * sum(math.log(abs(p)) for p in poles)
     rhs = sign * math.exp(log_integral + log_pole_product)
@@ -239,17 +251,6 @@ def szego_rhs(seq: VerblunskySequence, tol: float = DEFAULT_QUAD_TOL,
     return SzegoReport(lhs=lhs, poles=tuple(poles), epsilon=sign,
                        log_integral=log_integral, rhs=rhs, rel_error=rel,
                        quad_points=pts, warnings=notes)
-
-
-def szego_verify(seq: VerblunskySequence, tol: float = DEFAULT_QUAD_TOL,
-                 max_points: int = DEFAULT_QUAD_MAX_POINTS,
-                 guard: float = DEFAULT_DISK_GUARD) -> SzegoReport:
-    """Both sides of the identity with their relative error.
-
-    For a classical sequence the pole product is empty and the report
-    reduces to the textbook statement.
-    """
-    return szego_rhs(seq, tol=tol, max_points=max_points, guard=guard)
 
 
 def boyd_integral(seq: VerblunskySequence, N: int,

@@ -8,7 +8,6 @@ verification refused (roots in the circle guard band).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import sys
 from dataclasses import dataclass
@@ -17,6 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    DEFAULT_QUAD_MAX_POINTS,
+    DEFAULT_QUAD_TOL,
     AmbiguousRootError,
     MomentReport,
     QuadratureError,
@@ -38,8 +39,6 @@ from .schur import RationalFn, as_rational_F, recover_coefficients
 from .poly import ComplexPoly
 
 DEFAULT_VERIFY_TOL = 1e-8
-DEFAULT_QUAD_TOL = 1e-11
-DEFAULT_QUAD_MAX_POINTS = 1 << 20
 
 
 class CaseError(ValueError):
@@ -68,13 +67,18 @@ def load_case(path: Path) -> CaseFile:
         raise CaseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CaseError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict) or "alphas" not in raw:
+    if not isinstance(raw, dict) or not isinstance(raw.get("alphas"), list):
         raise CaseError(f"{path}: case file must be an object with an 'alphas' list")
     alphas = [_complex_from_obj(a, f"alphas[{j}]") for j, a in enumerate(raw["alphas"])]
-    guard = float(raw.get("guard_unit", DEFAULT_GUARD_UNIT))
     quad = raw.get("quad", {})
-    tol = float(quad.get("tol", DEFAULT_QUAD_TOL))
-    max_points = int(quad.get("max_points", DEFAULT_QUAD_MAX_POINTS))
+    if not isinstance(quad, dict):
+        raise CaseError(f"{path}: 'quad' must be an object")
+    try:
+        guard = float(raw.get("guard_unit", DEFAULT_GUARD_UNIT))
+        tol = float(quad.get("tol", DEFAULT_QUAD_TOL))
+        max_points = int(quad.get("max_points", DEFAULT_QUAD_MAX_POINTS))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CaseError(f"{path}: 'guard_unit' and 'quad' entries must be numbers: {exc}") from exc
     label = str(raw.get("label", Path(path).stem))
     try:
         seq = VerblunskySequence(alphas, guard)
@@ -150,14 +154,14 @@ def cmd_grid(args: argparse.Namespace) -> int:
     case = load_case(args.input)
     seq = case.seq
     F = as_rational_F(seq)
-    m = args.points
+    thetas = 2.0 * np.pi * np.arange(args.points) / args.points
+    zs = np.cos(thetas) + 1j * np.sin(thetas)
+    direct = (F.num(zs) / F.den(zs)).real
+    formula = re_F_khrushchev(seq, seq.N, thetas)
+    rows = zip(thetas.tolist(), direct.tolist(), formula.tolist(),
+               np.abs(direct - formula).tolist())
     lines = ["theta,reF_direct,reF_khrushchev,abs_diff"]
-    for k in range(m):
-        theta = 2.0 * np.pi * k / m
-        z = complex(np.cos(theta), np.sin(theta))
-        direct = (F.num(z) / F.den(z)).real
-        formula = re_F_khrushchev(seq, seq.N, theta)
-        lines.append(f"{theta:.17g},{direct:.17g},{formula:.17g},{abs(direct - formula):.17g}")
+    lines += [f"{t:.17g},{d:.17g},{f:.17g},{e:.17g}" for t, d, f, e in rows]
     text = "\n".join(lines) + "\n"
     if args.csv:
         Path(args.csv).write_text(text)
@@ -247,13 +251,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
         return 1
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = sorted(case_dir.glob("*.json"))
-    if args.jobs > 1 and len(paths) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            entries = list(pool.map(lambda p: _run_batch_case(p, args.tol), paths))
-    else:
-        entries = [_run_batch_case(p, args.tol) for p in paths]
-    for entry in entries:  # single collector writes all output files
+    entries = [_run_batch_case(p, args.tol) for p in sorted(case_dir.glob("*.json"))]
+    for entry in entries:
         if "report" in entry:
             (out_dir / f"{Path(entry['file']).stem}.report.json").write_text(
                 json.dumps(entry["report"], indent=2) + "\n")
@@ -323,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch = sub.add_parser("batch", help="Verify every case file in a directory")
     batch.add_argument("--dir", type=Path, required=True)
     batch.add_argument("--out", type=Path, required=True)
-    batch.add_argument("--jobs", type=int, default=1)
     batch.add_argument("--tol", type=float, default=DEFAULT_VERIFY_TOL)
     batch.set_defaults(func=cmd_batch)
     return parser

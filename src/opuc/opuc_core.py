@@ -18,6 +18,7 @@ call together with the Pinter-Nevai identity.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 
@@ -48,9 +49,9 @@ class CrossCheckError(RuntimeError):
 class VerblunskySequence:
     """A finite list of coefficients alpha_j with an implicit zero tail.
 
-    Construction rejects any coefficient whose modulus is within
-    ``guard_unit`` of 1, so every downstream sign and zero-count argument
-    is numerically meaningful.
+    Construction rejects any non-finite coefficient and any coefficient
+    whose modulus is within ``guard_unit`` of 1, so every downstream sign
+    and zero-count argument is numerically meaningful.
     """
 
     alphas: tuple[complex, ...]
@@ -61,6 +62,8 @@ class VerblunskySequence:
             raise ValueError("guard_unit must be positive")
         coerced = tuple(complex(a) for a in alphas)
         for j, a in enumerate(coerced):
+            if not cmath.isfinite(a):
+                raise ValueError(f"index {j} is not finite: {a!r}")
             m = abs(a)
             if abs(m - 1.0) < guard_unit:
                 raise GuardViolationError(j, m, guard_unit)

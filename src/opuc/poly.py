@@ -71,10 +71,7 @@ class ComplexPoly:
     def __call__(self, z):
         """Horner evaluation; ``z`` may be a complex scalar or an ndarray."""
         if isinstance(z, np.ndarray):
-            acc = np.full(z.shape, self.coeffs[-1], dtype=complex)
-            for c in self.coeffs[-2::-1]:
-                acc = acc * z + c
-            return acc
+            return _horner(self.coeffs, z)
         acc = 0j
         for c in reversed(self.coeffs):
             acc = acc * z + c
@@ -169,7 +166,8 @@ def from_roots(rts: Iterable[complex], lead: complex = 1.0) -> ComplexPoly:
     return ComplexPoly(coeffs)
 
 
-def _horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _horner(c: Sequence[complex], z: np.ndarray) -> np.ndarray:
+    """Horner evaluation of coefficients ``c`` (constant first) at every point of ``z``."""
     acc = np.full(z.shape, c[-1], dtype=complex)
     for ck in c[-2::-1]:
         acc = acc * z + ck

@@ -35,31 +35,28 @@ class PoleEvaluationError(ArithmeticError):
     """Evaluation was requested at (or numerically at) a pole."""
 
 
-def _cancel_common_roots(num: ComplexPoly, den: ComplexPoly,
-                         tol: float = CANCEL_TOL) -> tuple[ComplexPoly, ComplexPoly]:
-    """Cancel numerator/denominator roots closer than ``tol`` pairwise.
+def uncancelled_den_roots(F: RationalFn) -> list[complex]:
+    """Roots of ``F.den`` minus each one within CANCEL_TOL of a root of ``F.num``.
 
-    Genuine common zeros cannot occur for the functions built here; a hit
-    means a spurious pole/zero pair, so it is logged before removal.
-    Root-finding here is best-effort: iterates of the inverse algorithm can
-    carry noise-level leading coefficients whose root sets are not
-    resolvable to pairing accuracy, and then there is nothing trustworthy
-    to cancel.
+    Genuine common zeros cannot occur for the functions built here; a pair
+    means a spurious pole/zero, so the pairs found are logged once.  The
+    numerator's roots are best-effort: when they cannot be resolved to
+    pairing accuracy there is nothing trustworthy to cancel.
     """
-    if num.degree < 1 or den.degree < 1:
-        return num, den
+    droots = poly_roots(F.den)
+    if F.num.degree < 1:
+        return droots
     try:
-        nroots = poly_roots(num, tol=1e-10)
-        droots = poly_roots(den, tol=1e-10)
+        nroots = poly_roots(F.num, tol=1e-10)
     except RootFindingError as exc:
         logger.debug("skipping root cancellation: %s", exc)
-        return num, den
+        return droots
     used = [False] * len(nroots)
-    kept_den: list[complex] = []
+    kept: list[complex] = []
     cancelled: list[tuple[complex, complex]] = []
     for dr in droots:
         best = None
-        best_dist = tol
+        best_dist = CANCEL_TOL
         for i, nr in enumerate(nroots):
             if used[i]:
                 continue
@@ -67,27 +64,19 @@ def _cancel_common_roots(num: ComplexPoly, den: ComplexPoly,
             if dist <= best_dist:
                 best, best_dist = i, dist
         if best is None:
-            kept_den.append(dr)
+            kept.append(dr)
         else:
             used[best] = True
             cancelled.append((nroots[best], dr))
-    if not cancelled:
-        return num, den
-    logger.warning("cancelled %d near-common root pair(s): %s", len(cancelled), cancelled)
-    kept_num = [r for i, r in enumerate(nroots) if not used[i]]
-    from .poly import from_roots
-
-    return (from_roots(kept_num, num.coeffs[-1]),
-            from_roots(kept_den, den.coeffs[-1]))
+    if cancelled:
+        logger.warning("cancelled %d near-common root pair(s): %s", len(cancelled), cancelled)
+    return kept
 
 
 @dataclasses.dataclass(frozen=True)
 class RationalFn:
-    """Ratio of two polynomials, normalized so den(0) = 1.
-
-    Near-common roots of numerator and denominator (within CANCEL_TOL) are
-    cancelled at construction.
-    """
+    """Ratio of two polynomials, normalized so den(0) = 1; otherwise the
+    polynomials are kept as given (no root-finding, no cancellation)."""
 
     num: ComplexPoly
     den: ComplexPoly
@@ -95,7 +84,6 @@ class RationalFn:
     def __init__(self, num, den) -> None:
         num = num if isinstance(num, ComplexPoly) else ComplexPoly(num)
         den = den if isinstance(den, ComplexPoly) else ComplexPoly(den)
-        num, den = _cancel_common_roots(num, den)
         d0 = den(0)
         if d0 == 0:
             raise ValueError("denominator vanishes at z = 0")

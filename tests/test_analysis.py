@@ -20,7 +20,6 @@ from opuc import (
     re_F_khrushchev,
     szego_lhs,
     szego_polys,
-    szego_rhs,
     szego_verify,
     zero_count_trace,
     zero_migration,
@@ -111,6 +110,14 @@ def test_khrushchev_matches_direct_on_grid():
             assert np.max(np.abs(formula - direct[:32]) / scale[:32]) < 1e-10
 
 
+def test_khrushchev_array_matches_scalar():
+    seq = VerblunskySequence([2.0, 0.5j, -0.3])
+    thetas = 2 * np.pi * np.arange(16) / 16
+    values = re_F_khrushchev(seq, seq.N, thetas)
+    assert values.shape == thetas.shape
+    assert values.tolist() == [re_F_khrushchev(seq, seq.N, float(t)) for t in thetas]
+
+
 # ---------------------------------------------------------------------------
 # poles
 
@@ -178,21 +185,21 @@ def test_lhs_values():
 
 def test_rhs_single_big():
     # epsilon = -1, pole product 4, integral log(3/4)
-    rep = szego_rhs(VerblunskySequence([2]))
+    rep = szego_verify(VerblunskySequence([2]))
     assert rep.epsilon == -1
     assert abs(rep.log_integral - math.log(0.75)) < 1e-11
     assert abs(rep.rhs - (-3.0)) < 1e-10
 
 
 def test_rhs_single_classical():
-    rep = szego_rhs(VerblunskySequence([0.5]))
+    rep = szego_verify(VerblunskySequence([0.5]))
     assert rep.poles == ()
     assert abs(rep.log_integral - math.log(0.75)) < 1e-11
     assert abs(rep.rhs - 0.75) < 1e-12
 
 
 def test_rhs_empty():
-    rep = szego_rhs(VerblunskySequence([]))
+    rep = szego_verify(VerblunskySequence([]))
     assert rep.rhs == 1.0 and rep.log_integral == 0.0
 
 
@@ -200,6 +207,32 @@ def test_verify_two_coefficients():
     rep = szego_verify(VerblunskySequence([2, 0.5]), tol=1e-10)
     assert rep.lhs == -2.25
     assert rep.rel_error < 1e-8
+
+
+def test_verify_keeps_tail_polynomials_exact():
+    # F's denominator has a root at -17.39 within 5e-12 of a numerator root;
+    # rebuilding the tail from its roots after cancelling that pair cost
+    # the report digits (rel_error 4.8e-11)
+    alphas = [2.589109888265557 + 0.09050379619116429j,
+              -0.34878481644788467 - 1.3709377155745828j,
+              -1.3568742131609177 - 0.34525237112467055j,
+              -0.022842172914476707 + 1.3697711319142971j,
+              0.33819008214696356 - 0.13301457200412156j,
+              -0.1775604166594235 + 0.0668622822932588j,
+              0.3122210740614877 + 0.23802181398626826j,
+              0.015077819134614989 - 0.0298256914832231j,
+              -0.3798681881338129 - 0.005267512451981933j,
+              -0.7033071905573355 + 0.01953812556211289j,
+              -0.039537819708546605 - 0.002695936282820028j]
+    rep = szego_verify(VerblunskySequence(alphas))
+    assert len(rep.poles) == 2
+    assert rep.rel_error < 1e-13
+
+
+def test_verify_builds_tail_at_most_twice(tail_builds):
+    rep = szego_verify(VerblunskySequence([2.0, 0.95, -0.9j, 0.8]))
+    assert rep.quad_points >= 512  # several doubling levels
+    assert sorted(tail_builds) == ["F", "khrushchev"]
 
 
 def test_verify_classical_pair():

@@ -59,6 +59,28 @@ def test_verify_ambiguous_pole_exits_2(tmp_path, capsys):
     assert "refused" in capsys.readouterr().err
 
 
+def test_verify_nan_coefficient_rejected(tmp_path, capsys):
+    case = tmp_path / "nan.json"
+    case.write_text(json.dumps({"alphas": [{"re": "nan", "im": 0.0}]}))
+    assert main(["verify", "--input", str(case)]) == 1
+    err = capsys.readouterr().err
+    assert "not finite" in err
+
+
+def test_verify_quad_not_an_object(tmp_path, capsys):
+    case = write_case(tmp_path / "quad.json", [2.0], quad=5)
+    assert main(["verify", "--input", str(case)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'quad' must be an object" in err
+
+
+def test_verify_max_points_not_a_number(tmp_path, capsys):
+    case = write_case(tmp_path / "points.json", [2.0], quad={"max_points": "lots"})
+    assert main(["verify", "--input", str(case)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "must be numbers" in err
+
+
 def test_report_roundtrip():
     report = szego_verify(VerblunskySequence([2, 0.5]))
     assert report_from_dict(report_to_dict(report)) == report
@@ -100,6 +122,13 @@ def test_grid_csv_file(tmp_path, capsys):
     assert lines[0] == "theta,reF_direct,reF_khrushchev,abs_diff"
     row = lines[1].split(",")
     assert abs(float(row[1]) - 3.0) < 1e-12
+
+
+def test_grid_builds_khrushchev_tail_once(tmp_path, capsys, tail_builds):
+    case = write_case(tmp_path / "case.json", [2.0, 0.5j, -0.3])
+    assert main(["grid", "--input", str(case), "--points", "64"]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 65
+    assert sorted(tail_builds) == ["F", "khrushchev"]
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +190,7 @@ def test_batch_mixed(tmp_path, capsys):
     write_case(cases / "c.json", [], label="c")
     write_case(cases / "bad.json", [1.0])
     out_dir = tmp_path / "results"
-    assert main(["batch", "--dir", str(cases), "--out", str(out_dir), "--jobs", "2"]) == 0
+    assert main(["batch", "--dir", str(cases), "--out", str(out_dir)]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["pass"] == 3 and summary["fail"] == 1
     assert (out_dir / "summary.json").exists()
@@ -169,6 +198,18 @@ def test_batch_mixed(tmp_path, capsys):
     assert not (out_dir / "bad.report.json").exists()
     statuses = {c["file"]: c["status"] for c in summary["cases"]}
     assert statuses["bad.json"] == "fail"
+
+
+def test_batch_records_nan_case_and_writes_summary(tmp_path, capsys):
+    cases = tmp_path / "cases"
+    cases.mkdir()
+    write_case(cases / "a.json", [2.0])
+    (cases / "nan.json").write_text(json.dumps({"alphas": [{"re": "nan", "im": 0.0}]}))
+    out_dir = tmp_path / "results"
+    assert main(["batch", "--dir", str(cases), "--out", str(out_dir)]) == 0
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["pass"] == 1 and summary["fail"] == 1
+    assert "not finite" in summary["cases"][1]["error"]
 
 
 def test_batch_empty_dir(tmp_path, capsys):

@@ -18,6 +18,7 @@ from opuc import (
     tail_schur,
 )
 from opuc.poly import roots as poly_roots
+from opuc.schur import uncancelled_den_roots
 
 from helpers import random_admissible, random_nonclassical
 
@@ -37,14 +38,28 @@ def test_rationalfn_rejects_pole_at_origin():
         RationalFn(ComplexPoly([1]), ComplexPoly([0, 1]))
 
 
-def test_rationalfn_cancels_spurious_common_root(caplog):
+def test_uncancelled_den_roots_drops_spurious_common_root(caplog):
     # num root 0.5, den root within 2.5e-11 of it: the pair must go
     num = ComplexPoly([1, -2]) * ComplexPoly([1, -0.3])
     den = ComplexPoly([1, -2.0000000001]) * ComplexPoly([1, 0.4])
+    f = RationalFn(num, den)
+    assert f.num.degree == 2 and f.den.degree == 2  # kept as given
     with caplog.at_level(logging.WARNING, logger="opuc.schur"):
-        f = RationalFn(num, den)
-    assert f.num.degree == 1 and f.den.degree == 1
-    assert any("cancelled" in rec.message for rec in caplog.records)
+        kept = uncancelled_den_roots(f)
+    assert len(kept) == 1 and abs(kept[0] + 2.5) < 1e-12
+    assert sum("cancelled" in rec.message for rec in caplog.records) == 1
+
+
+def test_rationalfn_construction_finds_no_roots(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("RationalFn construction must not find roots")
+
+    monkeypatch.setattr("opuc.schur.poly_roots", refuse)
+    num = ComplexPoly([1, -2]) * ComplexPoly([1, -0.3])
+    den = ComplexPoly([2, -4.0000000002]) * ComplexPoly([1, 0.4])
+    f = RationalFn(num, den)
+    assert f.den(0) == 1 and f.den.degree == 2
+    as_rational_F(VerblunskySequence([2.0, 0.5, -0.3]))
 
 
 def test_rationalfn_keeps_distinct_roots():
