@@ -33,7 +33,7 @@ from .poly import (
     series_div,
     split_by_circle,
 )
-from .schur import PoleEvaluationError, as_rational_F, tail_schur, uncancelled_den_roots
+from .schur import as_rational_F, khrushchev_split, uncancelled_den_roots
 
 DEFAULT_QUAD_TOL = 1e-11
 DEFAULT_QUAD_MAX_POINTS = 1 << 20
@@ -93,10 +93,10 @@ class MigrationRow:
     circle_dist: tuple[float, ...]  # 1 - |zero|
 
 
-def _grid_mean(g, m: int, offset: float) -> float:
+def _grid_mean(g, m: int) -> float:
     # non-finite samples are handled by the half-step retry, so numpy's
     # divide/invalid warnings during sampling are noise
-    thetas = 2.0 * np.pi * (np.arange(m) + offset) / m
+    thetas = 2.0 * np.pi * np.arange(m) / m
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = np.asarray(g(thetas), dtype=float)
         if not np.all(np.isfinite(vals)):
@@ -119,7 +119,7 @@ def circle_quadrature(g, tol: float = DEFAULT_QUAD_TOL,
     grid before giving up.
     """
     m = 64
-    prev = _grid_mean(g, m, 0.0)
+    prev = _grid_mean(g, m)
     while True:
         m2 = 2 * m
         if m2 > max_points:
@@ -127,29 +127,10 @@ def circle_quadrature(g, tol: float = DEFAULT_QUAD_TOL,
                 f"quadrature did not converge to {tol:.1e} within {max_points} points",
                 QuadratureWarning, stacklevel=2)
             return prev, m
-        cur = _grid_mean(g, m2, 0.0)
+        cur = _grid_mean(g, m2)
         if abs(cur - prev) < tol:
             return cur, m2
         prev, m = cur, m2
-
-
-def _khrushchev_parts(seq: VerblunskySequence, n: int):
-    """Build Phi_n, Phi_n* and the tail f_n = A_t/B_t once; return a sampler
-    mapping angles to |B_t|^2, |A_t|^2, |Phi_n* B_t - z Phi_n A_t|^2 and
-    the scale |Phi_n* B_t| + |z Phi_n A_t| of that last difference."""
-    phi, phistar = szego_polys(seq, n)
-    t = tail_schur(seq, n)
-
-    def sample(thetas: np.ndarray):
-        zs = np.exp(1j * np.asarray(thetas, dtype=float))
-        tn = t.num(zs)
-        td = t.den(zs)
-        lead = phistar(zs) * td
-        trail = zs * phi(zs) * tn
-        d2 = np.abs(lead - trail) ** 2
-        return np.abs(td) ** 2, np.abs(tn) ** 2, d2, np.abs(lead) + np.abs(trail)
-
-    return sample
 
 
 def re_F_khrushchev(seq: VerblunskySequence, n: int, theta: float | np.ndarray):
@@ -161,13 +142,7 @@ def re_F_khrushchev(seq: VerblunskySequence, n: int, theta: float | np.ndarray):
     is one angle (a float is returned) or an ndarray of angles (an ndarray
     is returned, all from one build of the polynomials and the tail).
     """
-    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
-    bt2, at2, d2, scale = _khrushchev_parts(seq, n)(thetas)
-    at_pole = d2 <= (1e-13 * np.maximum(scale, 1e-300)) ** 2
-    if at_pole.any():
-        raise PoleEvaluationError(
-            f"Khrushchev denominator vanishes at theta = {float(thetas[at_pole][0])!r}")
-    values = omega(seq, n - 1) * (bt2 - at2) / d2
+    values = khrushchev_split(seq, n).re_F(np.atleast_1d(np.asarray(theta, dtype=float)))
     return values if np.ndim(theta) else float(values[0])
 
 
@@ -191,21 +166,13 @@ def _cluster_poles(points: list[complex], tol: float = POLE_CLUSTER_TOL) -> list
     return out
 
 
-def pole_set(seq: VerblunskySequence, guard: float = DEFAULT_DISK_GUARD) -> list[complex]:
-    """Poles of F inside the unit disk: in-disk zeros of the cleared
-    denominator that do not pair with a numerator zero within CANCEL_TOL.
-
-    Raises AmbiguousRootError when a root lies in the circle guard band and
-    CrossCheckError if the count exceeds the zeros of Phi_N* in the disk.
-    """
-    F = as_rational_F(seq)
+def _poles(F, phistar, guard: float) -> list[complex]:
     if F.den.degree < 1:
         return []
     inside, ambiguous, _ = split_by_circle(uncancelled_den_roots(F), guard)
     if ambiguous:
         raise AmbiguousRootError("denominator roots in the circle guard band", ambiguous)
     inside = _cluster_poles(inside)
-    _, phistar = szego_polys(seq, seq.N)
     bound = 0
     if phistar.degree >= 1:
         bound, star_amb = count_in_disk(poly_roots(phistar), guard)
@@ -215,6 +182,17 @@ def pole_set(seq: VerblunskySequence, guard: float = DEFAULT_DISK_GUARD) -> list
         raise CrossCheckError(
             f"{len(inside)} poles exceed the {bound} in-disk zeros of Phi_N*")
     return inside
+
+
+def pole_set(seq: VerblunskySequence, guard: float = DEFAULT_DISK_GUARD) -> list[complex]:
+    """Poles of F inside the unit disk: in-disk zeros of the cleared
+    denominator that do not pair with a numerator zero (within CANCEL_TOL
+    relative to their modulus).
+
+    Raises AmbiguousRootError when a root lies in the circle guard band and
+    CrossCheckError if the count exceeds the zeros of Phi_N* in the disk.
+    """
+    return _poles(as_rational_F(seq), szego_polys(seq, seq.N)[1], guard)
 
 
 def szego_lhs(seq: VerblunskySequence) -> float:
@@ -232,12 +210,12 @@ def szego_verify(seq: VerblunskySequence, tol: float = DEFAULT_QUAD_TOL,
     sequence the pole product is empty and the report reduces to the
     textbook statement.
     """
-    poles = pole_set(seq, guard)
+    split = khrushchev_split(seq, seq.N)  # shared by every quadrature level
+    poles = _poles(split.F, split.phistar, guard)
     sign, logw = omega_log_sign(seq, seq.N - 1)
-    sample = _khrushchev_parts(seq, seq.N)  # shared by every quadrature level
 
     def log_abs_re_F(thetas: np.ndarray) -> np.ndarray:
-        bt2, at2, d2, _ = sample(thetas)
+        bt2, at2, d2, _ = split.sample(thetas)
         return logw + np.log(bt2 - at2) - np.log(d2)
 
     with warnings.catch_warnings(record=True) as caught:
@@ -260,12 +238,10 @@ def boyd_integral(seq: VerblunskySequence, N: int,
 
     For a classical tail this equals log prod_{j>=N} (1 - |alpha_j|^2).
     """
-    t = tail_schur(seq, N)  # validates that the tail is classical
+    sample = khrushchev_split(seq, N).sample  # validates that the tail is classical
 
     def integrand(thetas: np.ndarray) -> np.ndarray:
-        zs = np.exp(1j * thetas)
-        bt2 = np.abs(t.den(zs)) ** 2
-        at2 = np.abs(t.num(zs)) ** 2
+        bt2, at2, _, _ = sample(thetas)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.log(bt2 - at2) - np.log(bt2)
 
@@ -356,25 +332,21 @@ def log_split_check(seq: VerblunskySequence, n: int,
     within 100x the quadrature tolerance.
     """
     thetas = 2.0 * np.pi * np.arange(grid) / grid
-    zs = np.exp(1j * thetas)
-    F = as_rational_F(seq)
-    direct = np.log(np.abs((F.num(zs) / F.den(zs)).real))
+    at_N = khrushchev_split(seq, seq.N)
+    at_n = at_N if n == seq.N else khrushchev_split(seq, n)
+    direct = np.log(np.abs(at_N.F(np.exp(1j * thetas)).real))
 
     _, logw = omega_log_sign(seq, n - 1)
-    t = tail_schur(seq, n)
-    phi, phistar = szego_polys(seq, n)
-    fn = t.num(zs) / t.den(zs)
-    r_vals = phistar(zs) - zs * phi(zs) * fn
-    split = logw + np.log(1.0 - np.abs(fn) ** 2) - np.log(np.abs(r_vals) ** 2)
+    bt2, at2, d2, _ = at_n.sample(thetas)
+    split = logw + np.log(bt2 - at2) - np.log(d2)
     pointwise = float(np.max(np.abs(direct - split)) / max(1.0, float(np.max(np.abs(direct)))))
 
     def third(th: np.ndarray) -> np.ndarray:
-        z = np.exp(1j * th)
-        f = t.num(z) / t.den(z)
-        return np.log(np.abs(phistar(z) - z * phi(z) * f) ** 2)
+        bt2, _, d2, _ = at_n.sample(th)
+        return np.log(d2) - np.log(bt2)
 
     integral, _ = circle_quadrature(third, tol)
-    poles = pole_set(seq, guard)
+    poles = _poles(at_N.F, at_N.phistar, guard)
     target = math.exp(-2.0 * sum(math.log(abs(p)) for p in poles))
     diff = abs(math.exp(integral) - target)
     if diff > 100.0 * tol * max(1.0, target):

@@ -24,7 +24,6 @@ from .analysis import (
     SzegoReport,
     moments,
     pole_set,
-    re_F_khrushchev,
     szego_verify,
     zero_count_trace,
 )
@@ -35,7 +34,7 @@ from .opuc_core import (
     second_kind_polys,
     szego_polys,
 )
-from .schur import RationalFn, as_rational_F, recover_coefficients
+from .schur import RationalFn, khrushchev_split, recover_coefficients
 from .poly import ComplexPoly
 
 DEFAULT_VERIFY_TOL = 1e-8
@@ -152,12 +151,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_grid(args: argparse.Namespace) -> int:
     case = load_case(args.input)
-    seq = case.seq
-    F = as_rational_F(seq)
+    split = khrushchev_split(case.seq, case.seq.N)
     thetas = 2.0 * np.pi * np.arange(args.points) / args.points
-    zs = np.cos(thetas) + 1j * np.sin(thetas)
-    direct = (F.num(zs) / F.den(zs)).real
-    formula = re_F_khrushchev(seq, seq.N, thetas)
+    direct = split.F(np.cos(thetas) + 1j * np.sin(thetas)).real
+    formula = split.re_F(thetas)
     rows = zip(thetas.tolist(), direct.tolist(), formula.tolist(),
                np.abs(direct - formula).tolist())
     lines = ["theta,reF_direct,reF_khrushchev,abs_diff"]
@@ -332,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CaseError as exc:
+    except ValueError as exc:  # CaseError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (AmbiguousRootError, QuadratureError) as exc:

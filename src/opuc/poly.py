@@ -100,9 +100,6 @@ class ComplexPoly:
             out[k] -= c
         return ComplexPoly(out)
 
-    def __neg__(self) -> "ComplexPoly":
-        return ComplexPoly([-c for c in self.coeffs], self.formal_degree)
-
     def __mul__(self, other):
         if isinstance(other, ComplexPoly):
             if self.is_zero() or other.is_zero():

@@ -16,9 +16,12 @@ from __future__ import annotations
 import dataclasses
 import logging
 
+import numpy as np
+
 from .opuc_core import (
     DEFAULT_GUARD_UNIT,
     VerblunskySequence,
+    omega,
     second_kind_polys,
     szego_polys,
     wall_polys,
@@ -36,7 +39,8 @@ class PoleEvaluationError(ArithmeticError):
 
 
 def uncancelled_den_roots(F: RationalFn) -> list[complex]:
-    """Roots of ``F.den`` minus each one within CANCEL_TOL of a root of ``F.num``.
+    """Roots of ``F.den`` minus each root r that pairs with a root of ``F.num``
+    within CANCEL_TOL * |r| (den(0) = 1, so r is never 0).
 
     Genuine common zeros cannot occur for the functions built here; a pair
     means a spurious pole/zero, so the pairs found are logged once.  The
@@ -56,7 +60,7 @@ def uncancelled_den_roots(F: RationalFn) -> list[complex]:
     cancelled: list[tuple[complex, complex]] = []
     for dr in droots:
         best = None
-        best_dist = CANCEL_TOL
+        best_dist = CANCEL_TOL * abs(dr)
         for i, nr in enumerate(nroots):
             if used[i]:
                 continue
@@ -169,19 +173,53 @@ def eval_f(seq: VerblunskySequence, z: complex) -> complex:
     return as_rational_f(seq).value(z)
 
 
-def as_rational_F(seq: VerblunskySequence) -> RationalFn:
-    """F = (Psi_N* B_t + z Psi_N A_t) / (Phi_N* B_t - z Phi_N A_t).
+@dataclasses.dataclass(frozen=True)
+class KhrushchevSplit:
+    """Phi_n, Phi_n*, the tail f_n = A_t/B_t, omega_{n-1} and
+    F = (Psi_n* B_t + z Psi_n A_t) / (Phi_n* B_t - z Phi_n A_t), built once by
+    ``khrushchev_split``; F's denominator is 1 at z = 0, so F(0) = 1 exactly."""
 
-    The denominator value at 0 is exactly 1, so no rescaling happens and
-    F(0) = 1 holds exactly.
-    """
-    N = seq.N
-    t = tail_schur(seq, N)
-    phi, phistar = szego_polys(seq, N)
-    psi, psistar = second_kind_polys(seq, N)
+    phi: ComplexPoly
+    phistar: ComplexPoly
+    tail: RationalFn
+    omega: float
+    F: RationalFn
+
+    def sample(self, thetas: np.ndarray):
+        """|B_t|^2, |A_t|^2, |Phi_n* B_t - z Phi_n A_t|^2 and the scale
+        |Phi_n* B_t| + |z Phi_n A_t| of that last difference at the angles."""
+        zs = np.exp(1j * np.asarray(thetas, dtype=float))
+        tn = self.tail.num(zs)
+        td = self.tail.den(zs)
+        lead = self.phistar(zs) * td
+        trail = zs * self.phi(zs) * tn
+        d2 = np.abs(lead - trail) ** 2
+        return np.abs(td) ** 2, np.abs(tn) ** 2, d2, np.abs(lead) + np.abs(trail)
+
+    def re_F(self, thetas: np.ndarray) -> np.ndarray:
+        """Re F = omega_{n-1} (1 - |f_n|^2) / |Phi_n* - z Phi_n f_n|^2 at the angles."""
+        bt2, at2, d2, scale = self.sample(thetas)
+        at_pole = d2 <= (_POLE_GUARD * np.maximum(scale, 1e-300)) ** 2
+        if at_pole.any():
+            raise PoleEvaluationError(
+                f"Khrushchev denominator vanishes at theta = {float(thetas[at_pole][0])!r}")
+        return self.omega * (bt2 - at2) / d2
+
+
+def khrushchev_split(seq: VerblunskySequence, n: int) -> KhrushchevSplit:
+    """Build the split at index n (n >= N, so the tail is classical) from one
+    tail, one Szego and one second-kind recurrence; no root-finding."""
+    t = tail_schur(seq, n)
+    phi, phistar = szego_polys(seq, n)
+    psi, psistar = second_kind_polys(seq, n)
     num = psistar * t.den + (psi * t.num).shifted(1)
     den = phistar * t.den - (phi * t.num).shifted(1)
-    return RationalFn(num, den)
+    return KhrushchevSplit(phi, phistar, t, omega(seq, n - 1), RationalFn(num, den))
+
+
+def as_rational_F(seq: VerblunskySequence) -> RationalFn:
+    """F in cleared form, split at the canonical index N (see KhrushchevSplit)."""
+    return khrushchev_split(seq, seq.N).F
 
 
 def eval_F(seq: VerblunskySequence, z: complex) -> complex:

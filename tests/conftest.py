@@ -3,20 +3,20 @@ import pytest
 
 @pytest.fixture
 def tail_builds(monkeypatch):
-    """Record each tail_schur call by route: "F" when schur builds F (or f),
-    "khrushchev" when analysis builds the Khrushchev parts."""
+    """Record the index n of each tail_schur call, whichever opuc module
+    makes it (today schur is the only caller)."""
     import opuc.analysis
+    import opuc.cli
     import opuc.schur
 
-    calls: list[str] = []
+    calls: list[int] = []
+    build = opuc.schur.tail_schur
 
-    def counted(build, route):
-        def tail(seq, n):
-            calls.append(route)
-            return build(seq, n)
-        return tail
+    def counted(seq, n):
+        calls.append(n)
+        return build(seq, n)
 
-    monkeypatch.setattr(opuc.schur, "tail_schur", counted(opuc.schur.tail_schur, "F"))
-    monkeypatch.setattr(opuc.analysis, "tail_schur",
-                        counted(opuc.analysis.tail_schur, "khrushchev"))
+    for module in (opuc.schur, opuc.analysis, opuc.cli):
+        if getattr(module, "tail_schur", None) is build:
+            monkeypatch.setattr(module, "tail_schur", counted)
     return calls

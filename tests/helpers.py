@@ -29,6 +29,22 @@ from opuc import (
 from opuc.poly import roots as poly_roots
 from opuc.schur import as_rational_F
 
+# verify-suite case whose F has a denominator root at -17.39 within 5e-12
+# of a numerator root (a near-common pair that pole_set cancels)
+NEAR_COMMON_ROOT_ALPHAS = [
+    2.589109888265557 + 0.09050379619116429j,
+    -0.34878481644788467 - 1.3709377155745828j,
+    -1.3568742131609177 - 0.34525237112467055j,
+    -0.022842172914476707 + 1.3697711319142971j,
+    0.33819008214696356 - 0.13301457200412156j,
+    -0.1775604166594235 + 0.0668622822932588j,
+    0.3122210740614877 + 0.23802181398626826j,
+    0.015077819134614989 - 0.0298256914832231j,
+    -0.3798681881338129 - 0.005267512451981933j,
+    -0.7033071905573355 + 0.01953812556211289j,
+    -0.039537819708546605 - 0.002695936282820028j,
+]
+
 CLASSICAL_MARGIN = 1e-4
 NONCLASSICAL_MARGIN = 1e-3
 

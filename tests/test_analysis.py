@@ -26,7 +26,7 @@ from opuc import (
 )
 from opuc.poly import roots as poly_roots
 
-from helpers import draw_tail, random_classical, random_nonclassical
+from helpers import NEAR_COMMON_ROOT_ALPHAS, draw_tail, random_classical, random_nonclassical
 
 # ---------------------------------------------------------------------------
 # quadrature
@@ -213,26 +213,23 @@ def test_verify_keeps_tail_polynomials_exact():
     # F's denominator has a root at -17.39 within 5e-12 of a numerator root;
     # rebuilding the tail from its roots after cancelling that pair cost
     # the report digits (rel_error 4.8e-11)
-    alphas = [2.589109888265557 + 0.09050379619116429j,
-              -0.34878481644788467 - 1.3709377155745828j,
-              -1.3568742131609177 - 0.34525237112467055j,
-              -0.022842172914476707 + 1.3697711319142971j,
-              0.33819008214696356 - 0.13301457200412156j,
-              -0.1775604166594235 + 0.0668622822932588j,
-              0.3122210740614877 + 0.23802181398626826j,
-              0.015077819134614989 - 0.0298256914832231j,
-              -0.3798681881338129 - 0.005267512451981933j,
-              -0.7033071905573355 + 0.01953812556211289j,
-              -0.039537819708546605 - 0.002695936282820028j]
-    rep = szego_verify(VerblunskySequence(alphas))
+    rep = szego_verify(VerblunskySequence(NEAR_COMMON_ROOT_ALPHAS))
     assert len(rep.poles) == 2
     assert rep.rel_error < 1e-13
 
 
-def test_verify_builds_tail_at_most_twice(tail_builds):
+def test_verify_builds_tail_once(tail_builds):
     rep = szego_verify(VerblunskySequence([2.0, 0.95, -0.9j, 0.8]))
     assert rep.quad_points >= 512  # several doubling levels
-    assert sorted(tail_builds) == ["F", "khrushchev"]
+    assert tail_builds == [1]
+
+
+def test_verify_keeps_pole_next_to_a_tiny_numerator_root():
+    # the pole near 2e-10 sits 2.7e-10 from a numerator root that is not its
+    # pair; an absolute 1e-9 pairing bound dropped it (rel_error 1.0)
+    rep = szego_verify(VerblunskySequence([1e10, 0.5]))
+    assert len(rep.poles) == 1
+    assert rep.rel_error < 1e-12
 
 
 def test_verify_classical_pair():
@@ -365,6 +362,12 @@ def test_log_split_single_classical():
 
 def test_log_split_two_coefficients():
     assert log_split_check(VerblunskySequence([2, 0.5]), 2) < 1e-9
+
+
+@pytest.mark.parametrize("n, builds", [(1, [1]), (2, [1, 2])])
+def test_log_split_builds_one_tail_per_index(tail_builds, n, builds):
+    assert log_split_check(VerblunskySequence([2, 0.5]), n) < 1e-9
+    assert tail_builds == builds
 
 
 def test_log_split_jensen_piece_directly():

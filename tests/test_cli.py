@@ -1,8 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import opuc
 from opuc.cli import main, report_from_dict, report_to_dict
 from opuc import VerblunskySequence, szego_verify
+
+from helpers import NEAR_COMMON_ROOT_ALPHAS
 
 
 def write_case(path, alphas, **extra):
@@ -31,6 +40,18 @@ def test_verify_empty(tmp_path, capsys):
     assert main(["verify", "--input", str(case)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["lhs"] == 1.0 and out["rhs"] == 1.0
+
+
+def test_verify_logs_nothing_to_stderr(tmp_path):
+    # F has a near-common root pair that pole_set cancels and logs; the
+    # library's logger must stay quiet unless the application configures it
+    case = write_case(tmp_path / "case.json", NEAR_COMMON_ROOT_ALPHAS)
+    path = [str(Path(opuc.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-m", "opuc.cli", "verify", "--input", str(case)],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 def test_verify_unit_circle_rejected(tmp_path, capsys):
@@ -124,11 +145,11 @@ def test_grid_csv_file(tmp_path, capsys):
     assert abs(float(row[1]) - 3.0) < 1e-12
 
 
-def test_grid_builds_khrushchev_tail_once(tmp_path, capsys, tail_builds):
+def test_grid_builds_tail_once(tmp_path, capsys, tail_builds):
     case = write_case(tmp_path / "case.json", [2.0, 0.5j, -0.3])
     assert main(["grid", "--input", str(case), "--points", "64"]) == 0
     assert len(capsys.readouterr().out.strip().splitlines()) == 65
-    assert sorted(tail_builds) == ["F", "khrushchev"]
+    assert tail_builds == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +190,23 @@ def test_recover_json(capsys):
 
 def test_recover_bad_coefficient(capsys):
     assert main(["recover", "--num", "1,zzz", "--den", "1", "--max-n", "2"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["recover", "--num", "1", "--den", "0,1", "--max-n", "2"],
+    ["recover", "--num", "0", "--den", "1", "--max-n", "2"],
+    ["polys", "--n", "-1"],
+    ["moments", "--order", "0"],
+    ["moments", "--m", "-1"],
+])
+def test_bad_argument_is_one_error_line(tmp_path, capsys, argv):
+    if argv[0] != "recover":
+        case = write_case(tmp_path / "case.json", [2.0, 0.5])
+        argv = [argv[0], "--input", str(case), *argv[1:]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_trace_json(tmp_path, capsys):
