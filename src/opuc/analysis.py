@@ -33,7 +33,7 @@ from .poly import (
     series_div,
     split_by_circle,
 )
-from .schur import as_rational_F, khrushchev_split, uncancelled_den_roots
+from .schur import as_rational_F, khrushchev_split
 
 DEFAULT_QUAD_TOL = 1e-11
 DEFAULT_QUAD_MAX_POINTS = 1 << 20
@@ -166,10 +166,10 @@ def _cluster_poles(points: list[complex], tol: float = POLE_CLUSTER_TOL) -> list
     return out
 
 
-def _poles(F, phistar, guard: float) -> list[complex]:
-    if F.den.degree < 1:
+def _poles(den, phistar, guard: float) -> list[complex]:
+    if den.degree < 1:
         return []
-    inside, ambiguous, _ = split_by_circle(uncancelled_den_roots(F), guard)
+    inside, ambiguous, _ = split_by_circle(poly_roots(den), guard)
     if ambiguous:
         raise AmbiguousRootError("denominator roots in the circle guard band", ambiguous)
     inside = _cluster_poles(inside)
@@ -185,14 +185,13 @@ def _poles(F, phistar, guard: float) -> list[complex]:
 
 
 def pole_set(seq: VerblunskySequence, guard: float = DEFAULT_DISK_GUARD) -> list[complex]:
-    """Poles of F inside the unit disk: in-disk zeros of the cleared
-    denominator that do not pair with a numerator zero (within CANCEL_TOL
-    relative to their modulus).
+    """Poles of F = Psi_L*/Phi_L* inside the unit disk: the in-disk zeros of
+    Phi_L* (the two polynomials share no zero, so nothing cancels).
 
     Raises AmbiguousRootError when a root lies in the circle guard band and
     CrossCheckError if the count exceeds the zeros of Phi_N* in the disk.
     """
-    return _poles(as_rational_F(seq), szego_polys(seq, seq.N)[1], guard)
+    return _poles(as_rational_F(seq).den, szego_polys(seq, seq.N)[1], guard)
 
 
 def szego_lhs(seq: VerblunskySequence) -> float:
@@ -211,7 +210,7 @@ def szego_verify(seq: VerblunskySequence, tol: float = DEFAULT_QUAD_TOL,
     textbook statement.
     """
     split = khrushchev_split(seq, seq.N)  # shared by every quadrature level
-    poles = _poles(split.F, split.phistar, guard)
+    poles = _poles(szego_polys(seq, len(seq))[1], split.phistar, guard)
     sign, logw = omega_log_sign(seq, seq.N - 1)
 
     def log_abs_re_F(thetas: np.ndarray) -> np.ndarray:
@@ -332,9 +331,9 @@ def log_split_check(seq: VerblunskySequence, n: int,
     within 100x the quadrature tolerance.
     """
     thetas = 2.0 * np.pi * np.arange(grid) / grid
-    at_N = khrushchev_split(seq, seq.N)
-    at_n = at_N if n == seq.N else khrushchev_split(seq, n)
-    direct = np.log(np.abs(at_N.F(np.exp(1j * thetas)).real))
+    F = as_rational_F(seq)
+    at_n = khrushchev_split(seq, n)
+    direct = np.log(np.abs(F(np.exp(1j * thetas)).real))
 
     _, logw = omega_log_sign(seq, n - 1)
     bt2, at2, d2, _ = at_n.sample(thetas)
@@ -346,7 +345,7 @@ def log_split_check(seq: VerblunskySequence, n: int,
         return np.log(d2) - np.log(bt2)
 
     integral, _ = circle_quadrature(third, tol)
-    poles = _poles(at_N.F, at_N.phistar, guard)
+    poles = _poles(F.den, szego_polys(seq, seq.N)[1], guard)
     target = math.exp(-2.0 * sum(math.log(abs(p)) for p in poles))
     diff = abs(math.exp(integral) - target)
     if diff > 100.0 * tol * max(1.0, target):

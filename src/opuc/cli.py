@@ -2,7 +2,8 @@
 and CSV grid dumps.
 
 Exit codes for ``verify``: 0 pass, 1 parse/validation failure, 2 the
-verification refused (roots in the circle guard band).
+verification refused (roots in the circle guard band, roots that could not
+be resolved, or a non-finite integrand).
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .opuc_core import (
     second_kind_polys,
     szego_polys,
 )
-from .schur import RationalFn, khrushchev_split, recover_coefficients
-from .poly import ComplexPoly
+from .schur import RationalFn, as_rational_F, khrushchev_split, recover_coefficients
+from .poly import ComplexPoly, RootFindingError
 
 DEFAULT_VERIFY_TOL = 1e-8
 
@@ -150,11 +151,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     case = load_case(args.input)
-    split = khrushchev_split(case.seq, case.seq.N)
     thetas = 2.0 * np.pi * np.arange(args.points) / args.points
-    direct = split.F(np.cos(thetas) + 1j * np.sin(thetas)).real
-    formula = split.re_F(thetas)
+    direct = as_rational_F(case.seq)(np.cos(thetas) + 1j * np.sin(thetas)).real
+    formula = khrushchev_split(case.seq, case.seq.N).re_F(thetas)
     rows = zip(thetas.tolist(), direct.tolist(), formula.tolist(),
                np.abs(direct - formula).tolist())
     lines = ["theta,reF_direct,reF_khrushchev,abs_diff"]
@@ -235,8 +237,9 @@ def _run_batch_case(path: Path, tol: float) -> dict:
         entry["report"] = report_to_dict(report)
         entry["rel_error"] = report.rel_error
         entry["status"] = "pass" if report.rel_error < tol else "fail"
-    except (CaseError, AmbiguousRootError, QuadratureError) as exc:
+    except Exception as exc:  # one bad case must not lose the summary
         entry["status"] = "fail"
+        entry["error_type"] = type(exc).__name__
         entry["error"] = str(exc)
     return entry
 
@@ -332,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # CaseError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (AmbiguousRootError, QuadratureError) as exc:
+    except (AmbiguousRootError, QuadratureError, RootFindingError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
 

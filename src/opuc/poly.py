@@ -177,15 +177,38 @@ def _scaled_residuals(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return vals / np.maximum(np.abs(scale), 1e-300)
 
 
-def _aberth(c: np.ndarray, tol: float) -> np.ndarray | None:
-    """Simultaneous (Aberth-Ehrlich) iteration; None if not converged."""
+def _circle_start(c: np.ndarray) -> np.ndarray:
+    """n points on one circle; the Fujiwara-style radius keeps it near the
+    root annulus."""
     n = len(c) - 1
-    dc = c[1:] * np.arange(1, n + 1)
-    # Fujiwara-style start radius keeps the initial circle near the root annulus.
     radius = 2.0 * max(abs(c[k] / c[-1]) ** (1.0 / (n - k)) for k in range(n))
     radius = min(max(radius, 1e-3), 1e9)
-    angles = 2.0 * np.pi * np.arange(n) / n + 0.39
-    z = radius * np.exp(1j * angles)
+    return radius * np.exp(1j * (2.0 * np.pi * np.arange(n) / n + 0.39))
+
+
+def _newton_polygon_start(c: np.ndarray) -> np.ndarray:
+    """For each edge (x0, x1) of the upper convex hull of the points
+    (k, log|c_k|), x1 - x0 points on the circle of radius
+    (|c_x0|/|c_x1|)^(1/(x1 - x0)): clusters of roots of very different
+    sizes each start at their own scale (Bini, Numer. Algorithms 13, 1996)."""
+    hull: list[tuple[int, float]] = []
+    for x, y in ((k, np.log(abs(ck))) for k, ck in enumerate(c) if ck != 0):
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
+                                 >= (hull[-1][1] - hull[-2][1]) * (x - hull[-2][0])):
+            hull.pop()
+        hull.append((x, y))
+    n = len(c) - 1
+    return np.concatenate([
+        np.exp((y0 - y1) / (x1 - x0)
+               + 1j * (2.0 * np.pi * (np.arange(x1 - x0) / (x1 - x0) + x0 / n) + 0.39))
+        for (x0, y0), (x1, y1) in zip(hull, hull[1:])])
+
+
+def _aberth(c: np.ndarray, tol: float, z: np.ndarray) -> np.ndarray | None:
+    """Simultaneous (Aberth-Ehrlich) iteration from the start points ``z``;
+    None if not converged."""
+    n = len(c) - 1
+    dc = c[1:] * np.arange(1, n + 1)
     for _ in range(_ABERTH_MAX_SWEEPS):
         if (_scaled_residuals(c, z) <= tol).all():
             return z
@@ -230,16 +253,13 @@ def roots(p: ComplexPoly, tol: float = DEFAULT_ROOT_TOL) -> list[complex]:
     c = c / np.abs(c).max()
     cand = None
     if abs(c[-1]) > 1e-8:  # Aberth stalls when the leading coefficient is tiny
-        cand = _aberth(c, tol)
+        cand = _aberth(c, tol, _circle_start(c))
     if cand is None:
         cand = np.roots(c[::-1])
-    resid = _scaled_residuals(c, cand)
-    if resid.max() > tol:
-        fallback = np.roots(c[::-1])
-        fb_resid = _scaled_residuals(c, fallback)
-        if fb_resid.max() < resid.max():
-            cand, resid = fallback, fb_resid
+        resid = _scaled_residuals(c, cand)
         if resid.max() > tol:
+            cand = _aberth(c, tol, _newton_polygon_start(c))
+        if cand is None:
             raise RootFindingError(
                 f"root residuals up to {resid.max():.3e} exceed tolerance {tol:.1e}",
                 residuals=resid.tolist(),

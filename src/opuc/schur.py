@@ -14,7 +14,6 @@ exact coefficient shift, never by numerical division near z = 0.
 from __future__ import annotations
 
 import dataclasses
-import logging
 
 import numpy as np
 
@@ -26,55 +25,13 @@ from .opuc_core import (
     szego_polys,
     wall_polys,
 )
-from .poly import ComplexPoly, RootFindingError, roots as poly_roots
+from .poly import ComplexPoly
 
-logger = logging.getLogger(__name__)
-
-CANCEL_TOL = 1e-9
 _POLE_GUARD = 1e-13
 
 
 class PoleEvaluationError(ArithmeticError):
     """Evaluation was requested at (or numerically at) a pole."""
-
-
-def uncancelled_den_roots(F: RationalFn) -> list[complex]:
-    """Roots of ``F.den`` minus each root r that pairs with a root of ``F.num``
-    within CANCEL_TOL * |r| (den(0) = 1, so r is never 0).
-
-    Genuine common zeros cannot occur for the functions built here; a pair
-    means a spurious pole/zero, so the pairs found are logged once.  The
-    numerator's roots are best-effort: when they cannot be resolved to
-    pairing accuracy there is nothing trustworthy to cancel.
-    """
-    droots = poly_roots(F.den)
-    if F.num.degree < 1:
-        return droots
-    try:
-        nroots = poly_roots(F.num, tol=1e-10)
-    except RootFindingError as exc:
-        logger.debug("skipping root cancellation: %s", exc)
-        return droots
-    used = [False] * len(nroots)
-    kept: list[complex] = []
-    cancelled: list[tuple[complex, complex]] = []
-    for dr in droots:
-        best = None
-        best_dist = CANCEL_TOL * abs(dr)
-        for i, nr in enumerate(nroots):
-            if used[i]:
-                continue
-            dist = abs(nr - dr)
-            if dist <= best_dist:
-                best, best_dist = i, dist
-        if best is None:
-            kept.append(dr)
-        else:
-            used[best] = True
-            cancelled.append((nroots[best], dr))
-    if cancelled:
-        logger.warning("cancelled %d near-common root pair(s): %s", len(cancelled), cancelled)
-    return kept
 
 
 @dataclasses.dataclass(frozen=True)
@@ -175,15 +132,13 @@ def eval_f(seq: VerblunskySequence, z: complex) -> complex:
 
 @dataclasses.dataclass(frozen=True)
 class KhrushchevSplit:
-    """Phi_n, Phi_n*, the tail f_n = A_t/B_t, omega_{n-1} and
-    F = (Psi_n* B_t + z Psi_n A_t) / (Phi_n* B_t - z Phi_n A_t), built once by
-    ``khrushchev_split``; F's denominator is 1 at z = 0, so F(0) = 1 exactly."""
+    """Phi_n, Phi_n*, the tail f_n = A_t/B_t and omega_{n-1}, built once by
+    ``khrushchev_split``: the parts of Khrushchev's formula for Re F."""
 
     phi: ComplexPoly
     phistar: ComplexPoly
     tail: RationalFn
     omega: float
-    F: RationalFn
 
     def sample(self, thetas: np.ndarray):
         """|B_t|^2, |A_t|^2, |Phi_n* B_t - z Phi_n A_t|^2 and the scale
@@ -208,18 +163,19 @@ class KhrushchevSplit:
 
 def khrushchev_split(seq: VerblunskySequence, n: int) -> KhrushchevSplit:
     """Build the split at index n (n >= N, so the tail is classical) from one
-    tail, one Szego and one second-kind recurrence; no root-finding."""
+    tail and one Szego recurrence; no root-finding."""
     t = tail_schur(seq, n)
     phi, phistar = szego_polys(seq, n)
-    psi, psistar = second_kind_polys(seq, n)
-    num = psistar * t.den + (psi * t.num).shifted(1)
-    den = phistar * t.den - (phi * t.num).shifted(1)
-    return KhrushchevSplit(phi, phistar, t, omega(seq, n - 1), RationalFn(num, den))
+    return KhrushchevSplit(phi, phistar, t, omega(seq, n - 1))
 
 
 def as_rational_F(seq: VerblunskySequence) -> RationalFn:
-    """F in cleared form, split at the canonical index N (see KhrushchevSplit)."""
-    return khrushchev_split(seq, seq.N).F
+    """F = Psi_L*/Phi_L* with L = len(seq): every coefficient from index L on
+    is zero, so the tail f_L vanishes.  Phi_L*(0) = 1 gives F(0) = 1 exactly,
+    and Phi_L Psi_L* + Phi_L* Psi_L = 2 z^L omega_{L-1} leaves the two
+    polynomials no common zero."""
+    L = len(seq)
+    return RationalFn(second_kind_polys(seq, L)[1], szego_polys(seq, L)[1])
 
 
 def eval_F(seq: VerblunskySequence, z: complex) -> complex:

@@ -1,12 +1,25 @@
+import sys
+
 import pytest
+
+
+def patch_everywhere(monkeypatch, func, replacement) -> None:
+    """Replace every binding of ``func`` in the loaded opuc modules (the
+    package itself included), so the replacement sees every call, whichever
+    module makes it."""
+    import opuc.cli  # noqa: F401  (loads every opuc module)
+
+    for name, module in list(sys.modules.items()):
+        if name != "opuc" and not name.startswith("opuc."):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is func:
+                monkeypatch.setattr(module, attr, replacement)
 
 
 @pytest.fixture
 def tail_builds(monkeypatch):
-    """Record the index n of each tail_schur call, whichever opuc module
-    makes it (today schur is the only caller)."""
-    import opuc.analysis
-    import opuc.cli
+    """Record the index n of each tail_schur call."""
     import opuc.schur
 
     calls: list[int] = []
@@ -16,7 +29,32 @@ def tail_builds(monkeypatch):
         calls.append(n)
         return build(seq, n)
 
-    for module in (opuc.schur, opuc.analysis, opuc.cli):
-        if getattr(module, "tail_schur", None) is build:
-            monkeypatch.setattr(module, "tail_schur", counted)
+    patch_everywhere(monkeypatch, build, counted)
     return calls
+
+
+@pytest.fixture
+def root_calls(monkeypatch):
+    """Record the degree of the polynomial in each poly.roots call."""
+    import opuc.poly
+
+    calls: list[int] = []
+    find = opuc.poly.roots
+
+    def counted(p, *args, **kwargs):
+        calls.append(p.degree)
+        return find(p, *args, **kwargs)
+
+    patch_everywhere(monkeypatch, find, counted)
+    return calls
+
+
+@pytest.fixture
+def unresolved_roots(monkeypatch):
+    """Make every poly.roots call raise RootFindingError."""
+    import opuc.poly
+
+    def refuse(p, *args, **kwargs):
+        raise opuc.poly.RootFindingError("root residuals up to 1.0e-06 exceed tolerance 1.0e-12")
+
+    patch_everywhere(monkeypatch, opuc.poly.roots, refuse)

@@ -29,8 +29,9 @@ from opuc import (
 from opuc.poly import roots as poly_roots
 from opuc.schur import as_rational_F
 
-# verify-suite case whose F has a denominator root at -17.39 within 5e-12
-# of a numerator root (a near-common pair that pole_set cancels)
+# verify-suite case whose F has a denominator root at -17.39 within 3e-11
+# of a numerator root (two zeros of Psi_L* and Phi_L* that are close but
+# not common, so both stay)
 NEAR_COMMON_ROOT_ALPHAS = [
     2.589109888265557 + 0.09050379619116429j,
     -0.34878481644788467 - 1.3709377155745828j,

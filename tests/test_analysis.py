@@ -210,7 +210,7 @@ def test_verify_two_coefficients():
 
 
 def test_verify_keeps_tail_polynomials_exact():
-    # F's denominator has a root at -17.39 within 5e-12 of a numerator root;
+    # F's denominator has a root at -17.39 within 3e-11 of a numerator root;
     # rebuilding the tail from its roots after cancelling that pair cost
     # the report digits (rel_error 4.8e-11)
     rep = szego_verify(VerblunskySequence(NEAR_COMMON_ROOT_ALPHAS))
@@ -225,11 +225,41 @@ def test_verify_builds_tail_once(tail_builds):
 
 
 def test_verify_keeps_pole_next_to_a_tiny_numerator_root():
-    # the pole near 2e-10 sits 2.7e-10 from a numerator root that is not its
-    # pair; an absolute 1e-9 pairing bound dropped it (rel_error 1.0)
+    # the pole near 2e-10 sits 2.7e-10 from a zero of F's numerator
     rep = szego_verify(VerblunskySequence([1e10, 0.5]))
     assert len(rep.poles) == 1
     assert rep.rel_error < 1e-12
+
+
+@pytest.mark.parametrize("alphas", [[0.2, 0.3, 1e8], [0.5, 0.5, 1e9]])
+def test_verify_keeps_every_zero_of_phi_L_star(alphas):
+    # the smallest of the 3 in-disk zeros of Phi_3* lies within 2e-14 |r| of
+    # a zero of Psi_3*; the two are not common (Phi_3 Psi_3* + Phi_3* Psi_3 =
+    # 2 z^3 omega_2 is merely tiny there), so it is a pole of F
+    rep = szego_verify(VerblunskySequence(alphas))
+    assert len(rep.poles) == 3
+    assert rep.rel_error < 1e-12
+
+
+def test_verify_resolves_poles_of_very_different_sizes():
+    # the two poles sit near 2.2e-13 and 9.8e-4; neither a start circle nor
+    # the companion matrix resolved the zeros of Phi_5* to the residual bound
+    rep = szego_verify(VerblunskySequence(
+        [1018.945, 209564.108, 22144176.191, -0.048j, -0.529j]))
+    assert len(rep.poles) == 2
+    assert rep.rel_error < 1e-12
+
+
+def test_verify_finds_roots_twice(root_calls):
+    # the zeros of Phi_L* (the poles) and of Phi_N* (their cross-check)
+    seq = VerblunskySequence([2.0, 0.5j, -0.3, 0.2])
+    szego_verify(seq)
+    assert sorted(root_calls) == [1, 4]
+
+
+def test_pole_set_builds_no_tail(tail_builds):
+    assert len(pole_set(VerblunskySequence([2.0, 0.5j, -0.3]))) == 1
+    assert tail_builds == []
 
 
 def test_verify_classical_pair():
@@ -364,7 +394,7 @@ def test_log_split_two_coefficients():
     assert log_split_check(VerblunskySequence([2, 0.5]), 2) < 1e-9
 
 
-@pytest.mark.parametrize("n, builds", [(1, [1]), (2, [1, 2])])
+@pytest.mark.parametrize("n, builds", [(1, [1]), (2, [2])])
 def test_log_split_builds_one_tail_per_index(tail_builds, n, builds):
     assert log_split_check(VerblunskySequence([2, 0.5]), n) < 1e-9
     assert tail_builds == builds

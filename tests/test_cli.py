@@ -43,8 +43,8 @@ def test_verify_empty(tmp_path, capsys):
 
 
 def test_verify_logs_nothing_to_stderr(tmp_path):
-    # F has a near-common root pair that pole_set cancels and logs; the
-    # library's logger must stay quiet unless the application configures it
+    # the library logs nothing, so a verify run that passes writes nothing to
+    # stderr, even on a case whose F has a pole and a zero 3e-11 apart
     case = write_case(tmp_path / "case.json", NEAR_COMMON_ROOT_ALPHAS)
     path = [str(Path(opuc.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
@@ -78,6 +78,14 @@ def test_verify_ambiguous_pole_exits_2(tmp_path, capsys):
     case = write_case(tmp_path / "band.json", guard_band_sequence().alphas)
     assert main(["verify", "--input", str(case)]) == 2
     assert "refused" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "poles"])
+def test_unresolved_roots_are_one_refusal_line(tmp_path, capsys, unresolved_roots, command):
+    case = write_case(tmp_path / "roots.json", [2.0, 0.5])
+    assert main([command, "--input", str(case)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("refused: root residuals") and err.count("\n") == 1
 
 
 def test_verify_nan_coefficient_rejected(tmp_path, capsys):
@@ -143,6 +151,15 @@ def test_grid_csv_file(tmp_path, capsys):
     assert lines[0] == "theta,reF_direct,reF_khrushchev,abs_diff"
     row = lines[1].split(",")
     assert abs(float(row[1]) - 3.0) < 1e-12
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_grid_rejects_points_below_one(tmp_path, capsys, points):
+    case = write_case(tmp_path / "case.json", [2.0, 0.5])
+    assert main(["grid", "--input", str(case), "--points", points]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --points") and captured.err.count("\n") == 1
 
 
 def test_grid_builds_tail_once(tmp_path, capsys, tail_builds):
@@ -248,6 +265,21 @@ def test_batch_records_nan_case_and_writes_summary(tmp_path, capsys):
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["pass"] == 1 and summary["fail"] == 1
     assert "not finite" in summary["cases"][1]["error"]
+
+
+def test_batch_records_unresolved_roots_and_writes_summary(tmp_path, capsys, unresolved_roots):
+    cases = tmp_path / "cases"
+    cases.mkdir()
+    write_case(cases / "a.json", [])  # F = 1: no root-finding
+    write_case(cases / "roots.json", [2.0, 0.5])
+    out_dir = tmp_path / "results"
+    assert main(["batch", "--dir", str(cases), "--out", str(out_dir)]) == 0
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["pass"] == 1 and summary["fail"] == 1
+    entry = summary["cases"][1]
+    assert entry["file"] == "roots.json" and entry["status"] == "fail"
+    assert entry["error_type"] == "RootFindingError"
+    assert entry["error"].startswith("root residuals")
 
 
 def test_batch_empty_dir(tmp_path, capsys):

@@ -157,6 +157,18 @@ def test_roots_residuals_meet_contract():
             assert abs(p(r)) <= 1e-12 * p.magnitude_bound(r)
 
 
+def test_roots_resolves_clusters_of_very_different_sizes():
+    # z^3 + z^2 + 1.37e-266 has roots near -1 and +-1.17e-133 i: one start
+    # circle reaches neither small root within the sweep budget, and the
+    # companion matrix resolves them only to absolute accuracy
+    p = ComplexPoly([1.3748121654206392e-266, 0, 1, 1])
+    got = sorted(roots(p), key=abs)
+    assert abs(got[2] + 1) < 1e-15
+    for r in got[:2]:
+        assert abs(abs(r.imag) / 1.1725238442866052e-133 - 1) < 1e-12
+        assert abs(p(r)) <= 1e-12 * p.magnitude_bound(r)
+
+
 def test_roots_reconstruction_matches_monic_input():
     # oracle: multiply the monic factors back together with numpy
     rng = np.random.default_rng(11)

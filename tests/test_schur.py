@@ -1,5 +1,3 @@
-import logging
-
 import numpy as np
 import pytest
 
@@ -15,10 +13,11 @@ from opuc import (
     inverse_schur_step,
     pole_set,
     recover_coefficients,
+    szego_polys,
     tail_schur,
 )
 from opuc.poly import roots as poly_roots
-from opuc.schur import uncancelled_den_roots
+from opuc.schur import khrushchev_split
 
 from helpers import random_admissible, random_nonclassical
 
@@ -38,28 +37,13 @@ def test_rationalfn_rejects_pole_at_origin():
         RationalFn(ComplexPoly([1]), ComplexPoly([0, 1]))
 
 
-def test_uncancelled_den_roots_drops_spurious_common_root(caplog):
-    # num root 0.5, den root within 2.5e-11 of it: the pair must go
-    num = ComplexPoly([1, -2]) * ComplexPoly([1, -0.3])
-    den = ComplexPoly([1, -2.0000000001]) * ComplexPoly([1, 0.4])
-    f = RationalFn(num, den)
-    assert f.num.degree == 2 and f.den.degree == 2  # kept as given
-    with caplog.at_level(logging.WARNING, logger="opuc.schur"):
-        kept = uncancelled_den_roots(f)
-    assert len(kept) == 1 and abs(kept[0] + 2.5) < 1e-12
-    assert sum("cancelled" in rec.message for rec in caplog.records) == 1
-
-
-def test_rationalfn_construction_finds_no_roots(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("RationalFn construction must not find roots")
-
-    monkeypatch.setattr("opuc.schur.poly_roots", refuse)
+def test_rationalfn_construction_finds_no_roots(root_calls):
     num = ComplexPoly([1, -2]) * ComplexPoly([1, -0.3])
     den = ComplexPoly([2, -4.0000000002]) * ComplexPoly([1, 0.4])
     f = RationalFn(num, den)
-    assert f.den(0) == 1 and f.den.degree == 2
+    assert f.den(0) == 1 and f.num.degree == 2 and f.den.degree == 2  # kept as given
     as_rational_F(VerblunskySequence([2.0, 0.5, -0.3]))
+    assert root_calls == []
 
 
 def test_rationalfn_keeps_distinct_roots():
@@ -148,6 +132,21 @@ def test_as_rational_F_assembled():
     F = as_rational_F(VerblunskySequence([2, 0.5]))
     assert F.num.coeffs == (1, 3, 0.5)      # (1 + 2z) + 0.5 z (z + 2)
     assert F.den.coeffs == (1, -1, -0.5)    # (1 - 2z) - 0.5 z (z - 2)
+
+
+def test_split_denominator_is_phi_L_star():
+    # Phi_N* B_t - z Phi_N A_t, the denominator of Khrushchev's formula, is
+    # Phi_L* (L = len(seq)); F = Psi_L*/Phi_L* rests on this
+    rng = np.random.default_rng(41)
+    worst = 0.0
+    for _ in range(40):
+        seq = random_nonclassical(rng, require_growth_window=False)
+        split = khrushchev_split(seq, seq.N)
+        den = split.phistar * split.tail.den - (split.phi * split.tail.num).shifted(1)
+        _, phistar_L = szego_polys(seq, len(seq))
+        scale = max(abs(c) for c in phistar_L.coeffs)
+        worst = max(worst, max(abs(c) for c in (den - phistar_L).coeffs) / scale)
+    assert worst < 1e-13
 
 
 def test_as_rational_F_degree_bound():
