@@ -45,7 +45,8 @@ class QuadratureWarning(UserWarning):
 
 
 class QuadratureError(RuntimeError):
-    """Integrand produced non-finite samples even after a half-step shift."""
+    """Integrand produced non-finite samples even after a half-step shift,
+    or samples that overflow float64."""
 
 
 class AmbiguousRootError(RuntimeError):
@@ -93,19 +94,12 @@ class MigrationRow:
     circle_dist: tuple[float, ...]  # 1 - |zero|
 
 
-def _grid_mean(g, m: int) -> float:
+def _samples(g, thetas: np.ndarray) -> tuple[np.ndarray, bool]:
     # non-finite samples are handled by the half-step retry, so numpy's
     # divide/invalid warnings during sampling are noise
-    thetas = 2.0 * np.pi * np.arange(m) / m
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = np.asarray(g(thetas), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            thetas = thetas + np.pi / m
-            vals = np.asarray(g(thetas), dtype=float)
-            if not np.all(np.isfinite(vals)):
-                raise QuadratureError(
-                    f"integrand not finite on the {m}-point grid even after a half-step shift")
-    return float(vals.mean())
+    return vals, bool(np.all(np.isfinite(vals)))
 
 
 def circle_quadrature(g, tol: float = DEFAULT_QUAD_TOL,
@@ -115,22 +109,35 @@ def circle_quadrature(g, tol: float = DEFAULT_QUAD_TOL,
     ``g`` must accept an ndarray of angles.  The grid doubles from 64
     points until successive values differ by less than ``tol``; hitting
     ``max_points`` first emits a QuadratureWarning and returns the last
-    value.  A non-finite sample triggers one retry on a half-step-shifted
-    grid before giving up.
+    value.  Each level keeps the sum over the grid before it and evaluates
+    ``g`` only at the new midpoints.  A non-finite sample makes that level
+    evaluate its whole grid shifted by half a step, and the levels after
+    it nest in the shifted grid; a non-finite sample there too raises
+    QuadratureError.
     """
-    m = 64
-    prev = _grid_mean(g, m)
+    m, offset, total, prev = 64, 0.0, 0.0, math.inf
+    new = 2.0 * np.pi * np.arange(m) / m
     while True:
-        m2 = 2 * m
-        if m2 > max_points:
+        vals, finite = _samples(g, new)
+        if finite:
+            total += float(vals.sum())
+        else:
+            offset = np.pi / m
+            vals, finite = _samples(g, 2.0 * np.pi * np.arange(m) / m + offset)
+            if not finite:
+                raise QuadratureError(
+                    f"integrand not finite on the {m}-point grid even after a half-step shift")
+            total = float(vals.sum())
+        cur = total / m
+        if abs(cur - prev) < tol:
+            return cur, m
+        if 2 * m > max_points:
             warnings.warn(
                 f"quadrature did not converge to {tol:.1e} within {max_points} points",
                 QuadratureWarning, stacklevel=2)
-            return prev, m
-        cur = _grid_mean(g, m2)
-        if abs(cur - prev) < tol:
-            return cur, m2
-        prev, m = cur, m2
+            return cur, m
+        prev, m = cur, 2 * m
+        new = offset + 2.0 * np.pi * np.arange(1, m, 2) / m
 
 
 def re_F_khrushchev(seq: VerblunskySequence, n: int, theta: float | np.ndarray):
@@ -147,8 +154,9 @@ def re_F_khrushchev(seq: VerblunskySequence, n: int, theta: float | np.ndarray):
 
 
 def _cluster_poles(points: list[complex], tol: float = POLE_CLUSTER_TOL) -> list[complex]:
-    """Merge root clusters within ``tol`` into their mean, repeated with
-    multiplicity (root finders split multiple roots)."""
+    """Merge root clusters within ``tol`` relative to the larger modulus
+    into their mean, repeated with multiplicity (root finders split
+    multiple roots; distinct tiny roots stay apart)."""
     out: list[complex] = []
     remaining = list(points)
     while remaining:
@@ -156,7 +164,7 @@ def _cluster_poles(points: list[complex], tol: float = POLE_CLUSTER_TOL) -> list
         cluster = [seed]
         rest = []
         for p in remaining:
-            if abs(p - seed) <= tol:
+            if abs(p - seed) <= tol * max(abs(p), abs(seed)):
                 cluster.append(p)
             else:
                 rest.append(p)
@@ -169,13 +177,16 @@ def _cluster_poles(points: list[complex], tol: float = POLE_CLUSTER_TOL) -> list
 def _poles(den, phistar, guard: float) -> list[complex]:
     if den.degree < 1:
         return []
-    inside, ambiguous, _ = split_by_circle(poly_roots(den), guard)
+    den_roots = poly_roots(den)
+    inside, ambiguous, _ = split_by_circle(den_roots, guard)
     if ambiguous:
         raise AmbiguousRootError("denominator roots in the circle guard band", ambiguous)
     inside = _cluster_poles(inside)
     bound = 0
     if phistar.degree >= 1:
-        bound, star_amb = count_in_disk(poly_roots(phistar), guard)
+        # when N = L the two polynomials are one and the same
+        star_roots = den_roots if phistar == den else poly_roots(phistar)
+        bound, star_amb = count_in_disk(star_roots, guard)
         if star_amb:
             raise AmbiguousRootError("zeros of Phi_N* in the circle guard band", star_amb)
     if len(inside) > bound:
@@ -215,6 +226,10 @@ def szego_verify(seq: VerblunskySequence, tol: float = DEFAULT_QUAD_TOL,
 
     def log_abs_re_F(thetas: np.ndarray) -> np.ndarray:
         bt2, at2, d2, _ = split.sample(thetas)
+        if math.isinf(logw) or not np.isfinite(d2).all():
+            raise QuadratureError(
+                "samples of log|Re F| overflow float64: omega_{N-1} or "
+                "|Phi_N* - z Phi_N f_N|^2 exceeds the largest double")
         return logw + np.log(bt2 - at2) - np.log(d2)
 
     with warnings.catch_warnings(record=True) as caught:

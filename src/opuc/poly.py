@@ -167,7 +167,8 @@ def _horner(c: Sequence[complex], z: np.ndarray) -> np.ndarray:
     """Horner evaluation of coefficients ``c`` (constant first) at every point of ``z``."""
     acc = np.full(z.shape, c[-1], dtype=complex)
     for ck in c[-2::-1]:
-        acc = acc * z + ck
+        acc *= z
+        acc += ck
     return acc
 
 

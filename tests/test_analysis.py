@@ -33,8 +33,16 @@ from helpers import NEAR_COMMON_ROOT_ALPHAS, draw_tail, random_classical, random
 
 
 def test_quadrature_constant():
-    value, pts = circle_quadrature(lambda t: np.ones_like(t))
-    assert value == 1.0 and pts == 128
+    # 64 points, then only the 64 midpoints of the 128-point grid
+    sampled = []
+
+    def ones(t):
+        sampled.append(t)
+        return np.ones_like(t)
+
+    assert circle_quadrature(ones) == (1.0, 128)
+    assert [t.size for t in sampled] == [64, 64]
+    assert np.array_equal(np.sort(np.concatenate(sampled)), 2 * np.pi * np.arange(128) / 128)
 
 
 def test_quadrature_cosine():
@@ -74,6 +82,34 @@ def test_quadrature_shifts_off_singular_sample():
 def test_quadrature_error_when_never_finite():
     with pytest.raises(QuadratureError):
         circle_quadrature(lambda t: np.full_like(t, np.nan))
+
+
+@pytest.mark.parametrize("r", [0.9, 1.1])
+def test_quadrature_levels_equal_the_full_grid_mean(r):
+    # tol = 0 never converges, so each point cap returns that level's value
+    def g(t):
+        return np.log(np.abs(1 - r * np.exp(1j * t)) ** 2)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QuadratureWarning)
+        for m in (64 << k for k in range(9)):
+            value, pts = circle_quadrature(g, tol=0.0, max_points=m)
+            assert pts == m
+            assert abs(value - np.mean(g(2 * np.pi * np.arange(m) / m))) < 1e-15
+
+
+def test_quadrature_nests_in_the_shifted_grid():
+    # NaN only at t = 0: the first level shifts by half a step, and the
+    # next level samples only the midpoints of the shifted grid
+    sizes = []
+
+    def g(t):
+        sizes.append(t.size)
+        return np.where(t == 0.0, np.nan, np.cos(t) ** 2)
+
+    value, pts = circle_quadrature(g)
+    assert pts == 128 and abs(value - 0.5) < 1e-15
+    assert sizes == [64, 64, 64]
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +284,26 @@ def test_verify_resolves_poles_of_very_different_sizes():
         [1018.945, 209564.108, 22144176.191, -0.048j, -0.529j]))
     assert len(rep.poles) == 2
     assert rep.rel_error < 1e-12
+
+
+def test_verify_keeps_distinct_tiny_poles_apart():
+    # the in-disk zeros of Phi_6* are near 1.1e-13, 5.1e-8 and 3.9e-4: the
+    # two smallest are far apart relative to their size, so neither merges
+    rep = szego_verify(VerblunskySequence(
+        [1627634.166 - 9236284.072j, -0.562 + 1.696j, 5436200.594 + 180392.656j,
+         496033.785 - 1553071.937j, -158.615 + 450.824j, -0.212 + 6.081j]))
+    assert len(set(rep.poles)) == 3
+    assert rep.rel_error < 1e-12
+
+
+def test_poles_find_roots_once_when_N_is_L(root_calls):
+    # the last stored coefficient is outside the disk, so Phi_N* is Phi_L*
+    seq = VerblunskySequence([0.5, 0.3j, 2.0])
+    szego_verify(seq)
+    assert root_calls == [3]
+    root_calls.clear()
+    pole_set(seq)
+    assert root_calls == [3]
 
 
 def test_verify_finds_roots_twice(root_calls):

@@ -88,6 +88,15 @@ def test_unresolved_roots_are_one_refusal_line(tmp_path, capsys, unresolved_root
     assert err.startswith("refused: root residuals") and err.count("\n") == 1
 
 
+def test_verify_overflow_is_one_refusal_line(tmp_path, capsys):
+    # |alpha_0|^2 and the Phi_1* samples exceed the largest double
+    case = write_case(tmp_path / "huge.json", [1e200, 0.5])
+    assert main(["verify", "--input", str(case)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("refused: samples of log|Re F| overflow float64")
+    assert err.count("\n") == 1
+
+
 def test_verify_nan_coefficient_rejected(tmp_path, capsys):
     case = tmp_path / "nan.json"
     case.write_text(json.dumps({"alphas": [{"re": "nan", "im": 0.0}]}))

@@ -37,6 +37,17 @@ def test_eval_on_array():
     np.testing.assert_allclose(p(zs), [1 - 2j, -1, 1])
 
 
+def test_array_eval_matches_scalar_recurrence_bit_for_bit():
+    # the in-place Horner loop does the same arithmetic as acc = acc * z + c
+    rng = np.random.default_rng(5)
+    cs = rng.normal(size=12) + 1j * rng.normal(size=12)
+    zs = np.exp(1j * rng.uniform(0, 2 * np.pi, 257)) * rng.uniform(0.5, 2.0, 257)
+    acc = np.full(zs.shape, cs[-1], dtype=complex)
+    for c in cs[-2::-1]:
+        acc = acc * zs + c
+    assert np.array_equal(ComplexPoly(cs)(zs), acc)
+
+
 def test_trailing_exact_zeros_trimmed_but_near_zeros_kept():
     assert ComplexPoly([1, 2, 0.0]).coeffs == (1, 2)
     assert ComplexPoly([1, 2, 1e-300]).coeffs == (1, 2, 1e-300)
