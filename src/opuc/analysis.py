@@ -33,7 +33,7 @@ from .poly import (
     series_div,
     split_by_circle,
 )
-from .schur import as_rational_F, khrushchev_split
+from .schur import KhrushchevSplit, as_rational_F, khrushchev_split
 
 DEFAULT_QUAD_TOL = 1e-11
 DEFAULT_QUAD_MAX_POINTS = 1 << 20
@@ -205,6 +205,18 @@ def pole_set(seq: VerblunskySequence, guard: float = DEFAULT_DISK_GUARD) -> list
     return _poles(as_rational_F(seq).den, szego_polys(seq, seq.N)[1], guard)
 
 
+def _log_abs_re_F(split: KhrushchevSplit, logw: float, thetas: np.ndarray) -> np.ndarray:
+    """log|Re F| at the angles from the split at n and log|omega_{n-1}|;
+    samples that overflow float64 are refused."""
+    with np.errstate(over="ignore"):
+        bt2, at2, d2, _ = split.sample(thetas)
+    if math.isinf(logw) or not np.isfinite(d2).all():
+        raise QuadratureError(
+            "samples of log|Re F| overflow float64: omega_{n-1} or "
+            "|Phi_n* - z Phi_n f_n|^2 exceeds the largest double")
+    return logw + np.log(bt2 - at2) - np.log(d2)
+
+
 def szego_lhs(seq: VerblunskySequence) -> float:
     """prod over the stored list of (1 - |alpha_j|^2); implicit factors are 1."""
     return omega(seq, len(seq) - 1)
@@ -223,18 +235,10 @@ def szego_verify(seq: VerblunskySequence, tol: float = DEFAULT_QUAD_TOL,
     split = khrushchev_split(seq, seq.N)  # shared by every quadrature level
     poles = _poles(szego_polys(seq, len(seq))[1], split.phistar, guard)
     sign, logw = omega_log_sign(seq, seq.N - 1)
-
-    def log_abs_re_F(thetas: np.ndarray) -> np.ndarray:
-        bt2, at2, d2, _ = split.sample(thetas)
-        if math.isinf(logw) or not np.isfinite(d2).all():
-            raise QuadratureError(
-                "samples of log|Re F| overflow float64: omega_{N-1} or "
-                "|Phi_N* - z Phi_N f_N|^2 exceeds the largest double")
-        return logw + np.log(bt2 - at2) - np.log(d2)
-
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", QuadratureWarning)
-        log_integral, pts = circle_quadrature(log_abs_re_F, tol, max_points)
+        log_integral, pts = circle_quadrature(
+            lambda thetas: _log_abs_re_F(split, logw, thetas), tol, max_points)
     notes = tuple(str(w.message) for w in caught)
     log_pole_product = -2.0 * sum(math.log(abs(p)) for p in poles)
     rhs = sign * math.exp(log_integral + log_pole_product)
@@ -317,7 +321,8 @@ def moments(seq: VerblunskySequence, m: int, J: int,
     (c_0 is 1 by normalization), with the observed and predicted growth rates.
 
     Exponential growth (rate > 1) is the witness that no signed
-    orthogonality measure exists once a pole sits inside the disk.
+    orthogonality measure exists once a pole sits inside the disk.  Raises
+    OverflowError when a moment exceeds the largest double.
     """
     if J < 1:
         raise ValueError("J must be at least 1")
@@ -325,6 +330,8 @@ def moments(seq: VerblunskySequence, m: int, J: int,
     _, psistar = second_kind_polys(seq, m)
     maclaurin = series_div(psistar, phistar, J)
     cs = tuple(0.5 * maclaurin[j] for j in range(1, J + 1))
+    if not np.isfinite(cs).all():
+        raise OverflowError(f"moments from c_{np.argmin(np.isfinite(cs)) + 1} on overflow float64")
     lo = max(1, J // 2)
     growth = max(abs(cs[j - 1]) ** (1.0 / j) for j in range(lo, J + 1))
     poles = pole_set(seq, guard)
@@ -343,16 +350,13 @@ def log_split_check(seq: VerblunskySequence, n: int,
     with Re F taken from the rational form of F (an independent route), and
 
         exp( (1/2pi) int log|Phi_n* - z Phi_n f_n|^2 ) = prod |lambda_j|^{-2}
-    within 100x the quadrature tolerance.
+    within 100x the quadrature tolerance.  Overflow is refused as in ``szego_verify``.
     """
     thetas = 2.0 * np.pi * np.arange(grid) / grid
-    F = as_rational_F(seq)
     at_n = khrushchev_split(seq, n)
+    split = _log_abs_re_F(at_n, omega_log_sign(seq, n - 1)[1], thetas)
+    F = as_rational_F(seq)
     direct = np.log(np.abs(F(np.exp(1j * thetas)).real))
-
-    _, logw = omega_log_sign(seq, n - 1)
-    bt2, at2, d2, _ = at_n.sample(thetas)
-    split = logw + np.log(bt2 - at2) - np.log(d2)
     pointwise = float(np.max(np.abs(direct - split)) / max(1.0, float(np.max(np.abs(direct)))))
 
     def third(th: np.ndarray) -> np.ndarray:

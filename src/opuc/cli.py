@@ -3,7 +3,7 @@ and CSV grid dumps.
 
 Exit codes for ``verify``: 0 pass, 1 parse/validation failure, 2 the
 verification refused (roots in the circle guard band, roots that could not
-be resolved, or a non-finite integrand).
+be resolved, a non-finite integrand or a float64 overflow).  JSON is strict.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def moment_report_to_dict(report: MomentReport) -> dict:
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2, allow_nan=False))
 
 
 def _parse_complex_list(text: str, flag: str) -> list[complex]:
@@ -234,7 +234,7 @@ def _run_batch_case(path: Path, tol: float) -> dict:
         entry["label"] = case.label
         report = szego_verify(case.seq, tol=case.quad_tol,
                               max_points=case.quad_max_points)
-        entry["report"] = report_to_dict(report)
+        entry["report"] = json.dumps(report_to_dict(report), indent=2, allow_nan=False)
         entry["rel_error"] = report.rel_error
         entry["status"] = "pass" if report.rel_error < tol else "fail"
     except Exception as exc:  # one bad case must not lose the summary
@@ -255,7 +255,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     for entry in entries:
         if "report" in entry:
             (out_dir / f"{Path(entry['file']).stem}.report.json").write_text(
-                json.dumps(entry["report"], indent=2) + "\n")
+                entry["report"] + "\n")
     worst = max((e["rel_error"] for e in entries if "rel_error" in e), default=None)
     summary = {
         "pass": sum(1 for e in entries if e["status"] == "pass"),
@@ -263,7 +263,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         "worst_rel_error": worst,
         "cases": [{k: v for k, v in e.items() if k != "report"} for e in entries],
     }
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
     _emit(summary)
     return 0
 
@@ -335,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # CaseError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (AmbiguousRootError, QuadratureError, RootFindingError) as exc:
+    except (AmbiguousRootError, QuadratureError, RootFindingError, OverflowError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,7 @@ _ABERTH_MAX_SWEEPS = 200
 
 
 class RootFindingError(RuntimeError):
-    """Neither Aberth iteration nor the companion fallback met the residual bound."""
+    """Neither the companion-matrix roots nor the Newton-polygon Aberth restart met the bound."""
 
     def __init__(self, message: str, residuals: Sequence[float] = ()) -> None:
         super().__init__(message)
@@ -178,15 +178,6 @@ def _scaled_residuals(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return vals / np.maximum(np.abs(scale), 1e-300)
 
 
-def _circle_start(c: np.ndarray) -> np.ndarray:
-    """n points on one circle; the Fujiwara-style radius keeps it near the
-    root annulus."""
-    n = len(c) - 1
-    radius = 2.0 * max(abs(c[k] / c[-1]) ** (1.0 / (n - k)) for k in range(n))
-    radius = min(max(radius, 1e-3), 1e9)
-    return radius * np.exp(1j * (2.0 * np.pi * np.arange(n) / n + 0.39))
-
-
 def _newton_polygon_start(c: np.ndarray) -> np.ndarray:
     """For each edge (x0, x1) of the upper convex hull of the points
     (k, log|c_k|), x1 - x0 points on the circle of radius
@@ -210,7 +201,7 @@ def _aberth(c: np.ndarray, tol: float, z: np.ndarray) -> np.ndarray | None:
     None if not converged."""
     n = len(c) - 1
     dc = c[1:] * np.arange(1, n + 1)
-    for _ in range(_ABERTH_MAX_SWEEPS):
+    for _ in range(_ABERTH_MAX_SWEEPS + 1):
         if (_scaled_residuals(c, z) <= tol).all():
             return z
         pv = _horner(c, z)
@@ -224,8 +215,6 @@ def _aberth(c: np.ndarray, tol: float, z: np.ndarray) -> np.ndarray | None:
         corr = np.where(np.isfinite(corr), corr,
                         np.where(np.isfinite(newton), newton, 0.3 + 0.2j))
         z = z - corr
-    if (_scaled_residuals(c, z) <= tol).all():
-        return z
     return None
 
 
@@ -234,8 +223,10 @@ def roots(p: ComplexPoly, tol: float = DEFAULT_ROOT_TOL) -> list[complex]:
 
     Exact zero coefficients at the low end deflate exactly (roots at the
     origin are reported as exactly 0).  Each returned root r satisfies
-    ``|p(r)| <= tol * sum_k |c_k| |r|**k``; otherwise RootFindingError is
-    raised with the offending residuals.
+    ``|p(r)| <= tol * sum_k |c_k| |r|**k``: the companion-matrix roots,
+    each after one Newton step, if all of them do, else Aberth iteration
+    from the Newton-polygon circles; if that misses too, RootFindingError
+    carries the companion residuals.
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has no well-defined root set")
@@ -252,14 +243,15 @@ def roots(p: ComplexPoly, tol: float = DEFAULT_ROOT_TOL) -> list[complex]:
         return found
     c = np.asarray(cs, dtype=complex)
     c = c / np.abs(c).max()
-    cand = None
-    if abs(c[-1]) > 1e-8:  # Aberth stalls when the leading coefficient is tiny
-        cand = _aberth(c, tol, _circle_start(c))
-    if cand is None:
-        cand = np.roots(c[::-1])
-        resid = _scaled_residuals(c, cand)
-        if resid.max() > tol:
-            cand = _aberth(c, tol, _newton_polygon_start(c))
+    cand = np.roots(c[::-1])
+    # a Newton step shorter than a tenth of the gap to the nearest root: none merge
+    with np.errstate(all="ignore"):  # a non-finite step is not taken
+        step = _horner(c, cand) / _horner(c[1:] * np.arange(1, n + 1), cand)
+    gap = np.abs(cand[:, None] - cand[None, :]) + np.diag(np.full(n, np.inf))
+    cand = np.where(np.abs(step) < 0.1 * gap.min(axis=1), cand - step, cand)
+    resid = _scaled_residuals(c, cand)
+    if resid.max() > tol:
+        cand = _aberth(c, tol, _newton_polygon_start(c))
         if cand is None:
             raise RootFindingError(
                 f"root residuals up to {resid.max():.3e} exceed tolerance {tol:.1e}",

@@ -58,3 +58,19 @@ def unresolved_roots(monkeypatch):
         raise opuc.poly.RootFindingError("root residuals up to 1.0e-06 exceed tolerance 1.0e-12")
 
     patch_everywhere(monkeypatch, opuc.poly.roots, refuse)
+
+
+@pytest.fixture
+def aberth_runs(monkeypatch):
+    """Record the degree of the polynomial in each Aberth iteration."""
+    import opuc.poly
+
+    calls: list[int] = []
+    iterate = opuc.poly._aberth
+
+    def counted(c, *args):
+        calls.append(len(c) - 1)
+        return iterate(c, *args)
+
+    patch_everywhere(monkeypatch, iterate, counted)
+    return calls

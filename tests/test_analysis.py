@@ -278,8 +278,9 @@ def test_verify_keeps_every_zero_of_phi_L_star(alphas):
 
 
 def test_verify_resolves_poles_of_very_different_sizes():
-    # the two poles sit near 2.2e-13 and 9.8e-4; neither a start circle nor
-    # the companion matrix resolved the zeros of Phi_5* to the residual bound
+    # the two poles sit near 2.2e-13 and 9.8e-4; the companion matrix does not
+    # resolve the zeros of Phi_5* to the residual bound, so Aberth restarts
+    # from the Newton-polygon circles
     rep = szego_verify(VerblunskySequence(
         [1018.945, 209564.108, 22144176.191, -0.048j, -0.529j]))
     assert len(rep.poles) == 2
@@ -434,6 +435,12 @@ def test_moments_stable_beyond_stored_length():
         assert rep.moments == base.moments
 
 
+def test_moments_overflow_raises():
+    # the pole near 2e-200 makes c_j grow like 5e199^j: c_2 exceeds the largest double
+    with pytest.raises(OverflowError, match="moments from c_2 on overflow float64"):
+        moments(VerblunskySequence([1e200, 0.5]), 2, 10)
+
+
 # ---------------------------------------------------------------------------
 # log split
 
@@ -454,6 +461,14 @@ def test_log_split_two_coefficients():
 def test_log_split_builds_one_tail_per_index(tail_builds, n, builds):
     assert log_split_check(VerblunskySequence([2, 0.5]), n) < 1e-9
     assert tail_builds == builds
+
+
+def test_log_split_overflow_is_the_verify_refusal():
+    # |Phi_1* - z Phi_1 f_1|^2 exceeds the largest double; numpy stays quiet
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="samples of log|Re F| overflow float64"):
+            log_split_check(VerblunskySequence([1e200, 0.5]), 1)
 
 
 def test_log_split_jensen_piece_directly():

@@ -97,6 +97,21 @@ def test_verify_overflow_is_one_refusal_line(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def strict_json(text):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_moments_overflow_is_one_refusal_line(tmp_path, capsys):
+    # c_2 onwards exceed the largest double; no NaN reaches stdout
+    case = write_case(tmp_path / "huge.json", [1e200, 0.5])
+    assert main(["moments", "--input", str(case)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "refused: moments from c_2 on overflow float64\n"
+
+
 def test_verify_nan_coefficient_rejected(tmp_path, capsys):
     case = tmp_path / "nan.json"
     case.write_text(json.dumps({"alphas": [{"re": "nan", "im": 0.0}]}))
@@ -289,6 +304,29 @@ def test_batch_records_unresolved_roots_and_writes_summary(tmp_path, capsys, unr
     assert entry["file"] == "roots.json" and entry["status"] == "fail"
     assert entry["error_type"] == "RootFindingError"
     assert entry["error"].startswith("root residuals")
+
+
+def test_batch_writes_strict_json(tmp_path, capsys, monkeypatch):
+    # a report carrying NaN becomes a recorded failure, not a NaN token
+    import opuc.cli
+    from opuc.analysis import SzegoReport
+
+    def nan_report(seq, **kwargs):
+        nan = float("nan")
+        return SzegoReport(lhs=1.0, poles=(), epsilon=1, log_integral=nan, rhs=nan,
+                           rel_error=nan, quad_points=64, warnings=())
+
+    monkeypatch.setattr(opuc.cli, "szego_verify", nan_report)
+    cases = tmp_path / "cases"
+    cases.mkdir()
+    write_case(cases / "a.json", [2.0])
+    out_dir = tmp_path / "results"
+    assert main(["batch", "--dir", str(cases), "--out", str(out_dir)]) == 0
+    summary = strict_json((out_dir / "summary.json").read_text())
+    assert strict_json(capsys.readouterr().out) == summary
+    assert summary["fail"] == 1 and summary["worst_rel_error"] is None
+    assert summary["cases"][0]["error_type"] == "ValueError"
+    assert not (out_dir / "a.report.json").exists()
 
 
 def test_batch_empty_dir(tmp_path, capsys):

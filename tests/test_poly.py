@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opuc import szego_polys
 from opuc.poly import (
     ComplexPoly,
     count_in_disk,
@@ -12,6 +14,8 @@ from opuc.poly import (
     series_div,
     split_by_circle,
 )
+
+from helpers import random_nonclassical
 
 # ---------------------------------------------------------------------------
 # construction / evaluation
@@ -158,7 +162,7 @@ def test_roots_of_zero_poly_rejected():
         roots(ComplexPoly([0]))
 
 
-def test_roots_residuals_meet_contract():
+def test_roots_residuals_meet_contract(aberth_runs):
     rng = np.random.default_rng(3)
     for _ in range(30):
         deg = int(rng.integers(2, 14))
@@ -166,12 +170,44 @@ def test_roots_residuals_meet_contract():
         p = ComplexPoly(cs)
         for r in roots(p):
             assert abs(p(r)) <= 1e-12 * p.magnitude_bound(r)
+    assert aberth_runs == []  # the companion-matrix roots met the bound
+
+
+def test_roots_keeps_a_multiple_root_with_its_multiplicity(aberth_runs):
+    # the companion matrix splits the triple root into three roots ~5e-6 apart;
+    # a Newton step would move each a third of the way to 0.5, more than the
+    # tenth of the gap a step may take, so the split roots stay as they are
+    got = sorted(roots(from_roots([0.5, 0.5, 0.5, -2])), key=lambda z: z.real)
+    assert abs(got[0] + 2) < 1e-14
+    assert all(abs(r - 0.5) < 1e-4 for r in got[1:])
+    assert aberth_runs == []
+
+
+def test_roots_restarts_aberth_only_on_a_companion_miss(aberth_runs):
+    roots(ComplexPoly([1.3748121654206392e-266, 0, 1, 1]))
+    assert aberth_runs == [3]
+
+
+def test_roots_of_phi_L_star_match_50_digit_roots():
+    # oracle: mpmath's roots of the same float64 coefficients at 50 digits;
+    # an Aberth iteration stopped at the residual bound was up to 3e-12 off
+    rng = np.random.default_rng(6)
+    for _ in range(100):
+        seq = random_nonclassical(rng, head_max=3, tail_max=5, require_growth_window=False)
+        _, phistar = szego_polys(seq, len(seq))
+        got = roots(phistar)
+        with mpmath.workdps(50):
+            ref = mpmath.polyroots([mpmath.mpc(c.real, c.imag) for c in reversed(phistar.coeffs)],
+                                   maxsteps=200, extraprec=200)
+        assert len(got) == len(ref)
+        for r in map(complex, ref):
+            assert min(abs(g - r) for g in got) <= 1e-13 * abs(r)
 
 
 def test_roots_resolves_clusters_of_very_different_sizes():
-    # z^3 + z^2 + 1.37e-266 has roots near -1 and +-1.17e-133 i: one start
-    # circle reaches neither small root within the sweep budget, and the
-    # companion matrix resolves them only to absolute accuracy
+    # z^3 + z^2 + 1.37e-266 has roots near -1 and +-1.17e-133 i: the
+    # companion matrix resolves the small pair only to absolute accuracy,
+    # so Aberth restarts from the Newton-polygon circles
     p = ComplexPoly([1.3748121654206392e-266, 0, 1, 1])
     got = sorted(roots(p), key=abs)
     assert abs(got[2] + 1) < 1e-15
