@@ -3,7 +3,8 @@ and CSV grid dumps.
 
 Exit codes for ``verify``: 0 pass, 1 parse/validation failure, 2 the
 verification refused (roots in the circle guard band, roots that could not
-be resolved, a non-finite integrand or a float64 overflow).  JSON is strict.
+be resolved, a failed internal cross-check, a non-finite integrand or a
+float64 overflow).  JSON is strict.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .analysis import (
 )
 from .opuc_core import (
     DEFAULT_GUARD_UNIT,
+    CrossCheckError,
     GuardViolationError,
     VerblunskySequence,
     second_kind_polys,
@@ -179,6 +181,8 @@ def cmd_polys(args: argparse.Namespace) -> int:
     case = load_case(args.input)
     phi, phistar = szego_polys(case.seq, args.n)
     psi, psistar = second_kind_polys(case.seq, args.n)
+    if not np.isfinite(phi.coeffs + phistar.coeffs + psi.coeffs + psistar.coeffs).all():
+        raise OverflowError(f"polynomial coefficients at n = {args.n} overflow float64")
     _emit({
         "label": case.label,
         "n": args.n,
@@ -335,7 +339,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # CaseError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (AmbiguousRootError, QuadratureError, RootFindingError, OverflowError) as exc:
+    except (AmbiguousRootError, CrossCheckError, QuadratureError, RootFindingError,
+            OverflowError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
 

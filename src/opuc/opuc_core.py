@@ -87,9 +87,6 @@ class VerblunskySequence:
                 n = j + 1
         return n
 
-    def shifted(self, n: int) -> "VerblunskySequence":
-        return VerblunskySequence(self.alphas[n:], self.guard_unit)
-
     def flipped(self) -> "VerblunskySequence":
         return VerblunskySequence(tuple(-a for a in self.alphas), self.guard_unit)
 

@@ -10,6 +10,7 @@ trimmed -- numerical near-zeros are data and are kept.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -173,9 +174,15 @@ def _horner(c: Sequence[complex], z: np.ndarray) -> np.ndarray:
 
 
 def _scaled_residuals(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """|p(z)| / sum_k |c_k| |z|**k; where that sum overflows (|z| > 1), the
+    same ratio from the reversed coefficients at 1/z."""
     vals = np.abs(_horner(c, z))
-    scale = _horner(np.abs(c).astype(complex), np.abs(z).astype(complex))
-    return vals / np.maximum(np.abs(scale), 1e-300)
+    scale = np.abs(_horner(np.abs(c).astype(complex), np.abs(z).astype(complex)))
+    resid = vals / np.maximum(scale, 1e-300)
+    if scale.max() == np.inf:
+        over = np.isinf(scale)
+        resid[over] = _scaled_residuals(c[::-1], 1.0 / z[over])
+    return resid
 
 
 def _newton_polygon_start(c: np.ndarray) -> np.ndarray:
@@ -242,21 +249,29 @@ def roots(p: ComplexPoly, tol: float = DEFAULT_ROOT_TOL) -> list[complex]:
         found.append(-cs[0] / cs[1])
         return found
     c = np.asarray(cs, dtype=complex)
-    c = c / np.abs(c).max()
-    cand = np.roots(c[::-1])
-    # a Newton step shorter than a tenth of the gap to the nearest root: none merge
-    with np.errstate(all="ignore"):  # a non-finite step is not taken
+    with np.errstate(all="ignore"):  # out-of-range values end in a refusal, not a warning
+        top = np.abs(c).max()
+        c = c / top
+        if not math.isfinite(top) or c[-1] == 0:
+            raise RootFindingError("coefficients not finite, or the leading one underflows")
+        try:
+            cand = np.roots(c[::-1])
+        except np.linalg.LinAlgError:  # the companion matrix overflows: a miss
+            cand = np.full(n, np.nan, dtype=complex)
+        # a Newton step shorter than a tenth of the gap to the nearest root:
+        # none merge; a non-finite step is not taken
         step = _horner(c, cand) / _horner(c[1:] * np.arange(1, n + 1), cand)
-    gap = np.abs(cand[:, None] - cand[None, :]) + np.diag(np.full(n, np.inf))
-    cand = np.where(np.abs(step) < 0.1 * gap.min(axis=1), cand - step, cand)
-    resid = _scaled_residuals(c, cand)
-    if resid.max() > tol:
-        cand = _aberth(c, tol, _newton_polygon_start(c))
-        if cand is None:
-            raise RootFindingError(
-                f"root residuals up to {resid.max():.3e} exceed tolerance {tol:.1e}",
-                residuals=resid.tolist(),
-            )
+        gap = np.abs(cand[:, None] - cand[None, :]) + np.diag(np.full(n, np.inf))
+        cand = np.where(np.abs(step) < 0.1 * gap.min(axis=1), cand - step, cand)
+        resid = _scaled_residuals(c, cand)
+        if not resid.max() <= tol:  # a NaN residual is a miss
+            cand = _aberth(c, tol, _newton_polygon_start(c))
+            if cand is None:
+                worst = np.nan_to_num(resid, nan=np.inf).max()
+                raise RootFindingError(
+                    f"root residuals up to {worst:.3e} exceed tolerance {tol:.1e}",
+                    residuals=resid.tolist(),
+                )
     found.extend(complex(r) for r in cand)
     return found
 

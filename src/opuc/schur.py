@@ -1,9 +1,8 @@
 """Rational Schur machinery: tails, the function F, and coefficient recovery.
 
-The head of a sequence acts on the classical tail through a Moebius map
-with Wall-polynomial entries; clearing denominators keeps everything in
-exact rational arithmetic.  The inverse direction peels one coefficient
-per step,
+Every iterate f_n comes from the Schur step run backward from the last
+coefficient (Geronimus), with denominators cleared.  The inverse direction
+peels one coefficient per step,
 
     f_{n+1}(z) = (1/z) (f_n(z) - f_n(0)) / (1 - conj(f_n(0)) f_n(z)),
 
@@ -23,7 +22,6 @@ from .opuc_core import (
     omega,
     second_kind_polys,
     szego_polys,
-    wall_polys,
 )
 from .poly import ComplexPoly
 
@@ -87,9 +85,20 @@ class RecoveryResult:
     termination: str | None  # None | "unimodular" | "pole_at_zero"
 
 
+def _backward_schur(alphas) -> RationalFn:
+    """f_0 of ``alphas`` (zero beyond them): from 0/1, each coefficient a, last
+    first, applies f_j = (a + z f_{j+1}) / (1 + conj(a) z f_{j+1}) in cleared
+    form.  den(0) = 1 exactly, and num/den is the Wall pair A/B of ``alphas``."""
+    num, den = ComplexPoly([0.0]), ComplexPoly([1.0])
+    for a in reversed(alphas):
+        znum = num.shifted(1)
+        num, den = a * den + znum, den + a.conjugate() * znum
+    return RationalFn(num, den)
+
+
 def tail_schur(seq: VerblunskySequence, N: int) -> RationalFn:
-    """The Schur function of the tail alpha_N, alpha_{N+1}, ... as a finite
-    Wall ratio (the continuation beyond the stored list is zero).
+    """The Schur function f_N of the tail alpha_N, alpha_{N+1}, ... (the
+    continuation beyond the stored list is zero).
 
     Requires the tail to be classical: every stored |alpha_j| < 1 for j >= N.
     Then |B|^2 - |A|^2 > 0 on the circle, so the ratio is strictly Schur.
@@ -99,35 +108,13 @@ def tail_schur(seq: VerblunskySequence, N: int) -> RationalFn:
     for j in range(N, len(seq)):
         if abs(seq.alpha(j)) >= 1.0:
             raise ValueError(f"tail coefficient at index {j} has modulus >= 1")
-    tail = seq.shifted(min(N, len(seq)))
-    if len(tail) == 0:
-        return RationalFn([0.0], [1.0])
-    wp = wall_polys(tail, len(tail) - 1)
-    return RationalFn(wp.A, wp.B)
+    return _backward_schur(seq.alphas[N:])
 
 
 def as_rational_f(seq: VerblunskySequence) -> RationalFn:
-    """The function f = f_0 in cleared-denominator form.
-
-    For the canonical split index N this is
-    (A_{N-1} B_t + z B*_{N-1} A_t) / (B_{N-1} B_t + z A*_{N-1} A_t)
-    with f_N = A_t / B_t; for N = 0 it is the tail itself.
-    """
-    N = seq.N
-    t = tail_schur(seq, N)
-    if N == 0:
-        return t
-    wp = wall_polys(seq, N - 1)
-    astar = wp.A.reverse(N - 1)
-    bstar = wp.B.reverse(N - 1)
-    num = wp.A * t.den + (bstar * t.num).shifted(1)
-    den = wp.B * t.den + (astar * t.num).shifted(1)
-    return RationalFn(num, den)
-
-
-def eval_f(seq: VerblunskySequence, z: complex) -> complex:
-    """Evaluate f at z; raises PoleEvaluationError at poles of f."""
-    return as_rational_f(seq).value(z)
+    """The function f = f_0 = A_{L-1}/B_{L-1} (L = len(seq)) in cleared
+    form, with f(0) = alpha_0 exactly."""
+    return _backward_schur(seq.alphas)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -176,15 +163,6 @@ def as_rational_F(seq: VerblunskySequence) -> RationalFn:
     polynomials no common zero."""
     L = len(seq)
     return RationalFn(second_kind_polys(seq, L)[1], szego_polys(seq, L)[1])
-
-
-def eval_F(seq: VerblunskySequence, z: complex) -> complex:
-    """Evaluate F at z via the cleared rational form.
-
-    Away from poles this agrees with (1 + z f(z)) / (1 - z f(z)); the test
-    suite pins the two routes against each other.
-    """
-    return as_rational_F(seq).value(z)
 
 
 def inverse_schur_step(f: RationalFn, guard: float = DEFAULT_GUARD_UNIT) -> SchurStep:

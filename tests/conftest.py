@@ -34,6 +34,22 @@ def tail_builds(monkeypatch):
 
 
 @pytest.fixture
+def wall_builds(monkeypatch):
+    """Record the index n of each wall_polys call."""
+    import opuc.opuc_core
+
+    calls: list[int] = []
+    build = opuc.opuc_core.wall_polys
+
+    def counted(seq, n):
+        calls.append(n)
+        return build(seq, n)
+
+    patch_everywhere(monkeypatch, build, counted)
+    return calls
+
+
+@pytest.fixture
 def root_calls(monkeypatch):
     """Record the degree of the polynomial in each poly.roots call."""
     import opuc.poly

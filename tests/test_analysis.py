@@ -260,6 +260,19 @@ def test_verify_builds_tail_once(tail_builds):
     assert tail_builds == [1]
 
 
+@pytest.mark.parametrize("run", [
+    lambda seq: szego_verify(seq),
+    lambda seq: re_F_khrushchev(seq, 1, np.linspace(0.0, 6.0, 7)),
+    lambda seq: boyd_integral(seq, 1),
+    lambda seq: log_split_check(seq, 1),
+], ids=["szego_verify", "re_F_khrushchev", "boyd_integral", "log_split_check"])
+def test_tails_build_no_wall_product(wall_builds, run):
+    # the Wall transfer-matrix product is the reference route only: tails
+    # come from the backward Schur recursion
+    run(VerblunskySequence([2.0, 0.95, -0.9j, 0.8]))
+    assert wall_builds == []
+
+
 def test_verify_keeps_pole_next_to_a_tiny_numerator_root():
     # the pole near 2e-10 sits 2.7e-10 from a zero of F's numerator
     rep = szego_verify(VerblunskySequence([1e10, 0.5]))

@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import opuc
 from opuc.cli import main, report_from_dict, report_to_dict
-from opuc import VerblunskySequence, szego_verify
+from opuc import CrossCheckError, VerblunskySequence, szego_verify
 
 from helpers import NEAR_COMMON_ROOT_ALPHAS
 
@@ -112,6 +117,38 @@ def test_moments_overflow_is_one_refusal_line(tmp_path, capsys):
     assert err == "refused: moments from c_2 on overflow float64\n"
 
 
+@pytest.mark.parametrize("command, alphas", [
+    ("poles", [2.0, 1e-320]),        # Phi_2*'s leading coefficient is subnormal
+    ("verify", [1e100, 1e100, 0.5]),  # the roots' powers overflow float64
+])
+def test_out_of_range_roots_are_one_quiet_refusal_line(tmp_path, capsys, command, alphas):
+    case = write_case(tmp_path / "case.json", alphas)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--input", str(case)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("refused: ") and err.count("\n") == 1
+    assert caught == []
+
+
+def test_polys_overflow_is_one_refusal_line(tmp_path, capsys):
+    case = write_case(tmp_path / "huge.json", [1e200, 1e200])
+    assert main(["polys", "--input", str(case), "--n", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "refused: polynomial coefficients at n = 2 overflow float64\n"
+
+
+def test_cross_check_failure_is_one_refusal_line(tmp_path, capsys, monkeypatch):
+    def disagree(seq, *args):
+        raise CrossCheckError("2 poles exceed the 1 in-disk zeros of Phi_N*")
+
+    monkeypatch.setattr(opuc.cli, "pole_set", disagree)
+    case = write_case(tmp_path / "case.json", [2.0, 0.5])
+    assert main(["poles", "--input", str(case)]) == 2
+    assert capsys.readouterr().err == "refused: 2 poles exceed the 1 in-disk zeros of Phi_N*\n"
+
+
 def test_verify_nan_coefficient_rejected(tmp_path, capsys):
     case = tmp_path / "nan.json"
     case.write_text(json.dumps({"alphas": [{"re": "nan", "im": 0.0}]}))
@@ -191,6 +228,12 @@ def test_grid_builds_tail_once(tmp_path, capsys, tail_builds):
     assert main(["grid", "--input", str(case), "--points", "64"]) == 0
     assert len(capsys.readouterr().out.strip().splitlines()) == 65
     assert tail_builds == [1]
+
+
+def test_grid_builds_no_wall_product(tmp_path, capsys, wall_builds):
+    case = write_case(tmp_path / "case.json", [2.0, 0.5j, -0.3])
+    assert main(["grid", "--input", str(case), "--points", "64"]) == 0
+    assert wall_builds == []
 
 
 # ---------------------------------------------------------------------------
@@ -339,3 +382,34 @@ def test_batch_empty_dir(tmp_path, capsys):
 
 def test_batch_missing_dir(tmp_path):
     assert main(["batch", "--dir", str(tmp_path / "nope"), "--out", str(tmp_path / "r")]) == 1
+
+
+# ---------------------------------------------------------------------------
+# fuzz
+
+# exponents of the coefficient moduli, kept off 0 so no modulus is within the
+# guard of the circle (such a case is invalid input, exit 1)
+_exponents = st.floats(-320.0, 300.0).filter(lambda e: abs(e) > 1e-6)
+_coefficients = st.builds(lambda e, t: complex(10.0 ** e * complex(math.cos(t), math.sin(t))),
+                          _exponents, st.floats(0.0, 2.0 * math.pi))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_coefficients, min_size=1, max_size=6))
+def test_cli_answers_or_refuses_on_any_valid_case(alphas):
+    # valid cases of any scale: exit 0, 1 (verify: rel_error above --tol) or
+    # 2 (refused), at most one stderr line and never "error:", strict JSON
+    with tempfile.TemporaryDirectory() as tmp:
+        case = str(write_case(Path(tmp) / "case.json", alphas))
+        for argv in (["poles"], ["trace"], ["moments"], ["polys", "--n", str(len(alphas))],
+                     ["verify", "--max-points", "4096"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main([argv[0], "--input", case, *argv[1:]])
+            assert code in (0, 1, 2), argv
+            assert err.getvalue().count("\n") <= 1 and not err.getvalue().startswith("error:"), argv
+            assert [str(w.message) for w in caught] == [], argv
+            if code != 2:
+                strict_json(out.getvalue())

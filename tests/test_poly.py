@@ -1,13 +1,15 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opuc import szego_polys
+from opuc import VerblunskySequence, pole_set, szego_polys
 from opuc.poly import (
     ComplexPoly,
+    RootFindingError,
     count_in_disk,
     from_roots,
     roots,
@@ -214,6 +216,54 @@ def test_roots_resolves_clusters_of_very_different_sizes():
     for r in got[:2]:
         assert abs(abs(r.imag) / 1.1725238442866052e-133 - 1) < 1e-12
         assert abs(p(r)) <= 1e-12 * p.magnitude_bound(r)
+
+
+def _mp_scaled_residual(cs, r) -> float:
+    """|p(r)| / sum_k |c_k| |r|**k in 40-digit arithmetic, which never overflows."""
+    with mpmath.workdps(40):
+        z = mpmath.mpc(r.real, r.imag)
+        val, scale = mpmath.mpc(0), mpmath.mpf(0)
+        for c in reversed(cs):
+            val = val * z + mpmath.mpc(c.real, c.imag)
+            scale = scale * abs(z) + abs(mpmath.mpc(c.real, c.imag))
+        return float(abs(val) / scale)
+
+
+def test_roots_meet_the_bound_or_refuse_on_wide_coefficients():
+    # coefficients 10^U(-150, 150): Horner overflows at huge roots, and a NaN
+    # residual once let a whole companion root set through unchecked
+    rng = np.random.default_rng(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(60):
+            deg = int(rng.integers(2, 20))
+            cs = 10.0 ** rng.uniform(-150, 150, deg + 1) * np.exp(2j * np.pi * rng.uniform(size=deg + 1))
+            try:
+                got = roots(ComplexPoly(cs))
+            except RootFindingError:
+                continue
+            assert len(got) == deg
+            assert max(_mp_scaled_residual(cs, r) for r in got) <= 1e-11
+
+
+def test_pole_set_refuses_instead_of_miscounting_huge_roots():
+    # Phi_5* has roots near 1e-143 and 1e+180 among others; the companion
+    # roots missed the bound unnoticed and pole_set raised CrossCheckError
+    with pytest.raises(RootFindingError):
+        pole_set(VerblunskySequence([1e180, 0.3, 1e-143, 1e-287, 1e-83]))
+
+
+@pytest.mark.parametrize("cs", [
+    [1.0, math.inf, 1.0],                   # not finite
+    [1.0, math.nan, 1.0],
+    [1e300, 1.0, 1e-30],                    # the leading coefficient underflows to 0
+    [1.0, -2.0 + 2e-320, -1e-320],          # Phi_2* of [2.0, 1e-320]: the companion overflows
+], ids=["inf", "nan", "underflow", "subnormal-lead"])
+def test_roots_out_of_range_is_a_quiet_refusal(cs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RootFindingError):
+            roots(ComplexPoly(cs))
 
 
 def test_roots_reconstruction_matches_monic_input():

@@ -8,18 +8,17 @@ from opuc import (
     VerblunskySequence,
     as_rational_F,
     as_rational_f,
-    eval_F,
-    eval_f,
     inverse_schur_step,
     pole_set,
     recover_coefficients,
     szego_polys,
     tail_schur,
+    wall_polys,
 )
 from opuc.poly import roots as poly_roots
 from opuc.schur import khrushchev_split
 
-from helpers import random_admissible, random_nonclassical
+from helpers import draw_head, draw_tail, random_admissible, random_nonclassical
 
 # ---------------------------------------------------------------------------
 # RationalFn
@@ -93,29 +92,72 @@ def test_tail_is_strictly_schur_on_circle():
 
 
 def test_eval_f_at_origin_is_first_coefficient():
-    assert eval_f(VerblunskySequence([2, 0.5]), 0) == 2
+    assert as_rational_f(VerblunskySequence([2, 0.5])).value(0) == 2
 
 
 def test_eval_f_closed_form():
     # wall product gives f = (2 + 0.5 z) / (1 + z)
-    assert abs(eval_f(VerblunskySequence([2, 0.5]), 1) - 1.25) < 1e-15
-    assert abs(eval_f(VerblunskySequence([2, 0.5]), 1j) - (1.25 - 0.75j)) < 1e-15
+    f = as_rational_f(VerblunskySequence([2, 0.5]))
+    assert abs(f.value(1) - 1.25) < 1e-15
+    assert abs(f.value(1j) - (1.25 - 0.75j)) < 1e-15
 
 
 def test_eval_F_normalized_at_origin():
     for alphas in ([2, 0.5], [0.3, -0.4j], []):
-        assert eval_F(VerblunskySequence(alphas), 0) == 1
+        assert as_rational_F(VerblunskySequence(alphas)).value(0) == 1
 
 
 def test_eval_F_closed_form():
     # F = (1 + 2z)/(1 - 2z) at z = i equals (-3 + 4i)/5
-    got = eval_F(VerblunskySequence([2]), 1j)
+    got = as_rational_F(VerblunskySequence([2])).value(1j)
     assert abs(got - (-0.6 + 0.8j)) < 1e-15
 
 
 def test_eval_F_at_pole_raises():
     with pytest.raises(PoleEvaluationError):
-        eval_F(VerblunskySequence([2]), 0.5)
+        as_rational_F(VerblunskySequence([2])).value(0.5)
+
+
+def _wall_gap(f, wp):
+    """Largest coefficient gap between f = num/den and the Wall pair A/B,
+    relative to the largest Wall coefficient."""
+    scale = max(abs(c) for c in wp.A.coeffs + wp.B.coeffs)
+    gap = max(abs(c) for c in (f.num - wp.A).coeffs + (f.den - wp.B).coeffs)
+    return gap / scale
+
+
+def test_tail_matches_the_wall_product():
+    # the backward Schur recursion against the transfer-matrix product of the
+    # tail alone, behind nonclassical heads, for tails up to length 48
+    rng = np.random.default_rng(53)
+    worst = 0.0
+    for _ in range(60):
+        head = draw_head(rng, int(rng.integers(0, 5)))
+        tail = draw_tail(rng, int(rng.integers(1, 49)), max_mod=0.99)
+        seq = VerblunskySequence(head + tail)
+        n = len(head)
+        worst = max(worst, _wall_gap(tail_schur(seq, n),
+                                     wall_polys(VerblunskySequence(tail), len(tail) - 1)))
+    assert worst < 1e-13
+
+
+def test_f_matches_the_wall_product():
+    # f = A_{L-1}/B_{L-1} from the backward recursion and from the product
+    rng = np.random.default_rng(59)
+    worst = 0.0
+    for _ in range(60):
+        head = draw_head(rng, int(rng.integers(1, 5)))
+        seq = VerblunskySequence(head + draw_tail(rng, int(rng.integers(0, 44)), max_mod=0.99))
+        f = as_rational_f(seq)
+        assert f.num(0) == seq.alpha(0) and f.den(0) == 1
+        worst = max(worst, _wall_gap(f, wall_polys(seq, len(seq) - 1)))
+    assert worst < 1e-13
+
+
+def test_f_builds_no_wall_product(wall_builds):
+    as_rational_f(VerblunskySequence([2.0, 0.5j, -0.3]))
+    tail_schur(VerblunskySequence([2.0, 0.5j, -0.3]), 1)
+    assert wall_builds == []
 
 
 def test_as_rational_F_single():
