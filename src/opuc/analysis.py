@@ -28,6 +28,7 @@ from .opuc_core import (
 )
 from .poly import (
     DEFAULT_DISK_GUARD,
+    ComplexPoly,
     count_in_disk,
     roots as poly_roots,
     series_div,
@@ -38,6 +39,8 @@ from .schur import KhrushchevSplit, as_rational_F, khrushchev_split
 DEFAULT_QUAD_TOL = 1e-11
 DEFAULT_QUAD_MAX_POINTS = 1 << 20
 POLE_CLUSTER_TOL = 1e-7
+NEAR_ROOT_BAND = 0.1     # roots of Phi_L* with ||r| - 1| below this are subtracted
+DEFLATION_TOL = 1e-6     # |D| against |Q| prod |z - r|, relative to the split's scale
 
 
 class QuadratureWarning(UserWarning):
@@ -68,6 +71,7 @@ class SzegoReport:
     rel_error: float
     quad_points: int
     warnings: tuple[str, ...]
+    subtracted: tuple[complex, ...] = ()   # roots of Phi_L* integrated analytically
 
 
 @dataclasses.dataclass(frozen=True)
@@ -174,9 +178,10 @@ def _cluster_poles(points: list[complex], tol: float = POLE_CLUSTER_TOL) -> list
     return out
 
 
-def _poles(den, phistar, guard: float) -> list[complex]:
+def _poles(den, phistar, guard: float) -> tuple[list[complex], list[complex]]:
+    """The in-disk roots of ``den`` (the poles) and all of its roots."""
     if den.degree < 1:
-        return []
+        return [], []
     den_roots = poly_roots(den)
     inside, ambiguous, _ = split_by_circle(den_roots, guard)
     if ambiguous:
@@ -192,7 +197,7 @@ def _poles(den, phistar, guard: float) -> list[complex]:
     if len(inside) > bound:
         raise CrossCheckError(
             f"{len(inside)} poles exceed the {bound} in-disk zeros of Phi_N*")
-    return inside
+    return inside, den_roots
 
 
 def pole_set(seq: VerblunskySequence, guard: float = DEFAULT_DISK_GUARD) -> list[complex]:
@@ -202,19 +207,78 @@ def pole_set(seq: VerblunskySequence, guard: float = DEFAULT_DISK_GUARD) -> list
     Raises AmbiguousRootError when a root lies in the circle guard band and
     CrossCheckError if the count exceeds the zeros of Phi_N* in the disk.
     """
-    return _poles(as_rational_F(seq).den, szego_polys(seq, seq.N)[1], guard)
+    return _poles(as_rational_F(seq).den, szego_polys(seq, seq.N)[1], guard)[0]
+
+
+def _checked_sample(split: KhrushchevSplit, logw: float, thetas: np.ndarray):
+    """``split.sample`` at the angles, refusing samples that overflow float64."""
+    with np.errstate(over="ignore"):
+        bt2, at2, d2, scale = split.sample(thetas)
+    if math.isinf(logw) or not np.isfinite(d2).all():
+        raise QuadratureError(
+            "samples of log|Re F| overflow float64: omega_{n-1} or "
+            "|Phi_n* - z Phi_n f_n|^2 exceeds the largest double")
+    return bt2, at2, d2, scale
 
 
 def _log_abs_re_F(split: KhrushchevSplit, logw: float, thetas: np.ndarray) -> np.ndarray:
     """log|Re F| at the angles from the split at n and log|omega_{n-1}|;
     samples that overflow float64 are refused."""
-    with np.errstate(over="ignore"):
-        bt2, at2, d2, _ = split.sample(thetas)
-    if math.isinf(logw) or not np.isfinite(d2).all():
-        raise QuadratureError(
-            "samples of log|Re F| overflow float64: omega_{n-1} or "
-            "|Phi_n* - z Phi_n f_n|^2 exceeds the largest double")
+    bt2, at2, d2, _ = _checked_sample(split, logw, thetas)
     return logw + np.log(bt2 - at2) - np.log(d2)
+
+
+def _deflate(c: np.ndarray, rts: list[complex]) -> np.ndarray:
+    """Coefficients (constant first) of the quotient of ``c`` by prod (z - r)
+    over ``rts``, by synthetic division from the leading coefficient; each
+    remainder, rounding-sized for a root of ``c``, is dropped."""
+    for r in rts:
+        q = np.empty(len(c) - 1, dtype=complex)
+        acc = 0j
+        for k in range(len(c) - 1, 0, -1):
+            acc = acc * r + c[k]
+            q[k - 1] = acc
+        c = q
+    return c
+
+
+class _Remainder:
+    """The integrand of ``szego_verify``: log|Re F| less the spikes
+    -log|z - r|^2 of the roots ``near`` of Khrushchev's denominator
+    D = Phi_n* B_t - z Phi_n A_t, i.e. with |D|^2 replaced by |Q|^2, Q the
+    quotient of D by prod (z - r).  With no such roots it is ``_log_abs_re_F``."""
+
+    def __init__(self, split: KhrushchevSplit, logw: float, near: list[complex]) -> None:
+        self.split, self.logw, self.near = split, logw, near
+        self.last = None   # the angles, |D|^2, scale and |Q| of the latest call
+        if near:
+            self.quotient = ComplexPoly(_deflate(split.denominator(), near))
+
+    def __call__(self, thetas: np.ndarray) -> np.ndarray:
+        if not self.near:
+            return _log_abs_re_F(self.split, self.logw, thetas)
+        self.last = None   # the previous level's arrays are not needed any more
+        bt2, at2, d2, scale = _checked_sample(self.split, self.logw, thetas)
+        q = np.abs(self.quotient(np.exp(1j * thetas)))
+        self.last = thetas, d2, scale, q
+        return self.logw + np.log(bt2 - at2) - np.log(q * q)
+
+    def check(self) -> None:
+        """Raise CrossCheckError where |D| and |Q| prod |z - r| differ by more
+        than DEFLATION_TOL times the split's scale on the latest samples
+        (the final quadrature level)."""
+        if not self.near:
+            return
+        thetas, d2, scale, q = self.last
+        zs = np.exp(1j * thetas)
+        product = q.copy()
+        for r in self.near:
+            product *= np.abs(zs - r)
+        worst = float(np.max(np.abs(np.sqrt(d2) - product) / scale))
+        if not worst <= DEFLATION_TOL:
+            raise CrossCheckError(
+                f"|D| and |Q| prod |z - r| differ by {worst:.1e} of the split's scale "
+                f"after dividing out {len(self.near)} near-circle roots")
 
 
 def szego_lhs(seq: VerblunskySequence) -> float:
@@ -233,12 +297,16 @@ def szego_verify(seq: VerblunskySequence, tol: float = DEFAULT_QUAD_TOL,
     textbook statement.
     """
     split = khrushchev_split(seq, seq.N)  # shared by every quadrature level
-    poles = _poles(szego_polys(seq, len(seq))[1], split.phistar, guard)
+    poles, den_roots = _poles(szego_polys(seq, len(seq))[1], split.phistar, guard)
+    near = [r for r in den_roots if abs(abs(r) - 1.0) < NEAR_ROOT_BAND]
     sign, logw = omega_log_sign(seq, seq.N - 1)
+    integrand = _Remainder(split, logw, near)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", QuadratureWarning)
-        log_integral, pts = circle_quadrature(
-            lambda thetas: _log_abs_re_F(split, logw, thetas), tol, max_points)
+        remainder, pts = circle_quadrature(integrand, tol, max_points)
+    integrand.check()
+    # Jensen: the mean of log|z - r|^2 over the circle is 2 log max(1, |r|)
+    log_integral = remainder - 2.0 * sum(math.log(max(1.0, abs(r))) for r in near)
     notes = tuple(str(w.message) for w in caught)
     log_pole_product = -2.0 * sum(math.log(abs(p)) for p in poles)
     rhs = sign * math.exp(log_integral + log_pole_product)
@@ -246,7 +314,7 @@ def szego_verify(seq: VerblunskySequence, tol: float = DEFAULT_QUAD_TOL,
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     return SzegoReport(lhs=lhs, poles=tuple(poles), epsilon=sign,
                        log_integral=log_integral, rhs=rhs, rel_error=rel,
-                       quad_points=pts, warnings=notes)
+                       quad_points=pts, warnings=notes, subtracted=tuple(near))
 
 
 def boyd_integral(seq: VerblunskySequence, N: int,
@@ -364,7 +432,7 @@ def log_split_check(seq: VerblunskySequence, n: int,
         return np.log(d2) - np.log(bt2)
 
     integral, _ = circle_quadrature(third, tol)
-    poles = _poles(F.den, szego_polys(seq, seq.N)[1], guard)
+    poles = _poles(F.den, szego_polys(seq, seq.N)[1], guard)[0]
     target = math.exp(-2.0 * sum(math.log(abs(p)) for p in poles))
     diff = abs(math.exp(integral) - target)
     if diff > 100.0 * tol * max(1.0, target):

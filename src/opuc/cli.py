@@ -3,8 +3,8 @@ and CSV grid dumps.
 
 Exit codes for ``verify``: 0 pass, 1 parse/validation failure, 2 the
 verification refused (roots in the circle guard band, roots that could not
-be resolved, a failed internal cross-check, a non-finite integrand or a
-float64 overflow).  JSON is strict.
+be resolved, a failed internal cross-check, a non-finite integrand, a
+sample at a pole or a float64 overflow).  JSON is strict.
 """
 
 from __future__ import annotations
@@ -37,7 +37,13 @@ from .opuc_core import (
     second_kind_polys,
     szego_polys,
 )
-from .schur import RationalFn, as_rational_F, khrushchev_split, recover_coefficients
+from .schur import (
+    PoleEvaluationError,
+    RationalFn,
+    as_rational_F,
+    khrushchev_split,
+    recover_coefficients,
+)
 from .poly import ComplexPoly, RootFindingError
 
 DEFAULT_VERIFY_TOL = 1e-8
@@ -105,6 +111,7 @@ def report_to_dict(report: SzegoReport) -> dict:
         "quad_points": report.quad_points,
         "poles": [_cx(p) for p in report.poles],
         "warnings": list(report.warnings),
+        "subtracted": [_cx(r) for r in report.subtracted],
     }
 
 
@@ -118,6 +125,7 @@ def report_from_dict(data: dict) -> SzegoReport:
         rel_error=data["rel_error"],
         quad_points=data["quad_points"],
         warnings=tuple(data["warnings"]),
+        subtracted=tuple(complex(r["re"], r["im"]) for r in data["subtracted"]),
     )
 
 
@@ -157,8 +165,11 @@ def cmd_grid(args: argparse.Namespace) -> int:
         raise ValueError(f"--points must be at least 1, got {args.points}")
     case = load_case(args.input)
     thetas = 2.0 * np.pi * np.arange(args.points) / args.points
-    direct = as_rational_F(case.seq)(np.cos(thetas) + 1j * np.sin(thetas)).real
-    formula = khrushchev_split(case.seq, case.seq.N).re_F(thetas)
+    with np.errstate(all="ignore"):  # out-of-range samples end in a refusal, not a warning
+        direct = as_rational_F(case.seq)(np.cos(thetas) + 1j * np.sin(thetas)).real
+        formula = khrushchev_split(case.seq, case.seq.N).re_F(thetas)
+    if not (np.isfinite(direct).all() and np.isfinite(formula).all()):
+        raise OverflowError("samples of Re F on the grid overflow float64")
     rows = zip(thetas.tolist(), direct.tolist(), formula.tolist(),
                np.abs(direct - formula).tolist())
     lines = ["theta,reF_direct,reF_khrushchev,abs_diff"]
@@ -339,8 +350,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # CaseError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (AmbiguousRootError, CrossCheckError, QuadratureError, RootFindingError,
-            OverflowError) as exc:
+    except (AmbiguousRootError, CrossCheckError, PoleEvaluationError, QuadratureError,
+            RootFindingError, OverflowError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
 

@@ -254,10 +254,12 @@ def roots(p: ComplexPoly, tol: float = DEFAULT_ROOT_TOL) -> list[complex]:
         c = c / top
         if not math.isfinite(top) or c[-1] == 0:
             raise RootFindingError("coefficients not finite, or the leading one underflows")
+        overflow = False
         try:
             cand = np.roots(c[::-1])
         except np.linalg.LinAlgError:  # the companion matrix overflows: a miss
             cand = np.full(n, np.nan, dtype=complex)
+            overflow = True
         # a Newton step shorter than a tenth of the gap to the nearest root:
         # none merge; a non-finite step is not taken
         step = _horner(c, cand) / _horner(c[1:] * np.arange(1, n + 1), cand)
@@ -269,6 +271,8 @@ def roots(p: ComplexPoly, tol: float = DEFAULT_ROOT_TOL) -> list[complex]:
             if cand is None:
                 worst = np.nan_to_num(resid, nan=np.inf).max()
                 raise RootFindingError(
+                    "the polynomial has a root beyond float64 range (its companion matrix "
+                    "overflows)" if overflow else
                     f"root residuals up to {worst:.3e} exceed tolerance {tol:.1e}",
                     residuals=resid.tolist(),
                 )

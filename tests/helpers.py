@@ -128,6 +128,23 @@ def random_admissible(rng: np.random.Generator, head_max: int = 6,
             continue
 
 
+def draw_near_circle(rng: np.random.Generator, L: int, lo: float,
+                     hi: float) -> VerblunskySequence:
+    """A length-L case of the near-circle sweep (a head of L/4 entries with
+    one outside the disk, then a classical tail) whose denominator roots of
+    F come within ``hi`` of the circle, none within ``lo``."""
+    while True:
+        head = draw_head(rng, L // 4)
+        if not any(abs(a) > 1.0 for a in head):
+            continue
+        try:
+            seq = VerblunskySequence(head + draw_tail(rng, L - L // 4))
+        except GuardViolationError:
+            continue
+        if lo < circle_margin(seq) < hi:
+            return seq
+
+
 def random_nonclassical(rng: np.random.Generator, head_max: int = 5,
                         tail_max: int = 8, require_growth_window: bool = True,
                         ) -> VerblunskySequence:

@@ -1,11 +1,14 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
+import opuc.analysis
 from opuc import (
     AmbiguousRootError,
+    CrossCheckError,
     QuadratureError,
     QuadratureWarning,
     VerblunskySequence,
@@ -24,9 +27,18 @@ from opuc import (
     zero_count_trace,
     zero_migration,
 )
+from opuc.analysis import NEAR_ROOT_BAND, _log_abs_re_F
+from opuc.opuc_core import omega_log_sign
 from opuc.poly import roots as poly_roots
+from opuc.schur import khrushchev_split
 
-from helpers import NEAR_COMMON_ROOT_ALPHAS, draw_tail, random_classical, random_nonclassical
+from helpers import (
+    NEAR_COMMON_ROOT_ALPHAS,
+    draw_near_circle,
+    draw_tail,
+    random_classical,
+    random_nonclassical,
+)
 
 # ---------------------------------------------------------------------------
 # quadrature
@@ -255,7 +267,7 @@ def test_verify_keeps_tail_polynomials_exact():
 
 
 def test_verify_builds_tail_once(tail_builds):
-    rep = szego_verify(VerblunskySequence([2.0, 0.95, -0.9j, 0.8]))
+    rep = szego_verify(VerblunskySequence([2.0, 0.95, -0.95j, 0.9]))
     assert rep.quad_points >= 512  # several doubling levels
     assert tail_builds == [1]
 
@@ -325,6 +337,76 @@ def test_verify_finds_roots_twice(root_calls):
     seq = VerblunskySequence([2.0, 0.5j, -0.3, 0.2])
     szego_verify(seq)
     assert sorted(root_calls) == [1, 4]
+
+
+def test_verify_without_near_roots_is_the_plain_quadrature():
+    # no root of Phi_L* within NEAR_ROOT_BAND of the circle: nothing is
+    # subtracted and the integrand is log|Re F| itself, bit for bit
+    rng = np.random.default_rng(53)
+    seqs = [VerblunskySequence([2.0]), VerblunskySequence([2.0, 0.5j, -0.3, 0.2])]
+    while len(seqs) < 8:
+        seq = random_nonclassical(rng, require_growth_window=False)
+        if min(abs(abs(r) - 1.0) for r in poly_roots(as_rational_F(seq).den)) >= NEAR_ROOT_BAND:
+            seqs.append(seq)
+    for seq in seqs:
+        rep = szego_verify(seq)
+        assert rep.subtracted == ()
+        split = khrushchev_split(seq, seq.N)
+        logw = omega_log_sign(seq, seq.N - 1)[1]
+        plain = circle_quadrature(lambda thetas: _log_abs_re_F(split, logw, thetas))
+        assert (rep.log_integral, rep.quad_points) == plain
+
+
+def test_verify_subtracts_a_root_next_to_the_circle():
+    # L = 24 with a root of Phi_L* 7.2e-8 off the circle: unsubtracted, the
+    # trapezoid rule needs about 1/margin points and stops at the cap
+    seq = draw_near_circle(np.random.default_rng(4), 24, 1e-8, 1e-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", QuadratureWarning)
+        rep = szego_verify(seq)
+    assert rep.rel_error < 1e-8
+    assert rep.quad_points <= 16384
+    near = [r for r in poly_roots(as_rational_F(seq).den) if abs(abs(r) - 1.0) < NEAR_ROOT_BAND]
+    assert rep.subtracted == tuple(near)
+    assert min(abs(abs(r) - 1.0) for r in rep.subtracted) < 1e-6
+
+
+def _mp_log_integral(alphas) -> mpmath.mpf:
+    """(1/2pi) int log|Re F| at 50 digits, Re F = omega_{L-1} / |Phi_L*|^2 on
+    the circle, by tanh-sinh quadrature split at the angles of the roots
+    of Phi_L* near the circle."""
+    with mpmath.workdps(50):
+        phi, phistar, w = [mpmath.mpc(1)], [mpmath.mpc(1)], mpmath.mpf(1)
+        for a in alphas:
+            a = mpmath.mpc(a.real, a.imag)
+            zphi, padded = [mpmath.mpc(0)] + phi, phistar + [mpmath.mpc(0)]
+            phi = [p - mpmath.conj(a) * q for p, q in zip(zphi, padded)]
+            phistar = [q - a * p for p, q in zip(zphi, padded)]
+            w *= 1 - abs(a) ** 2
+        high_first = phistar[::-1]
+        cuts = sorted(float(mpmath.arg(r)) % (2.0 * math.pi)
+                      for r in mpmath.polyroots(high_first, maxsteps=200, extraprec=200)
+                      if abs(abs(r) - 1) < NEAR_ROOT_BAND)
+
+        def log_re_F(t):
+            return mpmath.log(abs(w)) - 2 * mpmath.log(abs(mpmath.polyval(high_first,
+                                                                          mpmath.expj(t))))
+
+        return mpmath.quad(log_re_F, cuts + [cuts[0] + 2 * mpmath.pi]) / (2 * mpmath.pi)
+
+
+def test_subtracted_log_integral_matches_50_digits():
+    seq = draw_near_circle(np.random.default_rng(2), 8, 1e-4, 1e-3)
+    rep = szego_verify(seq)
+    assert rep.subtracted
+    assert abs(rep.log_integral - float(_mp_log_integral(seq.alphas))) < 1e-12
+
+
+def test_verify_refuses_a_quotient_that_misses_the_denominator(monkeypatch):
+    deflate = opuc.analysis._deflate
+    monkeypatch.setattr(opuc.analysis, "_deflate", lambda c, rts: 1.001 * deflate(c, rts))
+    with pytest.raises(CrossCheckError, match="near-circle roots"):
+        szego_verify(VerblunskySequence([2.0, 0.95, -0.95j, 0.9]))
 
 
 def test_pole_set_builds_no_tail(tail_builds):

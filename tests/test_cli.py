@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import opuc
 from opuc.cli import main, report_from_dict, report_to_dict
 from opuc import CrossCheckError, VerblunskySequence, szego_verify
+from opuc.schur import KhrushchevSplit, PoleEvaluationError
 
 from helpers import NEAR_COMMON_ROOT_ALPHAS
 
@@ -131,6 +132,15 @@ def test_out_of_range_roots_are_one_quiet_refusal_line(tmp_path, capsys, command
     assert caught == []
 
 
+def test_poles_names_a_root_beyond_float64_range(tmp_path, capsys):
+    # Phi_2* of [2.0, 1e-320] has a root near 1e320: the companion matrix
+    # overflows and the Aberth restart misses too
+    case = write_case(tmp_path / "case.json", [2.0, 1e-320])
+    assert main(["poles", "--input", str(case)]) == 2
+    assert capsys.readouterr().err == ("refused: the polynomial has a root beyond float64 "
+                                       "range (its companion matrix overflows)\n")
+
+
 def test_polys_overflow_is_one_refusal_line(tmp_path, capsys):
     case = write_case(tmp_path / "huge.json", [1e200, 1e200])
     assert main(["polys", "--input", str(case), "--n", "2"]) == 2
@@ -172,10 +182,22 @@ def test_verify_max_points_not_a_number(tmp_path, capsys):
 
 
 def test_report_roundtrip():
-    report = szego_verify(VerblunskySequence([2, 0.5]))
-    assert report_from_dict(report_to_dict(report)) == report
-    again = json.loads(json.dumps(report_to_dict(report)))
-    assert report_from_dict(again) == report
+    # the second case has three roots of Phi_L* subtracted near the circle
+    for alphas in ([2, 0.5], [2.0, 0.95, -0.95j, 0.9]):
+        report = szego_verify(VerblunskySequence(alphas))
+        assert report_from_dict(report_to_dict(report)) == report
+        again = json.loads(json.dumps(report_to_dict(report)))
+        assert report_from_dict(again) == report
+
+
+def test_verify_lists_subtracted_roots(tmp_path, capsys):
+    alphas = [2.0, 0.95, -0.95j, 0.9]
+    case = write_case(tmp_path / "case.json", alphas)
+    assert main(["verify", "--input", str(case)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    listed = tuple(complex(r["re"], r["im"]) for r in out["subtracted"])
+    assert listed == szego_verify(VerblunskySequence(alphas)).subtracted
+    assert len(listed) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +243,29 @@ def test_grid_rejects_points_below_one(tmp_path, capsys, points):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: --points") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("alphas", [[1e100, 1e100, 0.5], [1e200, 1e200]],
+                         ids=["denominator-overflows", "nan-samples"])
+def test_grid_overflow_is_one_quiet_refusal_line(tmp_path, capsys, alphas):
+    case = write_case(tmp_path / "case.json", alphas)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["grid", "--input", str(case), "--points", "8"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "refused: samples of Re F on the grid overflow float64\n"
+    assert caught == []
+
+
+def test_grid_sample_at_a_pole_is_one_refusal_line(tmp_path, capsys, monkeypatch):
+    def at_pole(self, thetas):
+        raise PoleEvaluationError("Khrushchev denominator vanishes at theta = 0.0")
+
+    monkeypatch.setattr(KhrushchevSplit, "re_F", at_pole)
+    case = write_case(tmp_path / "case.json", [2.0, 0.5])
+    assert main(["grid", "--input", str(case), "--points", "8"]) == 2
+    assert capsys.readouterr().err == "refused: Khrushchev denominator vanishes at theta = 0.0\n"
 
 
 def test_grid_builds_tail_once(tmp_path, capsys, tail_builds):
