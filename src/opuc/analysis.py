@@ -40,7 +40,8 @@ DEFAULT_QUAD_TOL = 1e-11
 DEFAULT_QUAD_MAX_POINTS = 1 << 20
 POLE_CLUSTER_TOL = 1e-7
 NEAR_ROOT_BAND = 0.1     # roots of Phi_L* with ||r| - 1| below this are subtracted
-DEFLATION_TOL = 1e-6     # |D| against |Q| prod |z - r|, relative to the split's scale
+DEFLATION_TOL = 1e-6     # |D| against |Q| prod |z - r|, and |B_t|^2 - |A_t|^2 against
+                         # omega_t, relative to the scale of each difference
 
 
 class QuadratureWarning(UserWarning):
@@ -246,11 +247,20 @@ class _Remainder:
     """The integrand of ``szego_verify``: log|Re F| less the spikes
     -log|z - r|^2 of the roots ``near`` of Khrushchev's denominator
     D = Phi_n* B_t - z Phi_n A_t, i.e. with |D|^2 replaced by |Q|^2, Q the
-    quotient of D by prod (z - r).  With no such roots it is ``_log_abs_re_F``."""
+    quotient of D by prod (z - r).  With no such roots it is ``_log_abs_re_F``.
 
-    def __init__(self, split: KhrushchevSplit, logw: float, near: list[complex]) -> None:
-        self.split, self.logw, self.near = split, logw, near
-        self.last = None   # the angles, |D|^2, scale and |Q| of the latest call
+    With roots divided out, |B_t|^2 - |A_t|^2 enters as its exact value on
+    the circle, omega_t = prod_{j >= n} (1 - |alpha_j|^2) (each backward
+    Schur step multiplies |den|^2 - |num|^2 there by 1 - |alpha_j|^2).  The
+    sampled difference loses |B_t|^2 / omega_t to cancellation, up to 3e8
+    on near-circle tails, and that noise, above the 1e-11 stopping rule,
+    would keep such a case doubling until the point cap or until the noise
+    happened to dip.  ``check`` still compares the samples with omega_t."""
+
+    def __init__(self, split: KhrushchevSplit, logw: float, logwt: float,
+                 near: list[complex]) -> None:
+        self.split, self.logw, self.logwt, self.near = split, logw, logwt, near
+        self.last = None   # the angles and split samples of the latest call, with |Q|
         if near:
             self.quotient = ComplexPoly(_deflate(split.denominator(), near))
 
@@ -258,18 +268,19 @@ class _Remainder:
         if not self.near:
             return _log_abs_re_F(self.split, self.logw, thetas)
         self.last = None   # the previous level's arrays are not needed any more
-        bt2, at2, d2, scale = _checked_sample(self.split, self.logw, thetas)
+        samples = _checked_sample(self.split, self.logw, thetas)
         q = np.abs(self.quotient(np.exp(1j * thetas)))
-        self.last = thetas, d2, scale, q
-        return self.logw + np.log(bt2 - at2) - np.log(q * q)
+        self.last = thetas, samples, q
+        return (self.logw + self.logwt) - np.log(q * q)
 
     def check(self) -> None:
-        """Raise CrossCheckError where |D| and |Q| prod |z - r| differ by more
-        than DEFLATION_TOL times the split's scale on the latest samples
-        (the final quadrature level)."""
+        """Raise CrossCheckError where, on the latest samples (the final
+        quadrature level), |D| and |Q| prod |z - r| differ by more than
+        DEFLATION_TOL times the split's scale, or |B_t|^2 - |A_t|^2 and
+        omega_t by more than DEFLATION_TOL times |B_t|^2 + |A_t|^2."""
         if not self.near:
             return
-        thetas, d2, scale, q = self.last
+        thetas, (bt2, at2, d2, scale), q = self.last
         zs = np.exp(1j * thetas)
         product = q.copy()
         for r in self.near:
@@ -279,6 +290,11 @@ class _Remainder:
             raise CrossCheckError(
                 f"|D| and |Q| prod |z - r| differ by {worst:.1e} of the split's scale "
                 f"after dividing out {len(self.near)} near-circle roots")
+        gap = float(np.max(np.abs(bt2 - at2 - math.exp(self.logwt)) / (bt2 + at2)))
+        if not gap <= DEFLATION_TOL:
+            raise CrossCheckError(
+                f"|B_t|^2 - |A_t|^2 and prod (1 - |alpha_j|^2) over the tail differ "
+                f"by {gap:.1e} of |B_t|^2 + |A_t|^2")
 
 
 def szego_lhs(seq: VerblunskySequence) -> float:
@@ -300,7 +316,8 @@ def szego_verify(seq: VerblunskySequence, tol: float = DEFAULT_QUAD_TOL,
     poles, den_roots = _poles(szego_polys(seq, len(seq))[1], split.phistar, guard)
     near = [r for r in den_roots if abs(abs(r) - 1.0) < NEAR_ROOT_BAND]
     sign, logw = omega_log_sign(seq, seq.N - 1)
-    integrand = _Remainder(split, logw, near)
+    logwt = math.fsum(math.log1p(-abs(a) ** 2) for a in seq.alphas[seq.N:])
+    integrand = _Remainder(split, logw, logwt, near)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", QuadratureWarning)
         remainder, pts = circle_quadrature(integrand, tol, max_points)

@@ -30,7 +30,7 @@ from opuc import (
 from opuc.analysis import NEAR_ROOT_BAND, _log_abs_re_F
 from opuc.opuc_core import omega_log_sign
 from opuc.poly import roots as poly_roots
-from opuc.schur import khrushchev_split
+from opuc.schur import KhrushchevSplit, khrushchev_split
 
 from helpers import (
     NEAR_COMMON_ROOT_ALPHAS,
@@ -406,6 +406,30 @@ def test_verify_refuses_a_quotient_that_misses_the_denominator(monkeypatch):
     deflate = opuc.analysis._deflate
     monkeypatch.setattr(opuc.analysis, "_deflate", lambda c, rts: 1.001 * deflate(c, rts))
     with pytest.raises(CrossCheckError, match="near-circle roots"):
+        szego_verify(VerblunskySequence([2.0, 0.95, -0.95j, 0.9]))
+
+
+def test_verify_takes_the_tail_term_without_cancellation():
+    # |B_t|^2 reaches 1.3e8 omega_t on the circle: sampled, |B_t|^2 - |A_t|^2
+    # carried enough rounding noise to need 16384 points for a 1.4e-9 answer
+    seq = VerblunskySequence([3.0, 0.2j] + [0.9 * np.exp(0.7j * k * k) for k in range(9)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", QuadratureWarning)
+        rep = szego_verify(seq)
+    assert rep.subtracted
+    assert rep.quad_points <= 512
+    assert rep.rel_error < 1e-13
+
+
+def test_verify_refuses_a_tail_off_its_wall_identity(monkeypatch):
+    sample = KhrushchevSplit.sample
+
+    def skewed(self, thetas):
+        bt2, at2, d2, scale = sample(self, thetas)
+        return 1.001 * bt2, at2, d2, scale
+
+    monkeypatch.setattr(KhrushchevSplit, "sample", skewed)
+    with pytest.raises(CrossCheckError, match="over the tail"):
         szego_verify(VerblunskySequence([2.0, 0.95, -0.95j, 0.9]))
 
 
