@@ -21,6 +21,8 @@ import numpy as np
 from .opuc_core import (
     CrossCheckError,
     VerblunskySequence,
+    _szego_pairs,
+    _szego_steps,
     omega,
     omega_log_sign,
     second_kind_polys,
@@ -34,7 +36,7 @@ from .poly import (
     series_div,
     split_by_circle,
 )
-from .schur import KhrushchevSplit, as_rational_F, khrushchev_split
+from .schur import KhrushchevSplit, as_rational_F, khrushchev_split, tail_schur
 
 DEFAULT_QUAD_TOL = 1e-11
 DEFAULT_QUAD_MAX_POINTS = 1 << 20
@@ -243,6 +245,22 @@ def _deflate(c: np.ndarray, rts: list[complex]) -> np.ndarray:
     return c
 
 
+def _check_deflation(thetas: np.ndarray, d2: np.ndarray, scale: np.ndarray,
+                     q: np.ndarray, near: list[complex]) -> None:
+    """Raise CrossCheckError where, at the angles, |D| (from |D|^2 = ``d2``)
+    and |Q| prod |z - r| over ``near`` differ by more than DEFLATION_TOL
+    times the split's ``scale``."""
+    zs = np.exp(1j * thetas)
+    product = q.copy()
+    for r in near:
+        product *= np.abs(zs - r)
+    worst = float(np.max(np.abs(np.sqrt(d2) - product) / scale))
+    if not worst <= DEFLATION_TOL:
+        raise CrossCheckError(
+            f"|D| and |Q| prod |z - r| differ by {worst:.1e} of the split's scale "
+            f"after dividing out {len(near)} near-circle roots")
+
+
 class _Remainder:
     """The integrand of ``szego_verify``: log|Re F| less the spikes
     -log|z - r|^2 of the roots ``near`` of Khrushchev's denominator
@@ -281,15 +299,7 @@ class _Remainder:
         if not self.near:
             return
         thetas, (bt2, at2, d2, scale), q = self.last
-        zs = np.exp(1j * thetas)
-        product = q.copy()
-        for r in self.near:
-            product *= np.abs(zs - r)
-        worst = float(np.max(np.abs(np.sqrt(d2) - product) / scale))
-        if not worst <= DEFLATION_TOL:
-            raise CrossCheckError(
-                f"|D| and |Q| prod |z - r| differ by {worst:.1e} of the split's scale "
-                f"after dividing out {len(self.near)} near-circle roots")
+        _check_deflation(thetas, d2, scale, q, self.near)
         gap = float(np.max(np.abs(bt2 - at2 - math.exp(self.logwt)) / (bt2 + at2)))
         if not gap <= DEFLATION_TOL:
             raise CrossCheckError(
@@ -312,11 +322,14 @@ def szego_verify(seq: VerblunskySequence, tol: float = DEFAULT_QUAD_TOL,
     sequence the pole product is empty and the report reduces to the
     textbook statement.
     """
-    split = khrushchev_split(seq, seq.N)  # shared by every quadrature level
-    poles, den_roots = _poles(szego_polys(seq, len(seq))[1], split.phistar, guard)
+    N, L = seq.N, len(seq)
+    pairs = _szego_pairs(seq.alphas, (N, L))  # Phi_N, Phi_N* and Phi_L* from one run
+    # the split at N, shared by every quadrature level
+    split = KhrushchevSplit(*pairs[N], tail_schur(seq, N), omega(seq, N - 1))
+    poles, den_roots = _poles(pairs[L][1], split.phistar, guard)
     near = [r for r in den_roots if abs(abs(r) - 1.0) < NEAR_ROOT_BAND]
-    sign, logw = omega_log_sign(seq, seq.N - 1)
-    logwt = math.fsum(math.log1p(-abs(a) ** 2) for a in seq.alphas[seq.N:])
+    sign, logw = omega_log_sign(seq, N - 1)
+    logwt = math.fsum(math.log1p(-abs(a) ** 2) for a in seq.alphas[N:])
     integrand = _Remainder(split, logw, logwt, near)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", QuadratureWarning)
@@ -341,10 +354,11 @@ def boyd_integral(seq: VerblunskySequence, N: int,
 
     For a classical tail this equals log prod_{j>=N} (1 - |alpha_j|^2).
     """
-    sample = khrushchev_split(seq, N).sample  # validates that the tail is classical
+    tail = tail_schur(seq, N)  # validates that the tail is classical
 
     def integrand(thetas: np.ndarray) -> np.ndarray:
-        bt2, at2, _, _ = sample(thetas)
+        zs = np.exp(1j * thetas)
+        bt2, at2 = np.abs(tail.den(zs)) ** 2, np.abs(tail.num(zs)) ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.log(bt2 - at2) - np.log(bt2)
 
@@ -362,10 +376,12 @@ def zero_count_trace(seq: VerblunskySequence, n_max: int,
     """
     rows: list[TraceRow] = []
     predicted = 0
-    for k in range(1, n_max + 1):
+    steps = _szego_steps(seq.alphas, n_max)  # one run gives every Phi_k, Phi_k*
+    next(steps)  # Phi_0 = Phi_0* = 1
+    for k, (phi_k, phistar_k) in enumerate(steps, start=1):
         a = seq.alpha(k - 1)
         predicted = predicted + 1 if abs(a) < 1.0 else (k - 1) - predicted
-        phi, phistar = szego_polys(seq, k)
+        phi, phistar = ComplexPoly(phi_k, k), ComplexPoly(phistar_k, k)
         actual, amb = count_in_disk(poly_roots(phi), guard)
         if amb:
             raise AmbiguousRootError(f"zeros of Phi_{k} in the circle guard band", amb)
@@ -435,7 +451,11 @@ def log_split_check(seq: VerblunskySequence, n: int,
     with Re F taken from the rational form of F (an independent route), and
 
         exp( (1/2pi) int log|Phi_n* - z Phi_n f_n|^2 ) = prod |lambda_j|^{-2}
-    within 100x the quadrature tolerance.  Overflow is refused as in ``szego_verify``.
+    within 100x the quadrature tolerance.  As in ``szego_verify``, the roots
+    r of Phi_L* within NEAR_ROOT_BAND of the circle are divided out of
+    D = Phi_n* B_t - z Phi_n A_t before the integral (|D| against
+    |Q| prod |z - r| is checked on the final level) and enter through
+    Jensen's mean 2 log max(1, |r|).  Overflow is refused as in ``szego_verify``.
     """
     thetas = 2.0 * np.pi * np.arange(grid) / grid
     at_n = khrushchev_split(seq, n)
@@ -444,12 +464,23 @@ def log_split_check(seq: VerblunskySequence, n: int,
     direct = np.log(np.abs(F(np.exp(1j * thetas)).real))
     pointwise = float(np.max(np.abs(direct - split)) / max(1.0, float(np.max(np.abs(direct)))))
 
+    poles, den_roots = _poles(F.den, szego_polys(seq, seq.N)[1], guard)
+    near = [r for r in den_roots if abs(abs(r) - 1.0) < NEAR_ROOT_BAND]
+    quotient = ComplexPoly(_deflate(at_n.denominator(), near)) if near else None
+    last = []   # the final level's angles, |D|^2, scale and |Q|
+
     def third(th: np.ndarray) -> np.ndarray:
-        bt2, _, d2, _ = at_n.sample(th)
-        return np.log(d2) - np.log(bt2)
+        bt2, _, d2, scale = at_n.sample(th)
+        if not near:
+            return np.log(d2) - np.log(bt2)
+        q = np.abs(quotient(np.exp(1j * th)))
+        last[:] = th, d2, scale, q
+        return np.log(q * q) - np.log(bt2)
 
     integral, _ = circle_quadrature(third, tol)
-    poles = _poles(F.den, szego_polys(seq, seq.N)[1], guard)[0]
+    if near:
+        _check_deflation(*last, near)
+        integral += 2.0 * sum(math.log(max(1.0, abs(r))) for r in near)
     target = math.exp(-2.0 * sum(math.log(abs(p)) for p in poles))
     diff = abs(math.exp(integral) - target)
     if diff > 100.0 * tol * max(1.0, target):

@@ -1,15 +1,17 @@
 """Command-line harness: case-file ingestion, verification, JSON reports,
 and CSV grid dumps.
 
-Exit codes for ``verify``: 0 pass, 1 parse/validation failure, 2 the
-verification refused (roots in the circle guard band, roots that could not
-be resolved, a failed internal cross-check, a non-finite integrand, a
-sample at a pole or a float64 overflow).  JSON is strict.
+Exit codes for ``verify``: 0 pass, 1 parse/validation failure (a malformed
+argument included), 2 the verification refused (roots in the circle guard
+band, roots that could not be resolved, a failed internal cross-check, a
+non-finite integrand, a sample at a pole or a float64 overflow).  Every
+failure is one line on stderr.  JSON is strict.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from dataclasses import dataclass
@@ -64,7 +66,7 @@ class CaseFile:
 def _complex_from_obj(obj, where: str) -> complex:
     try:
         return complex(float(obj["re"]), float(obj["im"]))
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise CaseError(f"{where}: expected an object with 're' and 'im'") from exc
 
 
@@ -75,6 +77,8 @@ def load_case(path: Path) -> CaseFile:
         raise CaseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CaseError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise CaseError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(raw, dict) or not isinstance(raw.get("alphas"), list):
         raise CaseError(f"{path}: case file must be an object with an 'alphas' list")
     alphas = [_complex_from_obj(a, f"alphas[{j}]") for j, a in enumerate(raw["alphas"])]
@@ -87,6 +91,8 @@ def load_case(path: Path) -> CaseFile:
         max_points = int(quad.get("max_points", DEFAULT_QUAD_MAX_POINTS))
     except (TypeError, ValueError, OverflowError) as exc:
         raise CaseError(f"{path}: 'guard_unit' and 'quad' entries must be numbers: {exc}") from exc
+    if not tol > 0:
+        raise CaseError(f"{path}: 'quad' tol must be positive, got {tol!r}")
     label = str(raw.get("label", Path(path).stem))
     try:
         seq = VerblunskySequence(alphas, guard)
@@ -145,13 +151,19 @@ def _parse_complex_list(text: str, flag: str) -> list[complex]:
     out = []
     for k, part in enumerate(text.split(",")):
         try:
-            out.append(complex(part.strip().replace(" ", "")))
+            z = complex(part.strip().replace(" ", ""))
         except ValueError as exc:
             raise CaseError(f"{flag}: entry {k} ({part!r}) is not a complex number") from exc
+        if not cmath.isfinite(z):
+            raise CaseError(f"{flag}: entry {k} ({part!r}) is not finite")
+        out.append(z)
     return out
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    for flag, value in (("--quad-tol", args.quad_tol), ("--max-points", args.max_points)):
+        if value is not None and not value > 0:  # 0 would fall back to the case's value
+            raise ValueError(f"{flag} must be positive, got {value!r}")
     case = load_case(args.input)
     report = szego_verify(case.seq, tol=args.quad_tol or case.quad_tol,
                           max_points=args.max_points or case.quad_max_points)
@@ -218,6 +230,10 @@ def cmd_recover(args: argparse.Namespace) -> int:
     den = _parse_complex_list(args.den, "--den")
     fstar = RationalFn(ComplexPoly(num), ComplexPoly(den))
     result = recover_coefficients(fstar, args.max_n)
+    finite = np.isfinite(result.alphas)
+    if not finite.all():
+        raise OverflowError(
+            f"recovered coefficients from alpha_{np.argmin(finite)} on overflow float64")
     _emit({
         "alphas": [_cx(a) for a in result.alphas],
         "terminated": result.termination,
@@ -283,8 +299,16 @@ def cmd_batch(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as one ValueError (exit 1 in
+    ``main``) instead of a usage block and exit 2, the refusal code."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="opuc",
         description="Verblunsky-sequence toolkit: Szego identity verification, "
                     "pole sets, moments, and inverse Schur recovery.")
@@ -343,9 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:  # CaseError included
         print(f"error: {exc}", file=sys.stderr)

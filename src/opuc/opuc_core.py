@@ -6,8 +6,10 @@ The coupled recurrence
     Phi*_{k+1}(z) = Phi_k*(z) - alpha_k z Phi_k(z),        Phi_0 = Phi_0* = 1,
 
 is run for arbitrary complex coefficients with |alpha_k| != 1; coefficients
-beyond the stored list are implicitly zero.  Wall polynomials come from the
-ordered product of the per-step transfer matrices
+beyond the stored list are implicitly zero.  It runs on plain lists of
+coefficients, and only the polynomials a caller asks for are wrapped in
+``ComplexPoly``, so one run gives every index a caller needs.  Wall
+polynomials come from the ordered product of the per-step transfer matrices
 
     M_k(z) = [[z, alpha_k], [conj(alpha_k) z, 1]],
 
@@ -58,7 +60,7 @@ class VerblunskySequence:
     guard_unit: float = DEFAULT_GUARD_UNIT
 
     def __init__(self, alphas, guard_unit: float = DEFAULT_GUARD_UNIT) -> None:
-        if guard_unit <= 0:
+        if not guard_unit > 0:  # NaN included
             raise ValueError("guard_unit must be positive")
         coerced = tuple(complex(a) for a in alphas)
         for j, a in enumerate(coerced):
@@ -115,6 +117,35 @@ def _abs2(a: complex) -> float:
     return a.real * a.real + a.imag * a.imag
 
 
+def _szego_steps(alphas, n: int):
+    """Coefficient lists (constant first) of (Phi_k, Phi_k*) for k = 0..n,
+    from one run of the coupled recurrence over ``alphas`` (zero beyond
+    them).  Each step builds two new lists; no list is changed after it is
+    yielded."""
+    phi, phistar = [1 + 0j], [1 + 0j]
+    yield phi, phistar
+    for k in range(n):
+        a = alphas[k] if k < len(alphas) else 0j
+        ca = a.conjugate()
+        zphi, ps = [0j] + phi, phistar + [0j]
+        phi = [x - ca * y for x, y in zip(zphi, ps)]
+        phistar = [y - a * x for x, y in zip(zphi, ps)]
+        yield phi, phistar
+
+
+def _szego_pairs(alphas, ns) -> dict[int, tuple[ComplexPoly, ComplexPoly]]:
+    """{n: (Phi_n, Phi_n*)} for every n in ``ns``, from one run of the
+    recurrence up to the largest; formal degree n, as ``szego_polys``."""
+    want = set(ns)
+    if min(want) < 0:
+        raise ValueError("index must be nonnegative")
+    out = {}
+    for k, (phi, phistar) in enumerate(_szego_steps(alphas, max(want))):
+        if k in want:
+            out[k] = ComplexPoly(phi, k), ComplexPoly(phistar, k)
+    return out
+
+
 def szego_polys(seq: VerblunskySequence, n: int) -> tuple[ComplexPoly, ComplexPoly]:
     """Monic Phi_n of exact degree n and its reversal Phi_n*; Phi_n*(0) = 1.
 
@@ -122,20 +153,12 @@ def szego_polys(seq: VerblunskySequence, n: int) -> tuple[ComplexPoly, ComplexPo
     agrees coefficient-for-coefficient (exactly, in floating point) with
     reversing Phi_n at degree n.
     """
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    phi = ComplexPoly([1.0])
-    phistar = ComplexPoly([1.0])
-    for k in range(n):
-        a = seq.alpha(k)
-        zphi = phi.shifted(1)
-        phi, phistar = zphi - a.conjugate() * phistar, phistar - a * zphi
-    return ComplexPoly(phi.coeffs, n), ComplexPoly(phistar.coeffs, n)
+    return _szego_pairs(seq.alphas, (n,))[n]
 
 
 def second_kind_polys(seq: VerblunskySequence, n: int) -> tuple[ComplexPoly, ComplexPoly]:
     """Second-kind polynomials Psi_n, Psi_n*: the recurrence with {-alpha_j}."""
-    return szego_polys(seq.flipped(), n)
+    return _szego_pairs([-a for a in seq.alphas], (n,))[n]
 
 
 def omega(seq: VerblunskySequence, n: int) -> float:

@@ -88,12 +88,15 @@ class RecoveryResult:
 def _backward_schur(alphas) -> RationalFn:
     """f_0 of ``alphas`` (zero beyond them): from 0/1, each coefficient a, last
     first, applies f_j = (a + z f_{j+1}) / (1 + conj(a) z f_{j+1}) in cleared
-    form.  den(0) = 1 exactly, and num/den is the Wall pair A/B of ``alphas``."""
-    num, den = ComplexPoly([0.0]), ComplexPoly([1.0])
+    form, on coefficient lists (constant first).  den(0) = 1 exactly, and
+    num/den is the Wall pair A/B of ``alphas``."""
+    num, den = [0j], [1 + 0j]
     for a in reversed(alphas):
-        znum = num.shifted(1)
-        num, den = a * den + znum, den + a.conjugate() * znum
-    return RationalFn(num, den)
+        ca = a.conjugate()
+        znum, d = [0j] + num, den + [0j]
+        num = [a * y + x for x, y in zip(znum, d)]
+        den = [y + ca * x for x, y in zip(znum, d)]
+    return RationalFn(ComplexPoly(num), ComplexPoly(den))
 
 
 def tail_schur(seq: VerblunskySequence, N: int) -> RationalFn:
@@ -200,7 +203,10 @@ def recover_coefficients(fstar: RationalFn, max_n: int,
     under rescaling F_* by a nonzero constant, then collects f_n(0) for
     n < max_n.  Stops early, with the reason recorded, when an iterate's
     value at 0 is unimodular (within ``guard``) or a pole lands on the origin.
+    A negative ``max_n`` is a ValueError.
     """
+    if max_n < 0:
+        raise ValueError(f"max_n must be nonnegative, got {max_n}")
     c = fstar.num(0)
     if abs(c) <= 1e-14 * max(fstar.num.magnitude_bound(1.0), 1e-300):
         raise ValueError("F_*(0) = 0: the Moebius seed is undefined")

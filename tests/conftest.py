@@ -90,3 +90,22 @@ def aberth_runs(monkeypatch):
 
     patch_everywhere(monkeypatch, iterate, counted)
     return calls
+
+
+@pytest.fixture
+def szego_runs(monkeypatch):
+    """Record, for each run of the Szego recurrence, the number of steps
+    it took (the pairs it yielded, less the initial one)."""
+    import opuc.opuc_core
+
+    runs: list[int] = []
+    run = opuc.opuc_core._szego_steps
+
+    def counted(alphas, n):
+        runs.append(-1)
+        for pair in run(alphas, n):
+            runs[-1] += 1
+            yield pair
+
+    patch_everywhere(monkeypatch, run, counted)
+    return runs

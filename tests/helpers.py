@@ -27,7 +27,7 @@ from opuc import (
     szego_polys,
 )
 from opuc.poly import roots as poly_roots
-from opuc.schur import as_rational_F
+from opuc.schur import RationalFn, as_rational_F
 
 # verify-suite case whose F has a denominator root at -17.39 within 3e-11
 # of a numerator root (two zeros of Psi_L* and Phi_L* that are close but
@@ -162,3 +162,59 @@ def random_nonclassical(rng: np.random.Generator, head_max: int = 5,
         if require_growth_window and not growth_demo_ok(seq):
             continue
         return seq
+
+
+# ---------------------------------------------------------------------------
+# reference recurrences: the same steps in ComplexPoly arithmetic, one
+# immutable polynomial per operation (the library runs them on coefficient
+# lists and wraps the result once; the two agree bit for bit)
+
+
+def reference_szego_polys(seq: VerblunskySequence, n: int) -> tuple[ComplexPoly, ComplexPoly]:
+    phi = ComplexPoly([1.0])
+    phistar = ComplexPoly([1.0])
+    for k in range(n):
+        a = seq.alpha(k)
+        zphi = phi.shifted(1)
+        phi, phistar = zphi - a.conjugate() * phistar, phistar - a * zphi
+    return ComplexPoly(phi.coeffs, n), ComplexPoly(phistar.coeffs, n)
+
+
+def reference_second_kind_polys(seq: VerblunskySequence, n: int) -> tuple[ComplexPoly, ComplexPoly]:
+    return reference_szego_polys(seq.flipped(), n)
+
+
+def reference_backward_schur(alphas) -> RationalFn:
+    num, den = ComplexPoly([0.0]), ComplexPoly([1.0])
+    for a in reversed(alphas):
+        znum = num.shifted(1)
+        num, den = a * den + znum, den + a.conjugate() * znum
+    return RationalFn(num, den)
+
+
+def same_bits(p: ComplexPoly, q: ComplexPoly) -> bool:
+    """Equal coefficients and formal degree; NaN matches NaN and the two
+    signed zeros match each other."""
+    def same(x: float, y: float) -> bool:
+        return x == y or (math.isnan(x) and math.isnan(y))
+
+    return (p.formal_degree == q.formal_degree and len(p.coeffs) == len(q.coeffs)
+            and all(same(x.real, y.real) and same(x.imag, y.imag)
+                    for x, y in zip(p.coeffs, q.coeffs)))
+
+
+def draw_wide(rng: np.random.Generator) -> VerblunskySequence:
+    """Up to 12 coefficients: moduli 10^U(-3, 150) or in (0, 3), about one
+    in five an exact zero, random phases."""
+    out = []
+    for _ in range(int(rng.integers(0, 13))):
+        u = rng.random()
+        if u < 0.2:
+            out.append(0j)
+            continue
+        m = 10.0 ** rng.uniform(-3.0, 150.0) if u < 0.5 else rng.uniform(0.0, 3.0)
+        out.append(complex(m * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))))
+    try:
+        return VerblunskySequence(out)
+    except GuardViolationError:
+        return draw_wide(rng)

@@ -433,6 +433,13 @@ def test_verify_refuses_a_tail_off_its_wall_identity(monkeypatch):
         szego_verify(VerblunskySequence([2.0, 0.95, -0.95j, 0.9]))
 
 
+@pytest.mark.parametrize("alphas", [[2.0, 0.5j, -0.3], [0.5, 2.0], []])
+def test_verify_runs_one_szego_recurrence(szego_runs, alphas):
+    # Phi_N, Phi_N* and Phi_L* come from one run of L steps, also when N = L
+    szego_verify(VerblunskySequence(alphas))
+    assert szego_runs == [len(alphas)]
+
+
 def test_pole_set_builds_no_tail(tail_builds):
     assert len(pole_set(VerblunskySequence([2.0, 0.5j, -0.3]))) == 1
     assert tail_builds == []
@@ -470,6 +477,20 @@ def test_boyd_two_coefficients():
     assert abs(boyd_integral(VerblunskySequence([0.5, 0.3]), 0) - want) < 1e-11
 
 
+def test_boyd_is_quiet_on_an_overflowing_head():
+    # the head 1e200 overflows samples of Phi_1 and Phi_1*, which the
+    # integral never needs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = boyd_integral(VerblunskySequence([1e200, 0.5]), 1)
+    assert abs(value - math.log(0.75)) < 1e-12
+
+
+def test_boyd_builds_only_the_tail(szego_runs, tail_builds):
+    boyd_integral(VerblunskySequence([2.0, 0.5, 0.3]), 1)
+    assert szego_runs == [] and tail_builds == [1]
+
+
 def test_boyd_matches_product_on_random_tails():
     rng = np.random.default_rng(59)
     for _ in range(15):
@@ -491,6 +512,13 @@ def test_trace_two_coefficients():
 def test_trace_classical_steps_add_one():
     rows = zero_count_trace(VerblunskySequence([0.5, 0.5, 0.5]), 3)
     assert [r.actual for r in rows] == [1, 2, 3]
+    assert all(r.predicted == r.actual for r in rows)
+
+
+def test_trace_runs_one_recurrence(szego_runs):
+    rows = zero_count_trace(VerblunskySequence([2, 0.5, 0.3j, 0.2]), 12)
+    assert szego_runs == [12]
+    assert [r.k for r in rows] == list(range(1, 13))
     assert all(r.predicted == r.actual for r in rows)
 
 
@@ -580,6 +608,23 @@ def test_log_split_two_coefficients():
 def test_log_split_builds_one_tail_per_index(tail_builds, n, builds):
     assert log_split_check(VerblunskySequence([2, 0.5]), n) < 1e-9
     assert tail_builds == builds
+
+
+def test_log_split_subtracts_near_circle_roots():
+    # a root of Phi_L* 7.2e-8 off the circle: integrated unsubtracted, the
+    # third piece ran to the point cap and missed the pole product by 1.2e-6
+    seq = draw_near_circle(np.random.default_rng(4), 24, 1e-8, 1e-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert log_split_check(seq, seq.N) < 1e-7
+
+
+def test_log_split_refuses_a_quotient_that_misses_the_denominator(monkeypatch):
+    seq = draw_near_circle(np.random.default_rng(4), 24, 1e-8, 1e-6)
+    deflate = opuc.analysis._deflate
+    monkeypatch.setattr(opuc.analysis, "_deflate", lambda c, rts: 1.001 * deflate(c, rts))
+    with pytest.raises(CrossCheckError, match="near-circle roots"):
+        log_split_check(seq, seq.N)
 
 
 def test_log_split_overflow_is_the_verify_refusal():

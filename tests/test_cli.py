@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import opuc
-from opuc.cli import main, report_from_dict, report_to_dict
+from opuc.cli import CaseError, load_case, main, report_from_dict, report_to_dict
 from opuc import CrossCheckError, VerblunskySequence, szego_verify
 from opuc.schur import KhrushchevSplit, PoleEvaluationError
 
@@ -321,12 +321,61 @@ def test_recover_bad_coefficient(capsys):
     assert main(["recover", "--num", "1,zzz", "--den", "1", "--max-n", "2"]) == 1
 
 
+@pytest.mark.parametrize("num, den, entry", [
+    ("nan", "1", "--num: entry 0 ('nan') is not finite"),
+    ("1,2", "1,inf", "--den: entry 1 ('inf') is not finite"),
+])
+def test_recover_non_finite_entry_is_one_error_line(capsys, num, den, entry):
+    assert main(["recover", "--num", num, "--den", den, "--max-n", "5"]) == 1
+    assert capsys.readouterr().err == f"error: {entry}\n"
+
+
+def test_recover_overflow_is_one_refusal_line(capsys):
+    # F_* normalized by den(0) = 1e-308 has a coefficient beyond float64
+    assert main(["recover", "--num", "1e308,1e308", "--den", "1e-308,1", "--max-n", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("refused: ") and captured.err.count("\n") == 1
+    assert "overflow float64" in captured.err
+
+
+def test_recover_negative_max_n_is_one_error_line(capsys):
+    assert main(["recover", "--num", "1,2", "--den", "1,-2", "--max-n", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: max_n must be nonnegative, got -1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["grid", "--input", "c.json", "--points", "abc"],
+    ["grid", "--points", "16"],
+    ["recover", "--num", "1", "--den", "1", "--max-n", "1.5"],
+    ["verify", "--input", "c.json", "--tol"],
+    ["nosuchcommand"],
+    [],
+])
+def test_malformed_command_line_is_one_error_line(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: opuc") and captured.err.count("\n") == 1
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["grid", "--help"])
+    assert exit_.value.code == 0
+    assert "--points" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [
     ["recover", "--num", "1", "--den", "0,1", "--max-n", "2"],
     ["recover", "--num", "0", "--den", "1", "--max-n", "2"],
     ["polys", "--n", "-1"],
     ["moments", "--order", "0"],
     ["moments", "--m", "-1"],
+    ["verify", "--quad-tol", "nan"],   # would run to the point cap
+    ["verify", "--quad-tol", "0"],     # would fall back to the case's tolerance
+    ["verify", "--max-points", "0"],
 ])
 def test_bad_argument_is_one_error_line(tmp_path, capsys, argv):
     if argv[0] != "recover":
@@ -458,3 +507,102 @@ def test_cli_answers_or_refuses_on_any_valid_case(alphas):
             assert [str(w.message) for w in caught] == [], argv
             if code != 2:
                 strict_json(out.getvalue())
+
+
+def _run_cli(argv) -> tuple[int, str, str, list[str]]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+# entries of --num/--den: numbers of any size, NaN and infinities, complex
+# literals and junk
+_number_text = st.one_of(
+    st.floats().map(repr),
+    st.builds(lambda e, t: repr(10.0 ** e * complex(math.cos(t), math.sin(t))),
+              st.floats(-320.0, 300.0), st.floats(0.0, 2.0 * math.pi)),
+    st.integers(-10, 10).map(str),
+    st.text(alphabet="0123456789.+-ejinfa ", max_size=8),
+)
+_coefficient_list = st.lists(_number_text, min_size=1, max_size=5).map(",".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_coefficient_list, _coefficient_list, st.integers(-3, 12))
+def test_recover_answers_or_refuses_on_any_arguments(num, den, max_n):
+    # exit 0 with strict JSON, 1 (a malformed argument) or 2 (refused); one
+    # stderr line at most and no warning
+    code, out, err, caught = _run_cli(
+        ["recover", f"--num={num}", f"--den={den}", "--max-n", str(max_n)])
+    assert code in (0, 1, 2)
+    assert err.count("\n") <= 1 and caught == []
+    if code == 0:
+        strict_json(out)
+    else:
+        assert out == "" and err.startswith("error: " if code == 1 else "refused: ")
+
+
+_json_scalars = st.one_of(st.none(), st.booleans(), st.text(max_size=6),
+                          st.integers(-10 ** 400, 10 ** 400), st.floats())
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+_numbers = st.one_of(st.integers(-10 ** 400, 10 ** 400), st.floats(), st.text(max_size=5))
+_alpha_entries = st.one_of(st.fixed_dictionaries({"re": _numbers, "im": _numbers}), _json_values)
+_case_payloads = st.one_of(
+    st.text(max_size=20),
+    _json_values.map(json.dumps),
+    st.fixed_dictionaries(
+        {"alphas": st.one_of(st.lists(_alpha_entries, max_size=4), _json_values)},
+        optional={"quad": st.one_of(
+                      st.fixed_dictionaries({}, optional={"tol": _numbers, "max_points": _numbers}),
+                      _json_values),
+                  "guard_unit": _numbers,
+                  "label": _json_values}).map(json.dumps),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_case_payloads)
+def test_cli_answers_or_refuses_on_any_case_file(payload):
+    # a file that is no valid case exits 1 with one "error:" line from every
+    # command; a valid one exits 0, 1 (verify above --tol) or 2 (refused)
+    # with at most one stderr line and strict JSON on stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        case = Path(tmp) / "case.json"
+        case.write_text(payload)
+        try:
+            load_case(case)
+            valid = True
+        except CaseError:
+            valid = False
+        for argv in (["poles"], ["trace"], ["moments"], ["polys", "--n", "2"],
+                     ["verify", "--max-points", "4096"], ["grid", "--points", "16"]):
+            code, out, err, caught = _run_cli([argv[0], "--input", str(case), *argv[1:]])
+            assert code in ((0, 1, 2) if valid else (1,)), argv
+            assert err.count("\n") <= 1 and caught == [], argv
+            if not valid:
+                assert out == "" and err.startswith("error: "), argv
+            elif code == 0 and argv[0] != "grid":
+                strict_json(out)
+
+
+@pytest.mark.parametrize("payload, message", [
+    ('{"alphas": [{"re": 1%s, "im": 0}]}' % ("0" * 400,), "alphas[0]: expected an object"),
+    ('{"alphas": [{"re": 1.0, "im": 0}], "guard_unit": NaN}', "guard_unit must be positive"),
+    ('{"alphas": [{"re": 0.5, "im": 0}], "quad": {"tol": NaN}}', "'quad' tol must be positive"),
+    ("[" * 100000 + "]" * 100000, "JSON nested too deeply"),
+])
+def test_malformed_case_file_is_one_error_line(tmp_path, capsys, payload, message):
+    # an integer beyond float64, a NaN guard (which would admit |alpha| = 1),
+    # a NaN quadrature tolerance and nesting beyond the recursion limit
+    case = tmp_path / "case.json"
+    case.write_text(payload)
+    assert main(["poles", "--input", str(case)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err

@@ -16,7 +16,13 @@ from opuc import (
     wall_polys,
 )
 
-from helpers import random_admissible
+from helpers import (
+    draw_wide,
+    random_admissible,
+    reference_second_kind_polys,
+    reference_szego_polys,
+    same_bits,
+)
 
 # ---------------------------------------------------------------------------
 # sequence type
@@ -89,6 +95,26 @@ def test_monic_degree_and_star_normalization_up_to_40():
         assert phistar(0) == 1
         psi, _ = second_kind_polys(seq, n)
         assert psi.degree == n and psi.coeffs[-1] == 1
+
+
+def test_recurrences_match_the_polynomial_reference_bit_for_bit():
+    # 60 sequences with exact zeros and moduli up to 1e150 (so some runs
+    # overflow to inf and NaN), at every index up to 3 beyond the stored list
+    rng = np.random.default_rng(91)
+    for _ in range(60):
+        seq = draw_wide(rng)
+        for n in range(len(seq) + 4):
+            for got, want in zip(szego_polys(seq, n) + second_kind_polys(seq, n),
+                                 reference_szego_polys(seq, n)
+                                 + reference_second_kind_polys(seq, n)):
+                assert same_bits(got, want), (seq.alphas, n)
+
+
+def test_negative_index_is_rejected():
+    with pytest.raises(ValueError, match="nonnegative"):
+        szego_polys(VerblunskySequence([0.5]), -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        second_kind_polys(VerblunskySequence([0.5]), -1)
 
 
 def test_star_polynomial_is_exact_reversal():

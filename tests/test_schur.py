@@ -18,7 +18,17 @@ from opuc import (
 from opuc.poly import roots as poly_roots
 from opuc.schur import khrushchev_split
 
-from helpers import draw_head, draw_tail, random_admissible, random_nonclassical
+from helpers import (
+    draw_head,
+    draw_tail,
+    draw_wide,
+    random_admissible,
+    random_nonclassical,
+    reference_backward_schur,
+    reference_second_kind_polys,
+    reference_szego_polys,
+    same_bits,
+)
 
 # ---------------------------------------------------------------------------
 # RationalFn
@@ -85,6 +95,23 @@ def test_tail_is_strictly_schur_on_circle():
              zip(rng.uniform(0, 0.95, 6), rng.uniform(0, 2 * np.pi, 6))])
         f = tail_schur(seq, 0)
         assert np.all(np.abs(f.num(zs) / f.den(zs)) < 1.0)
+
+
+def test_backward_schur_matches_the_polynomial_reference_bit_for_bit():
+    # tails from N up to 2 beyond the stored list, f and F, on 60 sequences
+    # with exact zeros and moduli up to 1e150
+    rng = np.random.default_rng(92)
+    for _ in range(60):
+        seq = draw_wide(rng)
+        L = len(seq)
+        pairs = [(as_rational_f(seq), reference_backward_schur(seq.alphas))]
+        pairs += [(tail_schur(seq, n), reference_backward_schur(seq.alphas[n:]))
+                  for n in range(seq.N, L + 3)]
+        pairs.append((as_rational_F(seq),
+                      RationalFn(reference_second_kind_polys(seq, L)[1],
+                                 reference_szego_polys(seq, L)[1])))
+        for got, want in pairs:
+            assert same_bits(got.num, want.num) and same_bits(got.den, want.den), seq.alphas
 
 
 # ---------------------------------------------------------------------------
