@@ -373,24 +373,26 @@ def zero_count_trace(seq: VerblunskySequence, n_max: int,
     The prediction chain starts at zero and follows the one-step rule:
     |alpha_{k-1}| < 1 adds one zero; |alpha_{k-1}| > 1 reflects, giving
     (k-1) minus the previous count.  Star counts are the complements.
+
+    The roots of each Phi_k are found once.  Phi_k* = z^k conj Phi_k(1/conj z)
+    (the recurrence builds it as that exact conjugate reversal) has as its
+    zeros the reflections 1/conj(r) of the nonzero zeros r of Phi_k; a zero
+    of Phi_k at the origin lowers the degree of Phi_k* instead.
     """
     rows: list[TraceRow] = []
     predicted = 0
-    steps = _szego_steps(seq.alphas, n_max)  # one run gives every Phi_k, Phi_k*
-    next(steps)  # Phi_0 = Phi_0* = 1
-    for k, (phi_k, phistar_k) in enumerate(steps, start=1):
+    steps = _szego_steps(seq.alphas, n_max)  # one run gives every Phi_k
+    next(steps)  # Phi_0 = 1
+    for k, (phi_k, _) in enumerate(steps, start=1):
         a = seq.alpha(k - 1)
         predicted = predicted + 1 if abs(a) < 1.0 else (k - 1) - predicted
-        phi, phistar = ComplexPoly(phi_k, k), ComplexPoly(phistar_k, k)
-        actual, amb = count_in_disk(poly_roots(phi), guard)
+        zeros = poly_roots(ComplexPoly(phi_k, k))
+        actual, amb = count_in_disk(zeros, guard)
         if amb:
             raise AmbiguousRootError(f"zeros of Phi_{k} in the circle guard band", amb)
-        if phistar.degree >= 1:
-            actual_star, amb_star = count_in_disk(poly_roots(phistar), guard)
-            if amb_star:
-                raise AmbiguousRootError(f"zeros of Phi_{k}* in the guard band", amb_star)
-        else:
-            actual_star = 0
+        actual_star, amb_star = count_in_disk((1 / r.conjugate() for r in zeros if r != 0), guard)
+        if amb_star:
+            raise AmbiguousRootError(f"zeros of Phi_{k}* in the guard band", amb_star)
         rows.append(TraceRow(k=k, predicted=predicted, actual=actual,
                              predicted_star=k - predicted, actual_star=actual_star))
     return rows

@@ -2,16 +2,18 @@
 and CSV grid dumps.
 
 Exit codes for ``verify``: 0 pass, 1 parse/validation failure (a malformed
-argument included), 2 the verification refused (roots in the circle guard
-band, roots that could not be resolved, a failed internal cross-check, a
-non-finite integrand, a sample at a pole or a float64 overflow).  Every
-failure is one line on stderr.  JSON is strict.
+argument or an output path that cannot be written included), 2 the
+verification refused (roots in the circle guard band, roots that could not
+be resolved, a failed internal cross-check, a non-finite integrand, a sample
+at a pole or a float64 overflow).  Every failure is one line on stderr.
+JSON is strict.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -307,6 +309,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+@functools.cache  # one parser per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="opuc",
@@ -370,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ValueError as exc:  # CaseError included
+    except (ValueError, OSError) as exc:  # CaseError and unwritable output paths included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (AmbiguousRootError, CrossCheckError, PoleEvaluationError, QuadratureError,

@@ -177,7 +177,13 @@ def _scaled_residuals(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     """|p(z)| / sum_k |c_k| |z|**k; where that sum overflows (|z| > 1), the
     same ratio from the reversed coefficients at 1/z."""
     vals = np.abs(_horner(c, z))
-    scale = np.abs(_horner(np.abs(c).astype(complex), np.abs(z).astype(complex)))
+    # real arithmetic: in complex arithmetic an overflow meets an imaginary 0
+    # and turns into inf * 0 = NaN, which hides it from the 1/z fallback
+    az = np.abs(z)
+    scale = np.full(z.shape, abs(c[-1]))
+    for ck in np.abs(c[-2::-1]):
+        scale *= az
+        scale += ck
     resid = vals / np.maximum(scale, 1e-300)
     if scale.max() == np.inf:
         over = np.isinf(scale)
@@ -254,9 +260,15 @@ def roots(p: ComplexPoly, tol: float = DEFAULT_ROOT_TOL) -> list[complex]:
         c = c / top
         if not math.isfinite(top) or c[-1] == 0:
             raise RootFindingError("coefficients not finite, or the leading one underflows")
+        # np.roots's companion matrix, without its wrapper: low coefficients
+        # that underflowed in the scaling are roots at 0 (all of them if m = 0)
+        m = n - int(np.flatnonzero(c)[0])
+        lead_first = c[::-1][:m + 1]
+        companion = np.eye(m, k=-1, dtype=complex)
+        companion[:1] = -lead_first[1:] / lead_first[0]
         overflow = False
         try:
-            cand = np.roots(c[::-1])
+            cand = np.concatenate([np.linalg.eigvals(companion), np.zeros(n - m, dtype=complex)])
         except np.linalg.LinAlgError:  # the companion matrix overflows: a miss
             cand = np.full(n, np.nan, dtype=complex)
             overflow = True

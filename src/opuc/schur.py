@@ -203,13 +203,21 @@ def recover_coefficients(fstar: RationalFn, max_n: int,
     under rescaling F_* by a nonzero constant, then collects f_n(0) for
     n < max_n.  Stops early, with the reason recorded, when an iterate's
     value at 0 is unimodular (within ``guard``) or a pole lands on the origin.
-    A negative ``max_n`` is a ValueError.
+    A negative ``max_n`` or F_*(0) = 0 is a ValueError; an F_*(0) that is
+    nonzero but at most 1e-14 of sum_k |c_k| over the numerator's
+    coefficients is a PoleEvaluationError (the seed's denominator
+    F_* + F_*(0) vanishes at 0 to rounding).
     """
     if max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
     c = fstar.num(0)
-    if abs(c) <= 1e-14 * max(fstar.num.magnitude_bound(1.0), 1e-300):
+    if c == 0:
         raise ValueError("F_*(0) = 0: the Moebius seed is undefined")
+    scale = fstar.num.magnitude_bound(1.0)
+    if abs(c) <= 1e-14 * max(scale, 1e-300):
+        raise PoleEvaluationError(
+            f"|F_*(0)| is {abs(c) / scale:.1e} of the numerator's sum_k |c_k|, at most 1e-14: "
+            "the Moebius seed has a pole at z = 0 to rounding")
     seed_num = (fstar.num - c * fstar.den).coeffs[1:]
     seed_den = fstar.num + c * fstar.den
     f = RationalFn(ComplexPoly(seed_num if seed_num else [0.0]), seed_den)

@@ -26,7 +26,15 @@ from opuc import (
     second_kind_polys,
     szego_polys,
 )
-from opuc.poly import roots as poly_roots
+from opuc.poly import (
+    DEFAULT_DISK_GUARD,
+    DEFAULT_ROOT_TOL,
+    RootFindingError,
+    _horner,
+    _newton_polygon_start,
+    count_in_disk,
+    roots as poly_roots,
+)
 from opuc.schur import RationalFn, as_rational_F
 
 # verify-suite case whose F has a denominator root at -17.39 within 3e-11
@@ -218,3 +226,86 @@ def draw_wide(rng: np.random.Generator) -> VerblunskySequence:
         return VerblunskySequence(out)
     except GuardViolationError:
         return draw_wide(rng)
+
+
+# ---------------------------------------------------------------------------
+# reference root-finding: np.roots for the companion eigenvalues and the
+# residual scale sum_k |c_k| |z|**k by Horner in complex arithmetic (the
+# library builds the same companion matrix itself and takes the scale in real
+# arithmetic; wherever this route accepts, the two agree bit for bit)
+
+
+def reference_scaled_residuals(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    vals = np.abs(_horner(c, z))
+    scale = np.abs(_horner(np.abs(c).astype(complex), np.abs(z).astype(complex)))
+    resid = vals / np.maximum(scale, 1e-300)
+    if scale.max() == np.inf:
+        over = np.isinf(scale)
+        resid[over] = reference_scaled_residuals(c[::-1], 1.0 / z[over])
+    return resid
+
+
+def reference_aberth(c: np.ndarray, tol: float, z: np.ndarray) -> np.ndarray | None:
+    n = len(c) - 1
+    dc = c[1:] * np.arange(1, n + 1)
+    for _ in range(201):
+        if (reference_scaled_residuals(c, z) <= tol).all():
+            return z
+        pv = _horner(c, z)
+        dpv = _horner(dc, z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = np.where(dpv != 0, pv / np.where(dpv != 0, dpv, 1.0), 1.0)
+            diff = z[:, None] - z[None, :]
+            np.fill_diagonal(diff, np.inf)
+            repulsion = (1.0 / diff).sum(axis=1)
+            corr = newton / (1.0 - newton * repulsion)
+        corr = np.where(np.isfinite(corr), corr,
+                        np.where(np.isfinite(newton), newton, 0.3 + 0.2j))
+        z = z - corr
+    return None
+
+
+def reference_roots(p: ComplexPoly, tol: float = DEFAULT_ROOT_TOL) -> list[complex]:
+    cs = list(p.coeffs)
+    found: list[complex] = []
+    while cs[0] == 0:
+        cs.pop(0)
+        found.append(0j)
+    n = len(cs) - 1
+    if n == 0:
+        return found
+    if n == 1:
+        found.append(-cs[0] / cs[1])
+        return found
+    c = np.asarray(cs, dtype=complex)
+    with np.errstate(all="ignore"):
+        top = np.abs(c).max()
+        c = c / top
+        if not math.isfinite(top) or c[-1] == 0:
+            raise RootFindingError("coefficients not finite, or the leading one underflows")
+        try:
+            cand = np.roots(c[::-1])
+        except np.linalg.LinAlgError:
+            cand = np.full(n, np.nan, dtype=complex)
+        step = _horner(c, cand) / _horner(c[1:] * np.arange(1, n + 1), cand)
+        gap = np.abs(cand[:, None] - cand[None, :]) + np.diag(np.full(n, np.inf))
+        cand = np.where(np.abs(step) < 0.1 * gap.min(axis=1), cand - step, cand)
+        if not reference_scaled_residuals(c, cand).max() <= tol:
+            cand = reference_aberth(c, tol, _newton_polygon_start(c))
+            if cand is None:
+                raise RootFindingError("reference route refused")
+    found.extend(complex(r) for r in cand)
+    return found
+
+
+def independent_star_counts(seq: VerblunskySequence, n_max: int,
+                            guard: float = DEFAULT_DISK_GUARD) -> list[int]:
+    """In-disk zeros of Phi_k*, k = 1..n_max, each from Phi_k*'s own roots
+    (``zero_count_trace`` reflects the roots of Phi_k instead)."""
+    counts = []
+    for k in range(1, n_max + 1):
+        phistar = szego_polys(seq, k)[1]
+        inside, amb = count_in_disk(poly_roots(phistar), guard) if phistar.degree >= 1 else (0, [])
+        assert not amb, (k, amb)
+        counts.append(inside)
+    return counts

@@ -36,6 +36,7 @@ from helpers import (
     NEAR_COMMON_ROOT_ALPHAS,
     draw_near_circle,
     draw_tail,
+    independent_star_counts,
     random_classical,
     random_nonclassical,
 )
@@ -525,6 +526,37 @@ def test_trace_runs_one_recurrence(szego_runs):
 def test_trace_star_counts():
     rows = zero_count_trace(VerblunskySequence([2]), 1)
     assert rows[0].actual_star == 1  # 1 - 2z has its zero at 0.5
+
+
+def test_trace_finds_the_roots_of_each_phi_k_once(root_calls):
+    zero_count_trace(VerblunskySequence([2, 0.5, 0.3j, 0.2]), 12)
+    assert root_calls == list(range(1, 13))
+
+
+def test_trace_a_zero_of_phi_k_at_the_origin_is_no_star_zero():
+    # Phi_2 = z^2 - 2z has zeros 0 and 2; Phi_2* = 1 - 2z, of degree 1, has one
+    rows = zero_count_trace(VerblunskySequence([2, 0]), 2)
+    assert [(r.actual, r.actual_star) for r in rows] == [(0, 1), (1, 1)]
+    assert all(r.actual_star == r.predicted_star for r in rows)
+
+
+def test_trace_reflected_star_counts_match_independent_roots():
+    # the nonclassical suite, then |alpha| = 10^U(-3, 3) or U(0, 3), L = 1-15,
+    # a tenth of the entries exactly 0
+    rng = np.random.default_rng(29)
+    cases = [random_nonclassical(rng, require_growth_window=False) for _ in range(20)]
+    while len(cases) < 220:
+        L = int(rng.integers(1, 16))
+        mods = np.where(rng.random(L) < 0.5, 10.0 ** rng.uniform(-3, 3, L), rng.uniform(0, 3, L))
+        mods[rng.random(L) < 0.1] = 0.0
+        alphas = mods * np.exp(2j * np.pi * rng.uniform(size=L))
+        if np.all(np.abs(mods - 1.0) > 1e-3):
+            cases.append(VerblunskySequence(alphas.tolist()))
+    for seq in cases:
+        n = max(len(seq), 12)
+        rows = zero_count_trace(seq, n)
+        assert [r.actual_star for r in rows] == independent_star_counts(seq, n), seq.alphas
+        assert [r.actual_star for r in rows] == [r.predicted_star for r in rows]
 
 
 def test_migration_head_only():

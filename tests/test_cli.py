@@ -345,6 +345,18 @@ def test_recover_negative_max_n_is_one_error_line(capsys):
     assert captured.out == "" and captured.err == "error: max_n must be nonnegative, got -1\n"
 
 
+@pytest.mark.parametrize("num, code, err", [
+    ("0,1", 1, "error: F_*(0) = 0: the Moebius seed is undefined\n"),
+    # F_*(0) = 1 is 7.1e-309 of |1| + |1e308 + 1e308j|: nonzero, but the seed
+    # cancels to rounding
+    ("1,1e308+1e308j", 2, "refused: |F_*(0)| is 7.1e-309 of the numerator's sum_k |c_k|, "
+                          "at most 1e-14: the Moebius seed has a pole at z = 0 to rounding\n"),
+], ids=["zero", "tiny"])
+def test_recover_zero_and_tiny_seed_constant(capsys, num, code, err):
+    assert main(["recover", "--num", num, "--den", "1,0.5", "--max-n", "3"]) == code
+    assert capsys.readouterr() == ("", err)
+
+
 @pytest.mark.parametrize("argv", [
     ["grid", "--input", "c.json", "--points", "abc"],
     ["grid", "--points", "16"],
@@ -358,6 +370,38 @@ def test_malformed_command_line_is_one_error_line(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: opuc") and captured.err.count("\n") == 1
+
+
+def test_cached_parser_behaves_like_a_fresh_one(tmp_path, capsys, monkeypatch):
+    # one parser serves every call in a process; a malformed command line or
+    # a bad --input between calls must leave nothing behind
+    case = str(write_case(tmp_path / "case.json", [2.0, 0.5j, -0.3]))
+    calls = [
+        ["poles", "--input", case],
+        ["grid", "--input", case, "--points", "abc"],
+        ["grid", "--input", case, "--points", "4"],
+        ["trace", "--input", str(tmp_path / "missing.json")],
+        ["trace", "--input", case, "--n-max", "2"],
+        ["recover", "--num", "1"],
+        ["recover", "--num", "1,2", "--den", "1,-2", "--max-n", "3"],
+        ["verify", "--input", case, "--tol", "0"],
+        ["moments", "--input", case, "--order", "3"],
+        ["polys", "--input", case, "--n", "2"],
+        ["poles", "--input", case],
+    ]
+
+    def run_all():
+        results = []
+        for argv in calls:
+            code = main(argv)
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    assert opuc.cli.build_parser() is opuc.cli.build_parser()
+    cached = run_all()
+    monkeypatch.setattr(opuc.cli, "build_parser", opuc.cli.build_parser.__wrapped__)
+    assert cached == run_all()
+    assert [code for code, _, _ in cached] == [0, 1, 0, 1, 0, 1, 0, 1, 0, 0, 0]
 
 
 def test_help_still_exits_zero(capsys):
@@ -590,6 +634,81 @@ def test_cli_answers_or_refuses_on_any_case_file(payload):
                 assert out == "" and err.startswith("error: "), argv
             elif code == 0 and argv[0] != "grid":
                 strict_json(out)
+
+
+def _output_path(root: Path, kind: str, name: str) -> Path:
+    """A path to write to: new, an existing file, an existing directory, or
+    one below a file (which cannot be made)."""
+    target = root / name
+    if kind == "file":
+        target.write_text("old\n")
+    elif kind == "dir":
+        target.mkdir()
+    elif kind == "below-file":
+        (root / "plain").write_text("")
+        target = root / "plain" / name
+    return target
+
+
+_output_kinds = st.sampled_from(["new", "file", "dir", "below-file"])
+_points = st.one_of(st.integers(-3, 64).map(str), st.sampled_from(["", "abc", "1.5", "1e3", "-"]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_coefficients, max_size=4), _points, st.one_of(st.none(), _output_kinds))
+def test_grid_answers_or_refuses_on_any_arguments(alphas, points, csv):
+    # exit 0 with one finite row per point, 1 (a malformed argument or an
+    # output that cannot be written) or 2 (refused); one stderr line at most
+    with tempfile.TemporaryDirectory() as tmp:
+        case = str(write_case(Path(tmp) / "case.json", alphas))
+        argv = ["grid", "--input", case, f"--points={points}"]
+        if csv is not None:
+            target = _output_path(Path(tmp), csv, "grid.csv")
+            argv += ["--csv", str(target)]
+        code, out, err, caught = _run_cli(argv)
+        assert code in (0, 1, 2)
+        assert err.count("\n") <= 1 and caught == []
+        if code != 0:
+            assert out == "" and err.startswith("error: " if code == 1 else "refused: ")
+            return
+        text = out if csv is None else target.read_text()
+        lines = text.splitlines()
+        assert len(lines) == int(points) + 1
+        assert all(math.isfinite(float(x)) for line in lines[1:] for x in line.split(","))
+
+
+_tols = st.one_of(st.floats().map(repr), st.text(alphabet="0123456789.-einfa", max_size=5))
+_junk_payloads = st.one_of(st.text(max_size=20), _json_values.map(json.dumps))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.one_of(st.lists(_coefficients, max_size=4), _junk_payloads), max_size=3),
+       _tols, _output_kinds, st.booleans())
+def test_batch_answers_on_any_arguments_and_writes_its_summary(cases, tol, out, dir_exists):
+    # exit 0 with the summary on stdout and in summary.json, both strict JSON
+    # and one entry per case file; or exit 1 with one error line (a malformed
+    # --tol, a missing --dir, an --out that cannot be made)
+    with tempfile.TemporaryDirectory() as tmp:
+        case_dir = Path(tmp) / "cases"
+        if dir_exists:
+            case_dir.mkdir()
+            for j, case in enumerate(cases):
+                if isinstance(case, list):
+                    write_case(case_dir / f"{j}.json", case, quad={"max_points": 4096})
+                else:
+                    (case_dir / f"{j}.json").write_text(case)
+        out_dir = _output_path(Path(tmp), out, "results")
+        code, stdout, err, caught = _run_cli(
+            ["batch", "--dir", str(case_dir), "--out", str(out_dir), f"--tol={tol}"])
+        assert code in (0, 1)
+        assert err.count("\n") <= 1 and caught == []
+        if code == 1:
+            assert stdout == "" and err.startswith("error: ")
+            return
+        summary = strict_json((out_dir / "summary.json").read_text())
+        assert strict_json(stdout) == summary
+        assert len(summary["cases"]) == len(cases)
+        assert summary["pass"] + summary["fail"] == len(cases)
 
 
 @pytest.mark.parametrize("payload, message", [

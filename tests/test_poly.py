@@ -17,7 +17,7 @@ from opuc.poly import (
     split_by_circle,
 )
 
-from helpers import random_nonclassical
+from helpers import random_nonclassical, reference_roots
 
 # ---------------------------------------------------------------------------
 # construction / evaluation
@@ -244,6 +244,61 @@ def test_roots_meet_the_bound_or_refuse_on_wide_coefficients():
                 continue
             assert len(got) == deg
             assert max(_mp_scaled_residual(cs, r) for r in got) <= 1e-11
+
+
+def _bits(rts) -> np.ndarray:
+    return np.asarray(rts, dtype=complex).view(np.uint64)
+
+
+@pytest.mark.parametrize("cs", [
+    [1e-300, 1, 1e30],            # the constant underflows in the scaling: a root at 0
+    [1e-300, 2, 3, 1e30],
+    [1e-300, 0, 1e30],            # every coefficient but the leading one underflows
+])
+def test_roots_match_the_np_roots_reference_when_low_coefficients_underflow(cs):
+    p = ComplexPoly(cs)
+    assert np.array_equal(_bits(roots(p)), _bits(reference_roots(p)))
+
+
+def test_roots_match_the_np_roots_reference_bit_for_bit():
+    # degree 2-39, a third of the draws with coefficient scales 10^U(-8, 8);
+    # where the reference refuses, every root found meets the bound
+    rng = np.random.default_rng(10)
+    answered = 0
+    for _ in range(600):
+        deg = int(rng.integers(2, 40))
+        cs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+        if rng.random() < 1 / 3:
+            cs = cs * 10.0 ** rng.uniform(-8.0, 8.0, deg + 1)
+        p = ComplexPoly(cs)
+        try:
+            ref = reference_roots(p)
+        except RootFindingError:
+            try:
+                got = roots(p)
+            except RootFindingError:
+                continue
+            answered += 1
+            assert max(_mp_scaled_residual(cs, r) for r in got) <= 1e-11
+            continue
+        assert np.array_equal(_bits(roots(p)), _bits(ref))
+    assert answered >= 1
+
+
+def test_roots_of_a_polynomial_whose_scale_overflows_at_a_huge_root():
+    # sum_k |c_k| |z|**k overflows at the root near r0; in complex arithmetic
+    # the overflow met an imaginary 0 as inf * 0 = NaN, the 1/z fallback never
+    # ran and the polynomial was refused ("root residuals up to inf")
+    r0 = -4e10 + 4.5e10j
+    rts = [r0] + [0.9 * complex(math.cos(t), math.sin(t))
+                  for t in 2 * math.pi * np.arange(35) / 35]
+    p = from_roots(rts)
+    with pytest.raises(RootFindingError):
+        reference_roots(p)
+    got = roots(p)
+    assert len(got) == 36
+    assert max(_mp_scaled_residual(p.coeffs, r) for r in got) <= 1e-11
+    assert min(abs(r - r0) for r in got) <= 1e-12 * abs(r0)
 
 
 def test_pole_set_refuses_instead_of_miscounting_huge_roots():
