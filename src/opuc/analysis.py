@@ -213,28 +213,28 @@ def pole_set(seq: VerblunskySequence, guard: float = DEFAULT_DISK_GUARD) -> list
     return _poles(as_rational_F(seq).den, szego_polys(seq, seq.N)[1], guard)[0]
 
 
-def _checked_sample(split: KhrushchevSplit, logw: float, thetas: np.ndarray):
-    """``split.sample`` at the angles, refusing samples that overflow float64."""
-    with np.errstate(over="ignore"):
-        bt2, at2, d2, scale = split.sample(thetas)
-    if math.isinf(logw) or not np.isfinite(d2).all():
+def _refuse_overflow(logw: float, samples: np.ndarray) -> None:
+    """Raise QuadratureError for an infinite log|omega_{n-1}| or samples of
+    a denominator that overflow float64."""
+    if math.isinf(logw) or not np.isfinite(samples).all():
         raise QuadratureError(
             "samples of log|Re F| overflow float64: omega_{n-1} or "
             "|Phi_n* - z Phi_n f_n|^2 exceeds the largest double")
-    return bt2, at2, d2, scale
 
 
-def _log_abs_re_F(split: KhrushchevSplit, logw: float, thetas: np.ndarray) -> np.ndarray:
-    """log|Re F| at the angles from the split at n and log|omega_{n-1}|;
-    samples that overflow float64 are refused."""
-    bt2, at2, d2, _ = _checked_sample(split, logw, thetas)
-    return logw + np.log(bt2 - at2) - np.log(d2)
+def _checked_sample(split: KhrushchevSplit, logw: float, thetas: np.ndarray):
+    """``split.sample`` at the angles, refusing samples that overflow float64."""
+    with np.errstate(over="ignore"):
+        samples = split.sample(thetas)
+    _refuse_overflow(logw, samples[2])
+    return samples
 
 
-def _deflate(c: np.ndarray, rts: list[complex]) -> np.ndarray:
+def _deflate(c, rts: list[complex]) -> np.ndarray:
     """Coefficients (constant first) of the quotient of ``c`` by prod (z - r)
     over ``rts``, by synthetic division from the leading coefficient; each
     remainder, rounding-sized for a root of ``c``, is dropped."""
+    c = np.asarray(c, dtype=complex)
     for r in rts:
         q = np.empty(len(c) - 1, dtype=complex)
         acc = 0j
@@ -245,66 +245,51 @@ def _deflate(c: np.ndarray, rts: list[complex]) -> np.ndarray:
     return c
 
 
-def _check_deflation(thetas: np.ndarray, d2: np.ndarray, scale: np.ndarray,
-                     q: np.ndarray, near: list[complex]) -> None:
-    """Raise CrossCheckError where, at the angles, |D| (from |D|^2 = ``d2``)
-    and |Q| prod |z - r| over ``near`` differ by more than DEFLATION_TOL
-    times the split's ``scale``."""
-    zs = np.exp(1j * thetas)
-    product = q.copy()
-    for r in near:
-        product *= np.abs(zs - r)
-    worst = float(np.max(np.abs(np.sqrt(d2) - product) / scale))
-    if not worst <= DEFLATION_TOL:
-        raise CrossCheckError(
-            f"|D| and |Q| prod |z - r| differ by {worst:.1e} of the split's scale "
-            f"after dividing out {len(near)} near-circle roots")
+class _Denominator:
+    """Khrushchev's denominator D = Phi_n* B_t - z Phi_n A_t of the split,
+    which is Phi_L*, as Q prod (z - r): the roots r of Phi_L* within
+    NEAR_ROOT_BAND of the circle are divided out of Phi_L* once, and
+    Q = Phi_L* when there are none.  Each such root puts a spike
+    -log|z - r|^2 into log|D|^2, which costs the trapezoid rule about
+    1/margin points; log|Q|^2 is smooth, and the spikes' mean over the
+    circle is Jensen's ``jensen`` = 2 sum log max(1, |r|)."""
 
+    def __init__(self, split: KhrushchevSplit, logw: float, phistar_L: ComplexPoly,
+                 den_roots: list[complex]) -> None:
+        self.split, self.logw = split, logw
+        self.near = [r for r in den_roots if abs(abs(r) - 1.0) < NEAR_ROOT_BAND]
+        self.quotient = ComplexPoly(_deflate(phistar_L.coeffs, self.near))
+        self.jensen = 2.0 * sum(math.log(max(1.0, abs(r))) for r in self.near)
+        self.latest = None   # the angles and |Q| of the latest call
 
-class _Remainder:
-    """The integrand of ``szego_verify``: log|Re F| less the spikes
-    -log|z - r|^2 of the roots ``near`` of Khrushchev's denominator
-    D = Phi_n* B_t - z Phi_n A_t, i.e. with |D|^2 replaced by |Q|^2, Q the
-    quotient of D by prod (z - r).  With no such roots it is ``_log_abs_re_F``.
+    def log_q2(self, thetas: np.ndarray) -> np.ndarray:
+        """log|Q|^2 at the angles, refusing an infinite log|omega_{n-1}| and
+        samples that overflow float64."""
+        self.latest = None   # the previous level's arrays are not needed any more
+        with np.errstate(over="ignore"):
+            q = np.abs(self.quotient(np.exp(1j * thetas)))
+            q2 = q * q
+        _refuse_overflow(self.logw, q2)
+        self.latest = thetas, q
+        return np.log(q2)
 
-    With roots divided out, |B_t|^2 - |A_t|^2 enters as its exact value on
-    the circle, omega_t = prod_{j >= n} (1 - |alpha_j|^2) (each backward
-    Schur step multiplies |den|^2 - |num|^2 there by 1 - |alpha_j|^2).  The
-    sampled difference loses |B_t|^2 / omega_t to cancellation, up to 3e8
-    on near-circle tails, and that noise, above the 1e-11 stopping rule,
-    would keep such a case doubling until the point cap or until the noise
-    happened to dip.  ``check`` still compares the samples with omega_t."""
-
-    def __init__(self, split: KhrushchevSplit, logw: float, logwt: float,
-                 near: list[complex]) -> None:
-        self.split, self.logw, self.logwt, self.near = split, logw, logwt, near
-        self.last = None   # the angles and split samples of the latest call, with |Q|
-        if near:
-            self.quotient = ComplexPoly(_deflate(split.denominator(), near))
-
-    def __call__(self, thetas: np.ndarray) -> np.ndarray:
-        if not self.near:
-            return _log_abs_re_F(self.split, self.logw, thetas)
-        self.last = None   # the previous level's arrays are not needed any more
-        samples = _checked_sample(self.split, self.logw, thetas)
-        q = np.abs(self.quotient(np.exp(1j * thetas)))
-        self.last = thetas, samples, q
-        return (self.logw + self.logwt) - np.log(q * q)
-
-    def check(self) -> None:
-        """Raise CrossCheckError where, on the latest samples (the final
-        quadrature level), |D| and |Q| prod |z - r| differ by more than
-        DEFLATION_TOL times the split's scale, or |B_t|^2 - |A_t|^2 and
-        omega_t by more than DEFLATION_TOL times |B_t|^2 + |A_t|^2."""
-        if not self.near:
-            return
-        thetas, (bt2, at2, d2, scale), q = self.last
-        _check_deflation(thetas, d2, scale, q, self.near)
-        gap = float(np.max(np.abs(bt2 - at2 - math.exp(self.logwt)) / (bt2 + at2)))
-        if not gap <= DEFLATION_TOL:
+    def check(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sample the split once on the latest angles (the final quadrature
+        level) and raise CrossCheckError where |D| and |Q| prod |z - r|
+        differ by more than DEFLATION_TOL times the split's scale
+        |Phi_n* B_t| + |z Phi_n A_t|; returns |B_t|^2 and |A_t|^2 there."""
+        thetas, q = self.latest
+        bt2, at2, d2, scale = _checked_sample(self.split, self.logw, thetas)
+        zs = np.exp(1j * thetas)
+        product = q.copy()
+        for r in self.near:
+            product *= np.abs(zs - r)
+        worst = float(np.max(np.abs(np.sqrt(d2) - product) / scale))
+        if not worst <= DEFLATION_TOL:
             raise CrossCheckError(
-                f"|B_t|^2 - |A_t|^2 and prod (1 - |alpha_j|^2) over the tail differ "
-                f"by {gap:.1e} of |B_t|^2 + |A_t|^2")
+                f"|D| and |Q| prod |z - r| differ by {worst:.1e} of the split's scale "
+                f"after dividing out {len(self.near)} near-circle roots")
+        return bt2, at2
 
 
 def szego_lhs(seq: VerblunskySequence) -> float:
@@ -321,22 +306,35 @@ def szego_verify(seq: VerblunskySequence, tol: float = DEFAULT_QUAD_TOL,
     epsilon = sign(omega_{N-1}) is applied explicitly.  For a classical
     sequence the pole product is empty and the report reduces to the
     textbook statement.
+
+    The integrand is log|omega_{N-1}| + log omega_t - log|Q|^2 (see
+    ``_Denominator``), less Jensen's mean afterwards.  omega_t =
+    prod_{j >= N} (1 - |alpha_j|^2) is |B_t|^2 - |A_t|^2 on the circle (each
+    backward Schur step multiplies |den|^2 - |num|^2 there by 1 - |alpha_j|^2);
+    sampled, that difference loses |B_t|^2 / omega_t, up to 3e8, to
+    cancellation, and the noise, above the 1e-11 stopping rule, would keep
+    a case doubling to the point cap.  The final level's samples of the
+    split are checked against Q and omega_t.
     """
     N, L = seq.N, len(seq)
     pairs = _szego_pairs(seq.alphas, (N, L))  # Phi_N, Phi_N* and Phi_L* from one run
-    # the split at N, shared by every quadrature level
+    # the split at N, sampled on the final quadrature level for the cross-checks
     split = KhrushchevSplit(*pairs[N], tail_schur(seq, N), omega(seq, N - 1))
     poles, den_roots = _poles(pairs[L][1], split.phistar, guard)
-    near = [r for r in den_roots if abs(abs(r) - 1.0) < NEAR_ROOT_BAND]
     sign, logw = omega_log_sign(seq, N - 1)
     logwt = math.fsum(math.log1p(-abs(a) ** 2) for a in seq.alphas[N:])
-    integrand = _Remainder(split, logw, logwt, near)
+    den = _Denominator(split, logw, pairs[L][1], den_roots)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", QuadratureWarning)
-        remainder, pts = circle_quadrature(integrand, tol, max_points)
-    integrand.check()
-    # Jensen: the mean of log|z - r|^2 over the circle is 2 log max(1, |r|)
-    log_integral = remainder - 2.0 * sum(math.log(max(1.0, abs(r))) for r in near)
+        remainder, pts = circle_quadrature(
+            lambda thetas: (logw + logwt) - den.log_q2(thetas), tol, max_points)
+    bt2, at2 = den.check()
+    gap = float(np.max(np.abs(bt2 - at2 - math.exp(logwt)) / (bt2 + at2)))
+    if not gap <= DEFLATION_TOL:
+        raise CrossCheckError(
+            f"|B_t|^2 - |A_t|^2 and prod (1 - |alpha_j|^2) over the tail differ "
+            f"by {gap:.1e} of |B_t|^2 + |A_t|^2")
+    log_integral = remainder - den.jensen
     notes = tuple(str(w.message) for w in caught)
     log_pole_product = -2.0 * sum(math.log(abs(p)) for p in poles)
     rhs = sign * math.exp(log_integral + log_pole_product)
@@ -344,7 +342,7 @@ def szego_verify(seq: VerblunskySequence, tol: float = DEFAULT_QUAD_TOL,
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     return SzegoReport(lhs=lhs, poles=tuple(poles), epsilon=sign,
                        log_integral=log_integral, rhs=rhs, rel_error=rel,
-                       quad_points=pts, warnings=notes, subtracted=tuple(near))
+                       quad_points=pts, warnings=notes, subtracted=tuple(den.near))
 
 
 def boyd_integral(seq: VerblunskySequence, N: int,
@@ -377,8 +375,11 @@ def zero_count_trace(seq: VerblunskySequence, n_max: int,
     The roots of each Phi_k are found once.  Phi_k* = z^k conj Phi_k(1/conj z)
     (the recurrence builds it as that exact conjugate reversal) has as its
     zeros the reflections 1/conj(r) of the nonzero zeros r of Phi_k; a zero
-    of Phi_k at the origin lowers the degree of Phi_k* instead.
+    of Phi_k at the origin lowers the degree of Phi_k* instead.  A negative
+    ``n_max`` is a ValueError.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     rows: list[TraceRow] = []
     predicted = 0
     steps = _szego_steps(seq.alphas, n_max)  # one run gives every Phi_k
@@ -453,36 +454,28 @@ def log_split_check(seq: VerblunskySequence, n: int,
     with Re F taken from the rational form of F (an independent route), and
 
         exp( (1/2pi) int log|Phi_n* - z Phi_n f_n|^2 ) = prod |lambda_j|^{-2}
-    within 100x the quadrature tolerance.  As in ``szego_verify``, the roots
-    r of Phi_L* within NEAR_ROOT_BAND of the circle are divided out of
-    D = Phi_n* B_t - z Phi_n A_t before the integral (|D| against
-    |Q| prod |z - r| is checked on the final level) and enter through
-    Jensen's mean 2 log max(1, |r|).  Overflow is refused as in ``szego_verify``.
+    within 100x the quadrature tolerance.  As in ``szego_verify``, the
+    denominator D = Phi_n* B_t - z Phi_n A_t is taken as F's denominator
+    Phi_L* less its roots near the circle (``_Denominator``): the integrand
+    is log|Q|^2 - log|B_t|^2, Jensen's mean is added back, and |D| against
+    |Q| prod |z - r| is checked on the final level.  Overflow is refused as
+    in ``szego_verify``.
     """
     thetas = 2.0 * np.pi * np.arange(grid) / grid
     at_n = khrushchev_split(seq, n)
-    split = _log_abs_re_F(at_n, omega_log_sign(seq, n - 1)[1], thetas)
+    logw = omega_log_sign(seq, n - 1)[1]
+    bt2, at2, d2, _ = _checked_sample(at_n, logw, thetas)
+    split = logw + np.log(bt2 - at2) - np.log(d2)
     F = as_rational_F(seq)
     direct = np.log(np.abs(F(np.exp(1j * thetas)).real))
     pointwise = float(np.max(np.abs(direct - split)) / max(1.0, float(np.max(np.abs(direct)))))
 
     poles, den_roots = _poles(F.den, szego_polys(seq, seq.N)[1], guard)
-    near = [r for r in den_roots if abs(abs(r) - 1.0) < NEAR_ROOT_BAND]
-    quotient = ComplexPoly(_deflate(at_n.denominator(), near)) if near else None
-    last = []   # the final level's angles, |D|^2, scale and |Q|
-
-    def third(th: np.ndarray) -> np.ndarray:
-        bt2, _, d2, scale = at_n.sample(th)
-        if not near:
-            return np.log(d2) - np.log(bt2)
-        q = np.abs(quotient(np.exp(1j * th)))
-        last[:] = th, d2, scale, q
-        return np.log(q * q) - np.log(bt2)
-
-    integral, _ = circle_quadrature(third, tol)
-    if near:
-        _check_deflation(*last, near)
-        integral += 2.0 * sum(math.log(max(1.0, abs(r))) for r in near)
+    den = _Denominator(at_n, logw, F.den, den_roots)
+    integral, _ = circle_quadrature(
+        lambda th: den.log_q2(th) - np.log(np.abs(at_n.tail.den(np.exp(1j * th))) ** 2), tol)
+    den.check()
+    integral += den.jensen
     target = math.exp(-2.0 * sum(math.log(abs(p)) for p in poles))
     diff = abs(math.exp(integral) - target)
     if diff > 100.0 * tol * max(1.0, target):

@@ -15,6 +15,7 @@ import argparse
 import cmath
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -90,11 +91,14 @@ def load_case(path: Path) -> CaseFile:
     try:
         guard = float(raw.get("guard_unit", DEFAULT_GUARD_UNIT))
         tol = float(quad.get("tol", DEFAULT_QUAD_TOL))
-        max_points = int(quad.get("max_points", DEFAULT_QUAD_MAX_POINTS))
+        points = quad.get("max_points", DEFAULT_QUAD_MAX_POINTS)
+        max_points = int(points)
     except (TypeError, ValueError, OverflowError) as exc:
         raise CaseError(f"{path}: 'guard_unit' and 'quad' entries must be numbers: {exc}") from exc
-    if not tol > 0:
-        raise CaseError(f"{path}: 'quad' tol must be positive, got {tol!r}")
+    if not 0 < tol < math.inf:
+        raise CaseError(f"{path}: 'quad' tol must be positive and finite, got {tol!r}")
+    if isinstance(points, bool) or max_points != points or max_points < 1:
+        raise CaseError(f"{path}: 'quad' max_points must be a positive integer, got {points!r}")
     label = str(raw.get("label", Path(path).stem))
     try:
         seq = VerblunskySequence(alphas, guard)
@@ -162,10 +166,17 @@ def _parse_complex_list(text: str, flag: str) -> list[complex]:
     return out
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    for flag, value in (("--quad-tol", args.quad_tol), ("--max-points", args.max_points)):
-        if value is not None and not value > 0:  # 0 would fall back to the case's value
+def _require_positive(*flags: tuple[str, float | None]) -> None:
+    """Refuse an option value that is given and not positive, NaN included."""
+    for flag, value in flags:
+        if value is not None and not value > 0:
             raise ValueError(f"{flag} must be positive, got {value!r}")
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    # a --quad-tol or --max-points of 0 would fall back to the case's value
+    _require_positive(("--tol", args.tol), ("--quad-tol", args.quad_tol),
+                      ("--max-points", args.max_points))
     case = load_case(args.input)
     report = szego_verify(case.seq, tol=args.quad_tol or case.quad_tol,
                           max_points=args.max_points or case.quad_max_points)
@@ -278,6 +289,7 @@ def _run_batch_case(path: Path, tol: float) -> dict:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
+    _require_positive(("--tol", args.tol))
     case_dir = Path(args.dir)
     if not case_dir.is_dir():
         print(f"error: {case_dir} is not a directory", file=sys.stderr)

@@ -141,15 +141,6 @@ class KhrushchevSplit:
         d2 = np.abs(lead - trail) ** 2
         return np.abs(td) ** 2, np.abs(tn) ** 2, d2, np.abs(lead) + np.abs(trail)
 
-    def denominator(self) -> np.ndarray:
-        """Coefficients (constant first) of Phi_n* B_t - z Phi_n A_t, which is Phi_L*."""
-        lead = np.convolve(self.phistar.coeffs, self.tail.den.coeffs)
-        trail = np.convolve(self.phi.coeffs, self.tail.num.coeffs)
-        den = np.zeros(max(len(lead), len(trail) + 1), dtype=complex)
-        den[:len(lead)] += lead
-        den[1:len(trail) + 1] -= trail
-        return den
-
     def re_F(self, thetas: np.ndarray) -> np.ndarray:
         """Re F = omega_{n-1} (1 - |f_n|^2) / |Phi_n* - z Phi_n f_n|^2 at the angles."""
         bt2, at2, d2, scale = self.sample(thetas)

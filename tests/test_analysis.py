@@ -27,10 +27,9 @@ from opuc import (
     zero_count_trace,
     zero_migration,
 )
-from opuc.analysis import NEAR_ROOT_BAND, _log_abs_re_F
-from opuc.opuc_core import omega_log_sign
+from opuc.analysis import NEAR_ROOT_BAND
 from opuc.poly import roots as poly_roots
-from opuc.schur import KhrushchevSplit, khrushchev_split
+from opuc.schur import KhrushchevSplit
 
 from helpers import (
     NEAR_COMMON_ROOT_ALPHAS,
@@ -340,24 +339,6 @@ def test_verify_finds_roots_twice(root_calls):
     assert sorted(root_calls) == [1, 4]
 
 
-def test_verify_without_near_roots_is_the_plain_quadrature():
-    # no root of Phi_L* within NEAR_ROOT_BAND of the circle: nothing is
-    # subtracted and the integrand is log|Re F| itself, bit for bit
-    rng = np.random.default_rng(53)
-    seqs = [VerblunskySequence([2.0]), VerblunskySequence([2.0, 0.5j, -0.3, 0.2])]
-    while len(seqs) < 8:
-        seq = random_nonclassical(rng, require_growth_window=False)
-        if min(abs(abs(r) - 1.0) for r in poly_roots(as_rational_F(seq).den)) >= NEAR_ROOT_BAND:
-            seqs.append(seq)
-    for seq in seqs:
-        rep = szego_verify(seq)
-        assert rep.subtracted == ()
-        split = khrushchev_split(seq, seq.N)
-        logw = omega_log_sign(seq, seq.N - 1)[1]
-        plain = circle_quadrature(lambda thetas: _log_abs_re_F(split, logw, thetas))
-        assert (rep.log_integral, rep.quad_points) == plain
-
-
 def test_verify_subtracts_a_root_next_to_the_circle():
     # L = 24 with a root of Phi_L* 7.2e-8 off the circle: unsubtracted, the
     # trapezoid rule needs about 1/margin points and stops at the cap
@@ -375,7 +356,7 @@ def test_verify_subtracts_a_root_next_to_the_circle():
 def _mp_log_integral(alphas) -> mpmath.mpf:
     """(1/2pi) int log|Re F| at 50 digits, Re F = omega_{L-1} / |Phi_L*|^2 on
     the circle, by tanh-sinh quadrature split at the angles of the roots
-    of Phi_L* near the circle."""
+    of Phi_L* near the circle (over [0, 2pi] when there are none)."""
     with mpmath.workdps(50):
         phi, phistar, w = [mpmath.mpc(1)], [mpmath.mpc(1)], mpmath.mpf(1)
         for a in alphas:
@@ -393,7 +374,8 @@ def _mp_log_integral(alphas) -> mpmath.mpf:
             return mpmath.log(abs(w)) - 2 * mpmath.log(abs(mpmath.polyval(high_first,
                                                                           mpmath.expj(t))))
 
-        return mpmath.quad(log_re_F, cuts + [cuts[0] + 2 * mpmath.pi]) / (2 * mpmath.pi)
+        ends = cuts + [cuts[0] + 2 * mpmath.pi] if cuts else [0, 2 * mpmath.pi]
+        return mpmath.quad(log_re_F, ends) / (2 * mpmath.pi)
 
 
 def test_subtracted_log_integral_matches_50_digits():
@@ -403,11 +385,31 @@ def test_subtracted_log_integral_matches_50_digits():
     assert abs(rep.log_integral - float(_mp_log_integral(seq.alphas))) < 1e-12
 
 
+def test_verify_without_near_roots_matches_50_digits():
+    # no root of Phi_L* within NEAR_ROOT_BAND of the circle: nothing is
+    # subtracted and log|Phi_L*|^2 is integrated whole
+    rng = np.random.default_rng(53)
+    seqs = [VerblunskySequence([2.0]), VerblunskySequence([2.0, 0.5j, -0.3, 0.2])]
+    while len(seqs) < 8:
+        seq = random_nonclassical(rng, require_growth_window=False)
+        if min(abs(abs(r) - 1.0) for r in poly_roots(as_rational_F(seq).den)) >= NEAR_ROOT_BAND:
+            seqs.append(seq)
+    for seq in seqs:
+        rep = szego_verify(seq)
+        assert rep.subtracted == ()
+        assert abs(rep.log_integral - float(_mp_log_integral(seq.alphas))) < 1e-12
+
+
+# three roots of Phi_L* near the circle, and none: both checks run on every case
+_CHECKED = ([2.0, 0.95, -0.95j, 0.9], [2.0, 0.5j, -0.3, 0.2])
+
+
 def test_verify_refuses_a_quotient_that_misses_the_denominator(monkeypatch):
     deflate = opuc.analysis._deflate
     monkeypatch.setattr(opuc.analysis, "_deflate", lambda c, rts: 1.001 * deflate(c, rts))
-    with pytest.raises(CrossCheckError, match="near-circle roots"):
-        szego_verify(VerblunskySequence([2.0, 0.95, -0.95j, 0.9]))
+    for alphas in _CHECKED:
+        with pytest.raises(CrossCheckError, match="near-circle roots"):
+            szego_verify(VerblunskySequence(alphas))
 
 
 def test_verify_takes_the_tail_term_without_cancellation():
@@ -430,8 +432,9 @@ def test_verify_refuses_a_tail_off_its_wall_identity(monkeypatch):
         return 1.001 * bt2, at2, d2, scale
 
     monkeypatch.setattr(KhrushchevSplit, "sample", skewed)
-    with pytest.raises(CrossCheckError, match="over the tail"):
-        szego_verify(VerblunskySequence([2.0, 0.95, -0.95j, 0.9]))
+    for alphas in _CHECKED:
+        with pytest.raises(CrossCheckError, match="over the tail"):
+            szego_verify(VerblunskySequence(alphas))
 
 
 @pytest.mark.parametrize("alphas", [[2.0, 0.5j, -0.3], [0.5, 2.0], []])
@@ -514,6 +517,12 @@ def test_trace_classical_steps_add_one():
     rows = zero_count_trace(VerblunskySequence([0.5, 0.5, 0.5]), 3)
     assert [r.actual for r in rows] == [1, 2, 3]
     assert all(r.predicted == r.actual for r in rows)
+
+
+def test_trace_refuses_a_negative_n_max():
+    assert zero_count_trace(VerblunskySequence([2, 0.5]), 0) == []
+    with pytest.raises(ValueError, match="n_max must be nonnegative"):
+        zero_count_trace(VerblunskySequence([2, 0.5]), -3)
 
 
 def test_trace_runs_one_recurrence(szego_runs):
@@ -652,11 +661,12 @@ def test_log_split_subtracts_near_circle_roots():
 
 
 def test_log_split_refuses_a_quotient_that_misses_the_denominator(monkeypatch):
-    seq = draw_near_circle(np.random.default_rng(4), 24, 1e-8, 1e-6)
     deflate = opuc.analysis._deflate
     monkeypatch.setattr(opuc.analysis, "_deflate", lambda c, rts: 1.001 * deflate(c, rts))
-    with pytest.raises(CrossCheckError, match="near-circle roots"):
-        log_split_check(seq, seq.N)
+    for seq in (draw_near_circle(np.random.default_rng(4), 24, 1e-8, 1e-6),
+                VerblunskySequence(_CHECKED[1])):
+        with pytest.raises(CrossCheckError, match="near-circle roots"):
+            log_split_check(seq, seq.N)
 
 
 def test_log_split_overflow_is_the_verify_refusal():

@@ -420,10 +420,19 @@ def test_help_still_exits_zero(capsys):
     ["verify", "--quad-tol", "nan"],   # would run to the point cap
     ["verify", "--quad-tol", "0"],     # would fall back to the case's tolerance
     ["verify", "--max-points", "0"],
+    ["verify", "--tol", "nan"],        # printed a report and exited 1
+    ["verify", "--tol", "0"],
+    ["verify", "--tol", "-1"],
+    ["batch", "--tol", "nan"],         # marked every case "fail"
+    ["batch", "--tol", "0"],
+    ["batch", "--tol", "-1"],
+    ["trace", "--n-max", "-1"],        # answered with no rows
 ])
 def test_bad_argument_is_one_error_line(tmp_path, capsys, argv):
-    if argv[0] != "recover":
-        case = write_case(tmp_path / "case.json", [2.0, 0.5])
+    case = write_case(tmp_path / "case.json", [2.0, 0.5])
+    if argv[0] == "batch":
+        argv = [argv[0], "--dir", str(tmp_path), "--out", str(tmp_path / "out"), *argv[1:]]
+    elif argv[0] != "recover":
         argv = [argv[0], "--input", str(case), *argv[1:]]
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -715,11 +724,21 @@ def test_batch_answers_on_any_arguments_and_writes_its_summary(cases, tol, out, 
     ('{"alphas": [{"re": 1%s, "im": 0}]}' % ("0" * 400,), "alphas[0]: expected an object"),
     ('{"alphas": [{"re": 1.0, "im": 0}], "guard_unit": NaN}', "guard_unit must be positive"),
     ('{"alphas": [{"re": 0.5, "im": 0}], "quad": {"tol": NaN}}', "'quad' tol must be positive"),
+    ('{"alphas": [{"re": 0.5, "im": 0}], "quad": {"tol": Infinity}}',
+     "'quad' tol must be positive and finite"),
+    ('{"alphas": [{"re": 0.5, "im": 0}], "quad": {"max_points": 0}}',
+     "'quad' max_points must be a positive integer"),
+    ('{"alphas": [{"re": 0.5, "im": 0}], "quad": {"max_points": true}}',
+     "'quad' max_points must be a positive integer"),
+    ('{"alphas": [{"re": 0.5, "im": 0}], "quad": {"max_points": 2.5}}',
+     "'quad' max_points must be a positive integer"),
     ("[" * 100000 + "]" * 100000, "JSON nested too deeply"),
 ])
 def test_malformed_case_file_is_one_error_line(tmp_path, capsys, payload, message):
     # an integer beyond float64, a NaN guard (which would admit |alpha| = 1),
-    # a NaN quadrature tolerance and nesting beyond the recursion limit
+    # a NaN or infinite quadrature tolerance (the latter stopped after 128
+    # points), a point cap that is no positive integer (0 stopped after one
+    # level) and nesting beyond the recursion limit
     case = tmp_path / "case.json"
     case.write_text(payload)
     assert main(["poles", "--input", str(case)]) == 1

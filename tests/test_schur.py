@@ -214,9 +214,7 @@ def test_split_denominator_is_phi_L_star():
         den = split.phistar * split.tail.den - (split.phi * split.tail.num).shifted(1)
         _, phistar_L = szego_polys(seq, len(seq))
         scale = max(abs(c) for c in phistar_L.coeffs)
-        worst = max(worst, max(abs(c) for c in (den - phistar_L).coeffs) / scale,
-                    max(abs(c) for c in (ComplexPoly(split.denominator()) - phistar_L).coeffs)
-                    / scale)
+        worst = max(worst, max(abs(c) for c in (den - phistar_L).coeffs) / scale)
     assert worst < 1e-13
 
 
