@@ -181,8 +181,27 @@ def _cluster_poles(points: list[complex], tol: float = POLE_CLUSTER_TOL) -> list
     return out
 
 
-def _poles(den, phistar, guard: float) -> tuple[list[complex], list[complex]]:
-    """The in-disk roots of ``den`` (the poles) and all of its roots."""
+def _disk_counts(alphas, n: int) -> list[int]:
+    """In-disk zero counts of Phi_0 .. Phi_n by the zero-count rule, from
+    ``alphas`` alone: Phi_0 = 1 has none; |alpha_{k-1}| < 1 adds one zero to
+    Phi_k, and |alpha_{k-1}| > 1 reflects, giving (k-1) minus the count of
+    Phi_{k-1}.  While every |alpha_j| != 1 no Phi_k has a zero on the circle,
+    so Phi_k* has the other k - count zeros in the disk (the reflections
+    1/conj(r) of the zeros r of Phi_k outside it)."""
+    counts = [0]
+    for k in range(n):
+        a = alphas[k] if k < len(alphas) else 0j
+        counts.append(counts[-1] + 1 if abs(a) < 1.0 else k - counts[-1])
+    return counts
+
+
+def _poles(den, seq: VerblunskySequence, guard: float) -> tuple[list[complex], list[complex]]:
+    """The in-disk roots of ``den`` = Phi_L* (the poles) and all of its roots.
+
+    Their number is at most the in-disk zero count of Phi_N*, which the
+    zero-count rule gives exactly (the classical steps from N on add none),
+    so the roots are found once, for Phi_L* alone.
+    """
     if den.degree < 1:
         return [], []
     den_roots = poly_roots(den)
@@ -190,13 +209,8 @@ def _poles(den, phistar, guard: float) -> tuple[list[complex], list[complex]]:
     if ambiguous:
         raise AmbiguousRootError("denominator roots in the circle guard band", ambiguous)
     inside = _cluster_poles(inside)
-    bound = 0
-    if phistar.degree >= 1:
-        # when N = L the two polynomials are one and the same
-        star_roots = den_roots if phistar == den else poly_roots(phistar)
-        bound, star_amb = count_in_disk(star_roots, guard)
-        if star_amb:
-            raise AmbiguousRootError("zeros of Phi_N* in the circle guard band", star_amb)
+    N = seq.N
+    bound = N - _disk_counts(seq.alphas, N)[N]
     if len(inside) > bound:
         raise CrossCheckError(
             f"{len(inside)} poles exceed the {bound} in-disk zeros of Phi_N*")
@@ -205,12 +219,14 @@ def _poles(den, phistar, guard: float) -> tuple[list[complex], list[complex]]:
 
 def pole_set(seq: VerblunskySequence, guard: float = DEFAULT_DISK_GUARD) -> list[complex]:
     """Poles of F = Psi_L*/Phi_L* inside the unit disk: the in-disk zeros of
-    Phi_L* (the two polynomials share no zero, so nothing cancels).
+    Phi_L* (the two polynomials share no zero, so nothing cancels), from one
+    root-finding on Phi_L*.
 
     Raises AmbiguousRootError when a root lies in the circle guard band and
-    CrossCheckError if the count exceeds the zeros of Phi_N* in the disk.
+    CrossCheckError if the count exceeds the in-disk zeros of Phi_N*, which
+    the zero-count rule gives from the coefficients.
     """
-    return _poles(as_rational_F(seq).den, szego_polys(seq, seq.N)[1], guard)[0]
+    return _poles(as_rational_F(seq).den, seq, guard)[0]
 
 
 def _refuse_overflow(logw: float, samples: np.ndarray) -> None:
@@ -230,18 +246,17 @@ def _checked_sample(split: KhrushchevSplit, logw: float, thetas: np.ndarray):
     return samples
 
 
-def _deflate(c, rts: list[complex]) -> np.ndarray:
+def _deflate(c, rts: list[complex]) -> list[complex]:
     """Coefficients (constant first) of the quotient of ``c`` by prod (z - r)
     over ``rts``, by synthetic division from the leading coefficient; each
     remainder, rounding-sized for a root of ``c``, is dropped."""
-    c = np.asarray(c, dtype=complex)
+    c = list(c)
     for r in rts:
-        q = np.empty(len(c) - 1, dtype=complex)
-        acc = 0j
-        for k in range(len(c) - 1, 0, -1):
-            acc = acc * r + c[k]
-            q[k - 1] = acc
-        c = q
+        q, acc = [], 0j
+        for ck in c[:0:-1]:
+            acc = acc * r + ck
+            q.append(acc)
+        c = q[::-1]
     return c
 
 
@@ -315,12 +330,16 @@ def szego_verify(seq: VerblunskySequence, tol: float = DEFAULT_QUAD_TOL,
     cancellation, and the noise, above the 1e-11 stopping rule, would keep
     a case doubling to the point cap.  The final level's samples of the
     split are checked against Q and omega_t.
+
+    The roots of Phi_L* are found once, before anything else is built, so
+    a refusal (a root in the circle guard band, roots that cannot be
+    resolved, more poles than the zero-count rule allows) builds no tail.
     """
     N, L = seq.N, len(seq)
     pairs = _szego_pairs(seq.alphas, (N, L))  # Phi_N, Phi_N* and Phi_L* from one run
+    poles, den_roots = _poles(pairs[L][1], seq, guard)
     # the split at N, sampled on the final quadrature level for the cross-checks
     split = KhrushchevSplit(*pairs[N], tail_schur(seq, N), omega(seq, N - 1))
-    poles, den_roots = _poles(pairs[L][1], split.phistar, guard)
     sign, logw = omega_log_sign(seq, N - 1)
     logwt = math.fsum(math.log1p(-abs(a) ** 2) for a in seq.alphas[N:])
     den = _Denominator(split, logw, pairs[L][1], den_roots)
@@ -368,9 +387,10 @@ def zero_count_trace(seq: VerblunskySequence, n_max: int,
                      guard: float = DEFAULT_DISK_GUARD) -> list[TraceRow]:
     """Predicted vs actual in-disk zero counts of Phi_k and Phi_k*, k <= n_max.
 
-    The prediction chain starts at zero and follows the one-step rule:
-    |alpha_{k-1}| < 1 adds one zero; |alpha_{k-1}| > 1 reflects, giving
-    (k-1) minus the previous count.  Star counts are the complements.
+    The prediction is the zero-count rule (``_disk_counts``, which also
+    bounds the poles): the chain starts at zero, |alpha_{k-1}| < 1 adds one
+    zero and |alpha_{k-1}| > 1 reflects, giving (k-1) minus the previous
+    count.  Star counts are the complements.
 
     The roots of each Phi_k are found once.  Phi_k* = z^k conj Phi_k(1/conj z)
     (the recurrence builds it as that exact conjugate reversal) has as its
@@ -381,12 +401,10 @@ def zero_count_trace(seq: VerblunskySequence, n_max: int,
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     rows: list[TraceRow] = []
-    predicted = 0
+    counts = _disk_counts(seq.alphas, n_max)
     steps = _szego_steps(seq.alphas, n_max)  # one run gives every Phi_k
     next(steps)  # Phi_0 = 1
-    for k, (phi_k, _) in enumerate(steps, start=1):
-        a = seq.alpha(k - 1)
-        predicted = predicted + 1 if abs(a) < 1.0 else (k - 1) - predicted
+    for k, phi_k in enumerate(steps, start=1):
         zeros = poly_roots(ComplexPoly(phi_k, k))
         actual, amb = count_in_disk(zeros, guard)
         if amb:
@@ -394,19 +412,22 @@ def zero_count_trace(seq: VerblunskySequence, n_max: int,
         actual_star, amb_star = count_in_disk((1 / r.conjugate() for r in zeros if r != 0), guard)
         if amb_star:
             raise AmbiguousRootError(f"zeros of Phi_{k}* in the guard band", amb_star)
-        rows.append(TraceRow(k=k, predicted=predicted, actual=actual,
-                             predicted_star=k - predicted, actual_star=actual_star))
+        rows.append(TraceRow(k=k, predicted=counts[k], actual=actual,
+                             predicted_star=k - counts[k], actual_star=actual_star))
     return rows
 
 
 def zero_migration(seq: VerblunskySequence, n_values,
                    guard: float = DEFAULT_DISK_GUARD) -> list[MigrationRow]:
     """In-disk zeros of Phi_n* for each requested n, annotated with the
-    distance to the nearest pole of F and the distance to the circle."""
+    distance to the nearest pole of F and the distance to the circle.  Every
+    Phi_n* comes from one run of the recurrence."""
     poles = pole_set(seq, guard)
+    n_values = list(n_values)
+    pairs = _szego_pairs(seq.alphas, n_values) if n_values else {}
     rows: list[MigrationRow] = []
     for n in n_values:
-        _, phistar = szego_polys(seq, n)
+        phistar = pairs[n][1]
         if phistar.degree < 1:
             rows.append(MigrationRow(n=n, zeros=(), pole_dist=(), circle_dist=()))
             continue
@@ -470,7 +491,7 @@ def log_split_check(seq: VerblunskySequence, n: int,
     direct = np.log(np.abs(F(np.exp(1j * thetas)).real))
     pointwise = float(np.max(np.abs(direct - split)) / max(1.0, float(np.max(np.abs(direct)))))
 
-    poles, den_roots = _poles(F.den, szego_polys(seq, seq.N)[1], guard)
+    poles, den_roots = _poles(F.den, seq, guard)
     den = _Denominator(at_n, logw, F.den, den_roots)
     integral, _ = circle_quadrature(
         lambda th: den.log_q2(th) - np.log(np.abs(at_n.tail.den(np.exp(1j * th))) ** 2), tol)

@@ -66,11 +66,19 @@ class CaseFile:
     label: str
 
 
+def _number(value) -> float:
+    """A JSON number as a float; a string, a boolean or anything else that
+    is no number is a TypeError, an integer beyond float64 an OverflowError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _complex_from_obj(obj, where: str) -> complex:
     try:
-        return complex(float(obj["re"]), float(obj["im"]))
-    except (TypeError, KeyError, ValueError, OverflowError) as exc:
-        raise CaseError(f"{where}: expected an object with 're' and 'im'") from exc
+        return complex(_number(obj["re"]), _number(obj["im"]))
+    except (TypeError, KeyError, OverflowError) as exc:
+        raise CaseError(f"{where}: expected an object with numbers 're' and 'im'") from exc
 
 
 def load_case(path: Path) -> CaseFile:
@@ -89,8 +97,8 @@ def load_case(path: Path) -> CaseFile:
     if not isinstance(quad, dict):
         raise CaseError(f"{path}: 'quad' must be an object")
     try:
-        guard = float(raw.get("guard_unit", DEFAULT_GUARD_UNIT))
-        tol = float(quad.get("tol", DEFAULT_QUAD_TOL))
+        guard = _number(raw.get("guard_unit", DEFAULT_GUARD_UNIT))
+        tol = _number(quad.get("tol", DEFAULT_QUAD_TOL))
         points = quad.get("max_points", DEFAULT_QUAD_MAX_POINTS)
         max_points = int(points)
     except (TypeError, ValueError, OverflowError) as exc:

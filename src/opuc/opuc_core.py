@@ -6,10 +6,13 @@ The coupled recurrence
     Phi*_{k+1}(z) = Phi_k*(z) - alpha_k z Phi_k(z),        Phi_0 = Phi_0* = 1,
 
 is run for arbitrary complex coefficients with |alpha_k| != 1; coefficients
-beyond the stored list are implicitly zero.  It runs on plain lists of
-coefficients, and only the polynomials a caller asks for are wrapped in
-``ComplexPoly``, so one run gives every index a caller needs.  Wall
-polynomials come from the ordered product of the per-step transfer matrices
+beyond the stored list are implicitly zero.  Phi_k* is the conjugate
+reversal of Phi_k at degree k, coefficient for coefficient in floating
+point too, so the run carries Phi_k alone, as one plain list of
+coefficients, and reverses it only at the indices a caller asks for; only
+those are wrapped in ``ComplexPoly``, so one run gives every index a
+caller needs.  Wall polynomials come from the ordered product of the
+per-step transfer matrices
 
     M_k(z) = [[z, alpha_k], [conj(alpha_k) z, 1]],
 
@@ -118,40 +121,41 @@ def _abs2(a: complex) -> float:
 
 
 def _szego_steps(alphas, n: int):
-    """Coefficient lists (constant first) of (Phi_k, Phi_k*) for k = 0..n,
-    from one run of the coupled recurrence over ``alphas`` (zero beyond
-    them).  Each step builds two new lists; no list is changed after it is
-    yielded."""
-    phi, phistar = [1 + 0j], [1 + 0j]
-    yield phi, phistar
+    """Coefficient lists (constant first) of Phi_k for k = 0..n, from one run
+    of the recurrence over ``alphas`` (zero beyond them).  Phi_k* is not
+    carried: it is the conjugate reversal of Phi_k at degree k, exactly, so
+    each step reads it from Phi_k itself.  Each step builds one new list; no
+    list is changed after it is yielded."""
+    phi = [1 + 0j]
+    yield phi
     for k in range(n):
-        a = alphas[k] if k < len(alphas) else 0j
-        ca = a.conjugate()
-        zphi, ps = [0j] + phi, phistar + [0j]
-        phi = [x - ca * y for x, y in zip(zphi, ps)]
-        phistar = [y - a * x for x, y in zip(zphi, ps)]
-        yield phi, phistar
+        ca = alphas[k].conjugate() if k < len(alphas) else 0j
+        phi = [x - ca * y.conjugate() for x, y in zip([0j] + phi, phi[::-1] + [0j])]
+        yield phi
 
 
 def _szego_pairs(alphas, ns) -> dict[int, tuple[ComplexPoly, ComplexPoly]]:
     """{n: (Phi_n, Phi_n*)} for every n in ``ns``, from one run of the
-    recurrence up to the largest; formal degree n, as ``szego_polys``."""
+    recurrence up to the largest; formal degree n, as ``szego_polys``.  Only
+    the Phi_n asked for are reversed into Phi_n*."""
     want = set(ns)
     if min(want) < 0:
         raise ValueError("index must be nonnegative")
     out = {}
-    for k, (phi, phistar) in enumerate(_szego_steps(alphas, max(want))):
+    for k, phi in enumerate(_szego_steps(alphas, max(want))):
         if k in want:
-            out[k] = ComplexPoly(phi, k), ComplexPoly(phistar, k)
+            # 0.0 - imag, not conjugate(): an imaginary zero comes out +0,
+            # as the coupled recurrence's second line leaves it
+            star = [complex(c.real, 0.0 - c.imag) for c in reversed(phi)]
+            out[k] = ComplexPoly(phi, k), ComplexPoly(star, k)
     return out
 
 
 def szego_polys(seq: VerblunskySequence, n: int) -> tuple[ComplexPoly, ComplexPoly]:
     """Monic Phi_n of exact degree n and its reversal Phi_n*; Phi_n*(0) = 1.
 
-    The starred polynomial is produced by the coupled recurrence, which
-    agrees coefficient-for-coefficient (exactly, in floating point) with
-    reversing Phi_n at degree n.
+    The starred polynomial is Phi_n reversed at degree n, which is what the
+    second line of the coupled recurrence computes, bit for bit.
     """
     return _szego_pairs(seq.alphas, (n,))[n]
 

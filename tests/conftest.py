@@ -77,6 +77,19 @@ def unresolved_roots(monkeypatch):
 
 
 @pytest.fixture
+def spurious_root(monkeypatch):
+    """Make every poly.roots call also report a root at 0.01j, inside the disk."""
+    import opuc.poly
+
+    find = opuc.poly.roots
+
+    def padded(p, *args, **kwargs):
+        return find(p, *args, **kwargs) + [0.01j]
+
+    patch_everywhere(monkeypatch, find, padded)
+
+
+@pytest.fixture
 def aberth_runs(monkeypatch):
     """Record the degree of the polynomial in each Aberth iteration."""
     import opuc.poly

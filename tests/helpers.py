@@ -20,6 +20,7 @@ import math
 import numpy as np
 
 from opuc import (
+    AmbiguousRootError,
     ComplexPoly,
     GuardViolationError,
     VerblunskySequence,
@@ -309,3 +310,17 @@ def independent_star_counts(seq: VerblunskySequence, n_max: int,
         assert not amb, (k, amb)
         counts.append(inside)
     return counts
+
+
+def independent_phi_N_star_count(seq: VerblunskySequence,
+                                 guard: float = DEFAULT_DISK_GUARD) -> int:
+    """In-disk zeros of Phi_N* from its own roots (the library takes the
+    count from the zero-count rule instead); AmbiguousRootError when one
+    lies in the guard band."""
+    phistar = szego_polys(seq, seq.N)[1]
+    if phistar.degree < 1:
+        return 0
+    inside, amb = count_in_disk(poly_roots(phistar), guard)
+    if amb:
+        raise AmbiguousRootError("zeros of Phi_N* in the circle guard band", amb)
+    return inside

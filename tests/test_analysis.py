@@ -28,13 +28,15 @@ from opuc import (
     zero_migration,
 )
 from opuc.analysis import NEAR_ROOT_BAND
-from opuc.poly import roots as poly_roots
+from opuc.poly import RootFindingError, roots as poly_roots
 from opuc.schur import KhrushchevSplit
 
 from helpers import (
     NEAR_COMMON_ROOT_ALPHAS,
     draw_near_circle,
     draw_tail,
+    draw_wide,
+    independent_phi_N_star_count,
     independent_star_counts,
     random_classical,
     random_nonclassical,
@@ -332,11 +334,38 @@ def test_poles_find_roots_once_when_N_is_L(root_calls):
     assert root_calls == [3]
 
 
-def test_verify_finds_roots_twice(root_calls):
-    # the zeros of Phi_L* (the poles) and of Phi_N* (their cross-check)
+def test_verify_finds_roots_once(root_calls):
+    # the zeros of Phi_L* (the poles); the zero-count rule bounds their number
     seq = VerblunskySequence([2.0, 0.5j, -0.3, 0.2])
     szego_verify(seq)
-    assert sorted(root_calls) == [1, 4]
+    assert root_calls == [4]
+
+
+@pytest.mark.parametrize("run", [
+    lambda seq: pole_set(seq),
+    lambda seq: log_split_check(seq, seq.N),
+    lambda seq: moments(seq, len(seq), 10),
+], ids=["pole_set", "log_split_check", "moments"])
+def test_poles_find_roots_once(root_calls, run):
+    run(VerblunskySequence([2.0, 0.5j, -0.3]))
+    assert root_calls == [3]
+
+
+def test_verify_refusal_builds_no_tail(tail_builds):
+    # with a guard band of 0.9 every zero of Phi_4* is ambiguous: the roots
+    # are found first, so the refusal comes before the tail and the split
+    seq = VerblunskySequence([2.0, 0.5j, -0.3, 0.2])
+    with pytest.raises(AmbiguousRootError, match="denominator roots in the circle guard band"):
+        szego_verify(seq, guard=0.9)
+    assert tail_builds == []
+
+
+@pytest.mark.parametrize("run", [szego_verify, pole_set], ids=["szego_verify", "pole_set"])
+def test_a_spurious_pole_exceeds_the_zero_count_rule(spurious_root, run):
+    # Phi_N* = 1 + 2z has one zero in the disk (the rule: N = 1, and alpha_0
+    # reflects); a spurious in-disk root of Phi_L* makes two poles
+    with pytest.raises(CrossCheckError, match="2 poles exceed the 1 in-disk zeros of Phi_N"):
+        run(VerblunskySequence([-2.0, 0.5j, -0.3, 0.2]))
 
 
 def test_verify_subtracts_a_root_next_to_the_circle():
@@ -406,7 +435,8 @@ _CHECKED = ([2.0, 0.95, -0.95j, 0.9], [2.0, 0.5j, -0.3, 0.2])
 
 def test_verify_refuses_a_quotient_that_misses_the_denominator(monkeypatch):
     deflate = opuc.analysis._deflate
-    monkeypatch.setattr(opuc.analysis, "_deflate", lambda c, rts: 1.001 * deflate(c, rts))
+    monkeypatch.setattr(opuc.analysis, "_deflate",
+                        lambda c, rts: [1.001 * q for q in deflate(c, rts)])
     for alphas in _CHECKED:
         with pytest.raises(CrossCheckError, match="near-circle roots"):
             szego_verify(VerblunskySequence(alphas))
@@ -568,6 +598,13 @@ def test_trace_reflected_star_counts_match_independent_roots():
         assert [r.actual_star for r in rows] == [r.predicted_star for r in rows]
 
 
+def test_migration_runs_one_recurrence(szego_runs):
+    rows = zero_migration(VerblunskySequence([2.0, 0.5]), [2, 3, 5])
+    # F = Psi_2*/Phi_2* for the poles, then every Phi_n* from one run of 5 steps
+    assert szego_runs == [2, 2, 5]
+    assert [row.n for row in rows] == [2, 3, 5]
+
+
 def test_migration_head_only():
     # alpha = (2): Phi_m* = 1 - 2z for every m >= 1; the zero IS the pole
     rows = zero_migration(VerblunskySequence([2]), range(1, 5))
@@ -662,7 +699,8 @@ def test_log_split_subtracts_near_circle_roots():
 
 def test_log_split_refuses_a_quotient_that_misses_the_denominator(monkeypatch):
     deflate = opuc.analysis._deflate
-    monkeypatch.setattr(opuc.analysis, "_deflate", lambda c, rts: 1.001 * deflate(c, rts))
+    monkeypatch.setattr(opuc.analysis, "_deflate",
+                        lambda c, rts: [1.001 * q for q in deflate(c, rts)])
     for seq in (draw_near_circle(np.random.default_rng(4), 24, 1e-8, 1e-6),
                 VerblunskySequence(_CHECKED[1])):
         with pytest.raises(CrossCheckError, match="near-circle roots"):
@@ -706,6 +744,24 @@ def test_pole_count_bounded_by_star_zeros():
         _, phistar = szego_polys(seq, seq.N)
         star_zeros, _ = count_in_disk(poly_roots(phistar))
         assert len(pole_set(seq)) <= star_zeros
+
+
+def test_zero_count_rule_matches_the_roots_of_phi_N_star():
+    # the bound on the poles is N minus the rule's count for Phi_N; it must be
+    # the in-disk count of Phi_N*'s own roots, on the nonclassical suite and
+    # on wide draws (moduli up to 1e150, exact zeros) whose roots resolve
+    rng = np.random.default_rng(83)
+    suite = [random_nonclassical(rng, require_growth_window=False) for _ in range(30)]
+    wide, checked = [draw_wide(rng) for _ in range(400)], []
+    for seq in suite + wide:
+        try:
+            want = independent_phi_N_star_count(seq)
+        except (RootFindingError, AmbiguousRootError):
+            assert seq in wide  # no suite case is left out
+            continue
+        checked.append(seq.N)
+        assert seq.N - opuc.analysis._disk_counts(seq.alphas, seq.N)[seq.N] == want, seq.alphas
+    assert sum(n >= 2 for n in checked) >= 150  # Phi_N* of degree 2 or more
 
 
 def test_classical_suite_verifies_tightly():

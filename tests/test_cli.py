@@ -161,7 +161,7 @@ def test_cross_check_failure_is_one_refusal_line(tmp_path, capsys, monkeypatch):
 
 def test_verify_nan_coefficient_rejected(tmp_path, capsys):
     case = tmp_path / "nan.json"
-    case.write_text(json.dumps({"alphas": [{"re": "nan", "im": 0.0}]}))
+    case.write_text(json.dumps({"alphas": [{"re": math.nan, "im": 0.0}]}))
     assert main(["verify", "--input", str(case)]) == 1
     err = capsys.readouterr().err
     assert "not finite" in err
@@ -473,7 +473,7 @@ def test_batch_records_nan_case_and_writes_summary(tmp_path, capsys):
     cases = tmp_path / "cases"
     cases.mkdir()
     write_case(cases / "a.json", [2.0])
-    (cases / "nan.json").write_text(json.dumps({"alphas": [{"re": "nan", "im": 0.0}]}))
+    (cases / "nan.json").write_text(json.dumps({"alphas": [{"re": math.nan, "im": 0.0}]}))
     out_dir = tmp_path / "results"
     assert main(["batch", "--dir", str(cases), "--out", str(out_dir)]) == 0
     summary = json.loads((out_dir / "summary.json").read_text())
@@ -733,12 +733,22 @@ def test_batch_answers_on_any_arguments_and_writes_its_summary(cases, tol, out, 
     ('{"alphas": [{"re": 0.5, "im": 0}], "quad": {"max_points": 2.5}}',
      "'quad' max_points must be a positive integer"),
     ("[" * 100000 + "]" * 100000, "JSON nested too deeply"),
+    ('{"alphas": [{"re": "2.0", "im": 0}]}', "alphas[0]: expected an object with numbers"),
+    ('{"alphas": [{"re": 2.0, "im": "0"}]}', "alphas[0]: expected an object with numbers"),
+    ('{"alphas": [{"re": 0.5, "im": 0}, {"re": true, "im": 0}]}',
+     "alphas[1]: expected an object with numbers"),
+    ('{"alphas": [{"re": 0.5, "im": false}]}', "alphas[0]: expected an object with numbers"),
+    ('{"alphas": [{"re": 0.5, "im": 0}], "guard_unit": "1e-8"}', "entries must be numbers"),
+    ('{"alphas": [{"re": 0.5, "im": 0}], "guard_unit": true}', "entries must be numbers"),
+    ('{"alphas": [{"re": 0.5, "im": 0}], "quad": {"tol": "1e-3"}}', "entries must be numbers"),
+    ('{"alphas": [{"re": 0.5, "im": 0}], "quad": {"tol": true}}', "entries must be numbers"),
 ])
 def test_malformed_case_file_is_one_error_line(tmp_path, capsys, payload, message):
     # an integer beyond float64, a NaN guard (which would admit |alpha| = 1),
     # a NaN or infinite quadrature tolerance (the latter stopped after 128
     # points), a point cap that is no positive integer (0 stopped after one
-    # level) and nesting beyond the recursion limit
+    # level), nesting beyond the recursion limit, and strings or booleans
+    # where a number belongs
     case = tmp_path / "case.json"
     case.write_text(payload)
     assert main(["poles", "--input", str(case)]) == 1

@@ -17,6 +17,7 @@ from opuc import (
 )
 
 from helpers import (
+    draw_near_circle,
     draw_wide,
     random_admissible,
     reference_second_kind_polys,
@@ -108,6 +109,19 @@ def test_recurrences_match_the_polynomial_reference_bit_for_bit():
                                  reference_szego_polys(seq, n)
                                  + reference_second_kind_polys(seq, n)):
                 assert same_bits(got, want), (seq.alphas, n)
+
+
+@pytest.mark.parametrize("L", [16, 32, 64])
+def test_recurrences_match_the_polynomial_reference_at_the_sweep_lengths(L):
+    # a near-circle sweep case; the run carries Phi_k alone and reverses it
+    # into Phi_k*, and every coefficient, signed zeros included, is the
+    # coupled recurrence's
+    seq = draw_near_circle(np.random.default_rng(L), L, 1e-8, 1e-3)
+    for n in sorted({seq.N, L // 2, L, L + 3}):
+        for got, want in zip(szego_polys(seq, n) + second_kind_polys(seq, n),
+                             reference_szego_polys(seq, n)
+                             + reference_second_kind_polys(seq, n)):
+            assert repr(got) == repr(want), (L, n)
 
 
 def test_negative_index_is_rejected():
