@@ -26,20 +26,13 @@ from .opuc_core import (
     omega,
     omega_log_sign,
     second_kind_polys,
-    szego_polys,
 )
-from .poly import (
-    DEFAULT_DISK_GUARD,
-    ComplexPoly,
-    count_in_disk,
-    roots as poly_roots,
-    series_div,
-    split_by_circle,
-)
+from .poly import ComplexPoly, roots as poly_roots, series_div, split_by_circle
 from .schur import KhrushchevSplit, as_rational_F, khrushchev_split, tail_schur
 
 DEFAULT_QUAD_TOL = 1e-11
 DEFAULT_QUAD_MAX_POINTS = 1 << 20
+QUAD_MIN_POINTS = 64     # the first level of circle_quadrature
 POLE_CLUSTER_TOL = 1e-7
 NEAR_ROOT_BAND = 0.1     # roots of Phi_L* with ||r| - 1| below this are subtracted
 DEFLATION_TOL = 1e-6     # |D| against |Q| prod |z - r|, and |B_t|^2 - |A_t|^2 against
@@ -113,16 +106,21 @@ def circle_quadrature(g, tol: float = DEFAULT_QUAD_TOL,
                       max_points: int = DEFAULT_QUAD_MAX_POINTS) -> tuple[float, int]:
     """(1/2pi) * integral of g over [0, 2pi) by the periodic trapezoid rule.
 
-    ``g`` must accept an ndarray of angles.  The grid doubles from 64
-    points until successive values differ by less than ``tol``; hitting
-    ``max_points`` first emits a QuadratureWarning and returns the last
-    value.  Each level keeps the sum over the grid before it and evaluates
-    ``g`` only at the new midpoints.  A non-finite sample makes that level
-    evaluate its whole grid shifted by half a step, and the levels after
-    it nest in the shifted grid; a non-finite sample there too raises
-    QuadratureError.
+    ``g`` must accept an ndarray of angles.  The grid doubles from
+    QUAD_MIN_POINTS = 64 points until successive values differ by less
+    than ``tol``; hitting ``max_points`` first emits a QuadratureWarning
+    and returns the last value.  A ``max_points`` below 64, which the
+    first level would exceed, is a ValueError.  Each level keeps the sum
+    over the grid before it and evaluates ``g`` only at the new midpoints.
+    A non-finite sample makes that level evaluate its whole grid shifted
+    by half a step, and the levels after it nest in the shifted grid; a
+    non-finite sample there too raises QuadratureError.  The last call of
+    ``g`` is therefore on the final level's new midpoints, or on its whole
+    shifted grid after a retry.
     """
-    m, offset, total, prev = 64, 0.0, 0.0, math.inf
+    if max_points < QUAD_MIN_POINTS:
+        raise ValueError(f"max_points must be at least {QUAD_MIN_POINTS}, got {max_points}")
+    m, offset, total, prev = QUAD_MIN_POINTS, 0.0, 0.0, math.inf
     new = 2.0 * np.pi * np.arange(m) / m
     while True:
         vals, finite = _samples(g, new)
@@ -195,7 +193,16 @@ def _disk_counts(alphas, n: int) -> list[int]:
     return counts
 
 
-def _poles(den, seq: VerblunskySequence, guard: float) -> tuple[list[complex], list[complex]]:
+def _inside(points, what: str) -> list[complex]:
+    """The points inside the unit disk; a point within the guard band
+    DEFAULT_DISK_GUARD = 1e-8 of the circle raises AmbiguousRootError."""
+    inside, ambiguous, _ = split_by_circle(points)
+    if ambiguous:
+        raise AmbiguousRootError(f"{what} in the circle guard band", ambiguous)
+    return inside
+
+
+def _poles(den, seq: VerblunskySequence) -> tuple[list[complex], list[complex]]:
     """The in-disk roots of ``den`` = Phi_L* (the poles) and all of its roots.
 
     Their number is at most the in-disk zero count of Phi_N*, which the
@@ -205,10 +212,7 @@ def _poles(den, seq: VerblunskySequence, guard: float) -> tuple[list[complex], l
     if den.degree < 1:
         return [], []
     den_roots = poly_roots(den)
-    inside, ambiguous, _ = split_by_circle(den_roots, guard)
-    if ambiguous:
-        raise AmbiguousRootError("denominator roots in the circle guard band", ambiguous)
-    inside = _cluster_poles(inside)
+    inside = _cluster_poles(_inside(den_roots, "denominator roots"))
     N = seq.N
     bound = N - _disk_counts(seq.alphas, N)[N]
     if len(inside) > bound:
@@ -217,7 +221,7 @@ def _poles(den, seq: VerblunskySequence, guard: float) -> tuple[list[complex], l
     return inside, den_roots
 
 
-def pole_set(seq: VerblunskySequence, guard: float = DEFAULT_DISK_GUARD) -> list[complex]:
+def pole_set(seq: VerblunskySequence) -> list[complex]:
     """Poles of F = Psi_L*/Phi_L* inside the unit disk: the in-disk zeros of
     Phi_L* (the two polynomials share no zero, so nothing cancels), from one
     root-finding on Phi_L*.
@@ -226,7 +230,7 @@ def pole_set(seq: VerblunskySequence, guard: float = DEFAULT_DISK_GUARD) -> list
     CrossCheckError if the count exceeds the in-disk zeros of Phi_N*, which
     the zero-count rule gives from the coefficients.
     """
-    return _poles(as_rational_F(seq).den, seq, guard)[0]
+    return _poles(as_rational_F(seq).den, seq)[0]
 
 
 def _refuse_overflow(logw: float, samples: np.ndarray) -> None:
@@ -260,51 +264,54 @@ def _deflate(c, rts: list[complex]) -> list[complex]:
     return c
 
 
-class _Denominator:
-    """Khrushchev's denominator D = Phi_n* B_t - z Phi_n A_t of the split,
-    which is Phi_L*, as Q prod (z - r): the roots r of Phi_L* within
-    NEAR_ROOT_BAND of the circle are divided out of Phi_L* once, and
-    Q = Phi_L* when there are none.  Each such root puts a spike
-    -log|z - r|^2 into log|D|^2, which costs the trapezoid rule about
-    1/margin points; log|Q|^2 is smooth, and the spikes' mean over the
-    circle is Jensen's ``jensen`` = 2 sum log max(1, |r|)."""
+def _denominator_mean(split: KhrushchevSplit, logw: float, phistar_L: ComplexPoly,
+                      den_roots: list[complex], extra, tol: float = DEFAULT_QUAD_TOL,
+                      max_points: int = DEFAULT_QUAD_MAX_POINTS):
+    """The mean over the circle of extra(z) - log|D|^2, with D = Phi_n* B_t -
+    z Phi_n A_t Khrushchev's denominator for ``split`` at n, which is Phi_L*.
 
-    def __init__(self, split: KhrushchevSplit, logw: float, phistar_L: ComplexPoly,
-                 den_roots: list[complex]) -> None:
-        self.split, self.logw = split, logw
-        self.near = [r for r in den_roots if abs(abs(r) - 1.0) < NEAR_ROOT_BAND]
-        self.quotient = ComplexPoly(_deflate(phistar_L.coeffs, self.near))
-        self.jensen = 2.0 * sum(math.log(max(1.0, abs(r))) for r in self.near)
-        self.latest = None   # the angles and |Q| of the latest call
+    The roots r of Phi_L* (``den_roots``) within NEAR_ROOT_BAND of the
+    circle are divided out of Phi_L* once, leaving Q (Q = Phi_L* when there
+    are none).  Each puts a spike -log|z - r|^2 into log|D|^2, which costs
+    the trapezoid rule about 1/margin points, so extra(z) - log|Q|^2, which
+    is smooth, is integrated, and the spikes' mean over the circle,
+    Jensen's 2 sum log max(1, |r|), is subtracted afterwards.
 
-    def log_q2(self, thetas: np.ndarray) -> np.ndarray:
-        """log|Q|^2 at the angles, refusing an infinite log|omega_{n-1}| and
-        samples that overflow float64."""
-        self.latest = None   # the previous level's arrays are not needed any more
-        with np.errstate(over="ignore"):
-            q = np.abs(self.quotient(np.exp(1j * thetas)))
-            q2 = q * q
-        _refuse_overflow(self.logw, q2)
-        self.latest = thetas, q
-        return np.log(q2)
+    The split is sampled once, on the last angles the quadrature asked for
+    (see ``circle_quadrature``), where |D| must agree with |Q| prod |z - r|
+    within DEFLATION_TOL of the split's scale |Phi_n* B_t| + |z Phi_n A_t|,
+    or CrossCheckError is raised.  An infinite ``logw`` = log|omega_{n-1}|
+    and samples that overflow float64 raise QuadratureError.  Returns that
+    mean (Jensen's term already subtracted), the number of points, the
+    roots divided out, and |B_t|^2 and |A_t|^2 on the sampled angles.
+    """
+    near = [r for r in den_roots if abs(abs(r) - 1.0) < NEAR_ROOT_BAND]
+    quotient = ComplexPoly(_deflate(phistar_L.coeffs, near))
+    last = None   # the angles of the latest call, their points and |Q| there
 
-    def check(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sample the split once on the latest angles (the final quadrature
-        level) and raise CrossCheckError where |D| and |Q| prod |z - r|
-        differ by more than DEFLATION_TOL times the split's scale
-        |Phi_n* B_t| + |z Phi_n A_t|; returns |B_t|^2 and |A_t|^2 there."""
-        thetas, q = self.latest
-        bt2, at2, d2, scale = _checked_sample(self.split, self.logw, thetas)
+    def integrand(thetas: np.ndarray) -> np.ndarray:
+        nonlocal last
+        last = None   # the previous level's arrays are not needed any more
         zs = np.exp(1j * thetas)
-        product = q.copy()
-        for r in self.near:
-            product *= np.abs(zs - r)
-        worst = float(np.max(np.abs(np.sqrt(d2) - product) / scale))
-        if not worst <= DEFLATION_TOL:
-            raise CrossCheckError(
-                f"|D| and |Q| prod |z - r| differ by {worst:.1e} of the split's scale "
-                f"after dividing out {len(self.near)} near-circle roots")
-        return bt2, at2
+        with np.errstate(over="ignore"):
+            q = np.abs(quotient(zs))
+            q2 = q * q
+        _refuse_overflow(logw, q2)
+        last = thetas, zs, q
+        return extra(zs) - np.log(q2)
+
+    mean, pts = circle_quadrature(integrand, tol, max_points)
+    thetas, zs, product = last
+    bt2, at2, d2, scale = _checked_sample(split, logw, thetas)
+    for r in near:
+        product *= np.abs(zs - r)
+    worst = float(np.max(np.abs(np.sqrt(d2) - product) / scale))
+    if not worst <= DEFLATION_TOL:
+        raise CrossCheckError(
+            f"|D| and |Q| prod |z - r| differ by {worst:.1e} of the split's scale "
+            f"after dividing out {len(near)} near-circle roots")
+    jensen = 2.0 * sum(math.log(max(1.0, abs(r))) for r in near)
+    return mean - jensen, pts, near, bt2, at2
 
 
 def szego_lhs(seq: VerblunskySequence) -> float:
@@ -313,8 +320,7 @@ def szego_lhs(seq: VerblunskySequence) -> float:
 
 
 def szego_verify(seq: VerblunskySequence, tol: float = DEFAULT_QUAD_TOL,
-                 max_points: int = DEFAULT_QUAD_MAX_POINTS,
-                 guard: float = DEFAULT_DISK_GUARD) -> SzegoReport:
+                 max_points: int = DEFAULT_QUAD_MAX_POINTS) -> SzegoReport:
     """Both sides of the signed Szego identity with their relative error.
 
     The pole product and the integral are combined in log space; the sign
@@ -322,14 +328,17 @@ def szego_verify(seq: VerblunskySequence, tol: float = DEFAULT_QUAD_TOL,
     sequence the pole product is empty and the report reduces to the
     textbook statement.
 
-    The integrand is log|omega_{N-1}| + log omega_t - log|Q|^2 (see
-    ``_Denominator``), less Jensen's mean afterwards.  omega_t =
-    prod_{j >= N} (1 - |alpha_j|^2) is |B_t|^2 - |A_t|^2 on the circle (each
-    backward Schur step multiplies |den|^2 - |num|^2 there by 1 - |alpha_j|^2);
+    The integral is the mean of the constant log|omega_{N-1}| + log omega_t
+    less log|D|^2, D = Phi_L* (``_denominator_mean``, which integrates it
+    with the roots of Phi_L* near the circle divided out of D and samples
+    the split on the final level's new angles).  omega_t = prod_{j >= N}
+    (1 - |alpha_j|^2) is |B_t|^2 - |A_t|^2 on the circle (each backward
+    Schur step multiplies |den|^2 - |num|^2 there by 1 - |alpha_j|^2);
     sampled, that difference loses |B_t|^2 / omega_t, up to 3e8, to
     cancellation, and the noise, above the 1e-11 stopping rule, would keep
-    a case doubling to the point cap.  The final level's samples of the
-    split are checked against Q and omega_t.
+    a case doubling to the point cap.  The samples of |B_t|^2 and |A_t|^2
+    are checked against omega_t instead.  ``tol`` and ``max_points`` go to
+    ``circle_quadrature``; a ``max_points`` below 64 is a ValueError there.
 
     The roots of Phi_L* are found once, before anything else is built, so
     a refusal (a root in the circle guard band, roots that cannot be
@@ -337,23 +346,19 @@ def szego_verify(seq: VerblunskySequence, tol: float = DEFAULT_QUAD_TOL,
     """
     N, L = seq.N, len(seq)
     pairs = _szego_pairs(seq.alphas, (N, L))  # Phi_N, Phi_N* and Phi_L* from one run
-    poles, den_roots = _poles(pairs[L][1], seq, guard)
-    # the split at N, sampled on the final quadrature level for the cross-checks
+    poles, den_roots = _poles(pairs[L][1], seq)
     split = KhrushchevSplit(*pairs[N], tail_schur(seq, N), omega(seq, N - 1))
     sign, logw = omega_log_sign(seq, N - 1)
     logwt = math.fsum(math.log1p(-abs(a) ** 2) for a in seq.alphas[N:])
-    den = _Denominator(split, logw, pairs[L][1], den_roots)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", QuadratureWarning)
-        remainder, pts = circle_quadrature(
-            lambda thetas: (logw + logwt) - den.log_q2(thetas), tol, max_points)
-    bt2, at2 = den.check()
+        log_integral, pts, near, bt2, at2 = _denominator_mean(
+            split, logw, pairs[L][1], den_roots, lambda zs: logw + logwt, tol, max_points)
     gap = float(np.max(np.abs(bt2 - at2 - math.exp(logwt)) / (bt2 + at2)))
     if not gap <= DEFLATION_TOL:
         raise CrossCheckError(
             f"|B_t|^2 - |A_t|^2 and prod (1 - |alpha_j|^2) over the tail differ "
             f"by {gap:.1e} of |B_t|^2 + |A_t|^2")
-    log_integral = remainder - den.jensen
     notes = tuple(str(w.message) for w in caught)
     log_pole_product = -2.0 * sum(math.log(abs(p)) for p in poles)
     rhs = sign * math.exp(log_integral + log_pole_product)
@@ -361,13 +366,12 @@ def szego_verify(seq: VerblunskySequence, tol: float = DEFAULT_QUAD_TOL,
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     return SzegoReport(lhs=lhs, poles=tuple(poles), epsilon=sign,
                        log_integral=log_integral, rhs=rhs, rel_error=rel,
-                       quad_points=pts, warnings=notes, subtracted=tuple(den.near))
+                       quad_points=pts, warnings=notes, subtracted=tuple(near))
 
 
-def boyd_integral(seq: VerblunskySequence, N: int,
-                  tol: float = DEFAULT_QUAD_TOL,
-                  max_points: int = DEFAULT_QUAD_MAX_POINTS) -> float:
-    """(1/2pi) * integral of log(1 - |f_N|^2) over the circle.
+def boyd_integral(seq: VerblunskySequence, N: int) -> float:
+    """(1/2pi) * integral of log(1 - |f_N|^2) over the circle, by
+    ``circle_quadrature`` at its default tolerance and point cap.
 
     For a classical tail this equals log prod_{j>=N} (1 - |alpha_j|^2).
     """
@@ -379,12 +383,10 @@ def boyd_integral(seq: VerblunskySequence, N: int,
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.log(bt2 - at2) - np.log(bt2)
 
-    value, _ = circle_quadrature(integrand, tol, max_points)
-    return value
+    return circle_quadrature(integrand)[0]
 
 
-def zero_count_trace(seq: VerblunskySequence, n_max: int,
-                     guard: float = DEFAULT_DISK_GUARD) -> list[TraceRow]:
+def zero_count_trace(seq: VerblunskySequence, n_max: int) -> list[TraceRow]:
     """Predicted vs actual in-disk zero counts of Phi_k and Phi_k*, k <= n_max.
 
     The prediction is the zero-count rule (``_disk_counts``, which also
@@ -395,8 +397,9 @@ def zero_count_trace(seq: VerblunskySequence, n_max: int,
     The roots of each Phi_k are found once.  Phi_k* = z^k conj Phi_k(1/conj z)
     (the recurrence builds it as that exact conjugate reversal) has as its
     zeros the reflections 1/conj(r) of the nonzero zeros r of Phi_k; a zero
-    of Phi_k at the origin lowers the degree of Phi_k* instead.  A negative
-    ``n_max`` is a ValueError.
+    of Phi_k at the origin lowers the degree of Phi_k* instead.  A zero or
+    reflection in the circle guard band raises AmbiguousRootError; a
+    negative ``n_max`` is a ValueError.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
@@ -406,83 +409,75 @@ def zero_count_trace(seq: VerblunskySequence, n_max: int,
     next(steps)  # Phi_0 = 1
     for k, phi_k in enumerate(steps, start=1):
         zeros = poly_roots(ComplexPoly(phi_k, k))
-        actual, amb = count_in_disk(zeros, guard)
-        if amb:
-            raise AmbiguousRootError(f"zeros of Phi_{k} in the circle guard band", amb)
-        actual_star, amb_star = count_in_disk((1 / r.conjugate() for r in zeros if r != 0), guard)
-        if amb_star:
-            raise AmbiguousRootError(f"zeros of Phi_{k}* in the guard band", amb_star)
+        actual = len(_inside(zeros, f"zeros of Phi_{k}"))
+        actual_star = len(_inside((1 / r.conjugate() for r in zeros if r != 0),
+                                  f"zeros of Phi_{k}*"))
         rows.append(TraceRow(k=k, predicted=counts[k], actual=actual,
                              predicted_star=k - counts[k], actual_star=actual_star))
     return rows
 
 
-def zero_migration(seq: VerblunskySequence, n_values,
-                   guard: float = DEFAULT_DISK_GUARD) -> list[MigrationRow]:
+def zero_migration(seq: VerblunskySequence, n_values) -> list[MigrationRow]:
     """In-disk zeros of Phi_n* for each requested n, annotated with the
     distance to the nearest pole of F and the distance to the circle.  Every
-    Phi_n* comes from one run of the recurrence."""
-    poles = pole_set(seq, guard)
-    n_values = list(n_values)
-    pairs = _szego_pairs(seq.alphas, n_values) if n_values else {}
+    Phi_n* and Phi_L*, whose in-disk zeros are the poles, come from one run
+    of the recurrence."""
+    n_values, L = list(n_values), len(seq)
+    pairs = _szego_pairs(seq.alphas, [*n_values, L])
+    poles = _poles(pairs[L][1], seq)[0]
     rows: list[MigrationRow] = []
     for n in n_values:
         phistar = pairs[n][1]
-        if phistar.degree < 1:
-            rows.append(MigrationRow(n=n, zeros=(), pole_dist=(), circle_dist=()))
-            continue
-        inside, amb, _ = split_by_circle(poly_roots(phistar), guard)
-        if amb:
-            raise AmbiguousRootError(f"zeros of Phi_{n}* in the guard band", amb)
+        inside = _inside(poly_roots(phistar), f"zeros of Phi_{n}*") if phistar.degree >= 1 else []
         pd = tuple(min((abs(z - p) for p in poles), default=math.inf) for z in inside)
         cd = tuple(1.0 - abs(z) for z in inside)
         rows.append(MigrationRow(n=n, zeros=tuple(inside), pole_dist=pd, circle_dist=cd))
     return rows
 
 
-def moments(seq: VerblunskySequence, m: int, J: int,
-            guard: float = DEFAULT_DISK_GUARD) -> MomentReport:
+def moments(seq: VerblunskySequence, m: int, J: int) -> MomentReport:
     """Moments c_1..c_J: half the Maclaurin coefficients of Psi_m*/Phi_m*
     (c_0 is 1 by normalization), with the observed and predicted growth rates.
 
     Exponential growth (rate > 1) is the witness that no signed
-    orthogonality measure exists once a pole sits inside the disk.  Raises
-    OverflowError when a moment exceeds the largest double.
+    orthogonality measure exists once a pole sits inside the disk.  Phi_m*
+    and Phi_L*, whose in-disk zeros are the poles, come from one run of the
+    recurrence.  Raises OverflowError when a moment exceeds the largest
+    double.
     """
     if J < 1:
         raise ValueError("J must be at least 1")
-    _, phistar = szego_polys(seq, m)
+    L = len(seq)
+    pairs = _szego_pairs(seq.alphas, (m, L))
     _, psistar = second_kind_polys(seq, m)
-    maclaurin = series_div(psistar, phistar, J)
+    maclaurin = series_div(psistar, pairs[m][1], J)
     cs = tuple(0.5 * maclaurin[j] for j in range(1, J + 1))
     if not np.isfinite(cs).all():
         raise OverflowError(f"moments from c_{np.argmin(np.isfinite(cs)) + 1} on overflow float64")
     lo = max(1, J // 2)
     growth = max(abs(cs[j - 1]) ** (1.0 / j) for j in range(lo, J + 1))
-    poles = pole_set(seq, guard)
+    poles = _poles(pairs[L][1], seq)[0]
     predicted = 1.0 / min(abs(p) for p in poles) if poles else 1.0
     return MomentReport(moments=cs, growth_rate=growth, predicted_rate=predicted)
 
 
-def log_split_check(seq: VerblunskySequence, n: int,
-                    tol: float = DEFAULT_QUAD_TOL, grid: int = 512,
-                    guard: float = DEFAULT_DISK_GUARD) -> float:
+def log_split_check(seq: VerblunskySequence, n: int) -> float:
     """Check the pointwise log split of |Re F| and the Jensen-type value of
     its third piece; returns the larger of the two normalized residuals.
 
-    Pointwise on the grid:
+    Pointwise on a 512-point grid:
         log|Re F| = log|omega_{n-1}| + log(1 - |f_n|^2) - log|Phi_n* - z Phi_n f_n|^2
     with Re F taken from the rational form of F (an independent route), and
 
         exp( (1/2pi) int log|Phi_n* - z Phi_n f_n|^2 ) = prod |lambda_j|^{-2}
-    within 100x the quadrature tolerance.  As in ``szego_verify``, the
-    denominator D = Phi_n* B_t - z Phi_n A_t is taken as F's denominator
-    Phi_L* less its roots near the circle (``_Denominator``): the integrand
-    is log|Q|^2 - log|B_t|^2, Jensen's mean is added back, and |D| against
-    |Q| prod |z - r| is checked on the final level.  Overflow is refused as
-    in ``szego_verify``.
+    within 100 times the default quadrature tolerance.  As in
+    ``szego_verify``, the third piece is log|D|^2 - log|B_t|^2 with D = F's
+    denominator Phi_L*, by ``_denominator_mean`` with ``extra`` = log|B_t|^2
+    (its mean, negated), so the split is sampled twice: on the grid, then on
+    the final quadrature level's new angles.  Overflow is refused as in
+    ``szego_verify``.
     """
-    thetas = 2.0 * np.pi * np.arange(grid) / grid
+    thetas = 2.0 * np.pi * np.arange(512) / 512
     at_n = khrushchev_split(seq, n)
     logw = omega_log_sign(seq, n - 1)[1]
     bt2, at2, d2, _ = _checked_sample(at_n, logw, thetas)
@@ -491,15 +486,12 @@ def log_split_check(seq: VerblunskySequence, n: int,
     direct = np.log(np.abs(F(np.exp(1j * thetas)).real))
     pointwise = float(np.max(np.abs(direct - split)) / max(1.0, float(np.max(np.abs(direct)))))
 
-    poles, den_roots = _poles(F.den, seq, guard)
-    den = _Denominator(at_n, logw, F.den, den_roots)
-    integral, _ = circle_quadrature(
-        lambda th: den.log_q2(th) - np.log(np.abs(at_n.tail.den(np.exp(1j * th))) ** 2), tol)
-    den.check()
-    integral += den.jensen
+    poles, den_roots = _poles(F.den, seq)
+    integral = -_denominator_mean(at_n, logw, F.den, den_roots,
+                                  lambda zs: np.log(np.abs(at_n.tail.den(zs)) ** 2))[0]
     target = math.exp(-2.0 * sum(math.log(abs(p)) for p in poles))
     diff = abs(math.exp(integral) - target)
-    if diff > 100.0 * tol * max(1.0, target):
+    if diff > 100.0 * DEFAULT_QUAD_TOL * max(1.0, target):
         raise CrossCheckError(
             f"third integral {math.exp(integral)!r} disagrees with pole product {target!r}")
     return max(pointwise, diff / max(1.0, target))

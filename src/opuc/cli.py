@@ -25,6 +25,7 @@ import numpy as np
 from .analysis import (
     DEFAULT_QUAD_MAX_POINTS,
     DEFAULT_QUAD_TOL,
+    QUAD_MIN_POINTS,
     AmbiguousRootError,
     MomentReport,
     QuadratureError,
@@ -107,6 +108,9 @@ def load_case(path: Path) -> CaseFile:
         raise CaseError(f"{path}: 'quad' tol must be positive and finite, got {tol!r}")
     if isinstance(points, bool) or max_points != points or max_points < 1:
         raise CaseError(f"{path}: 'quad' max_points must be a positive integer, got {points!r}")
+    if max_points < QUAD_MIN_POINTS:  # the first quadrature level has this many
+        raise CaseError(f"{path}: 'quad' max_points must be at least {QUAD_MIN_POINTS}, "
+                        f"got {max_points}")
     label = str(raw.get("label", Path(path).stem))
     try:
         seq = VerblunskySequence(alphas, guard)
@@ -183,8 +187,9 @@ def _require_positive(*flags: tuple[str, float | None]) -> None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     # a --quad-tol or --max-points of 0 would fall back to the case's value
-    _require_positive(("--tol", args.tol), ("--quad-tol", args.quad_tol),
-                      ("--max-points", args.max_points))
+    _require_positive(("--tol", args.tol), ("--quad-tol", args.quad_tol))
+    if args.max_points is not None and args.max_points < QUAD_MIN_POINTS:
+        raise ValueError(f"--max-points must be at least {QUAD_MIN_POINTS}, got {args.max_points}")
     case = load_case(args.input)
     report = szego_verify(case.seq, tol=args.quad_tol or case.quad_tol,
                           max_points=args.max_points or case.quad_max_points)

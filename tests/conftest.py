@@ -50,6 +50,22 @@ def wall_builds(monkeypatch):
 
 
 @pytest.fixture
+def split_samples(monkeypatch):
+    """Record the number of angles in each KhrushchevSplit.sample call."""
+    from opuc.schur import KhrushchevSplit
+
+    sizes: list[int] = []
+    sample = KhrushchevSplit.sample
+
+    def counted(self, thetas):
+        sizes.append(len(thetas))
+        return sample(self, thetas)
+
+    monkeypatch.setattr(KhrushchevSplit, "sample", counted)
+    return sizes
+
+
+@pytest.fixture
 def root_calls(monkeypatch):
     """Record the degree of the polynomial in each poly.roots call."""
     import opuc.poly

@@ -126,6 +126,23 @@ def test_quadrature_nests_in_the_shifted_grid():
     assert sizes == [64, 64, 64]
 
 
+def test_quadrature_refuses_a_cap_below_its_first_level():
+    # the first level has 64 points: a cap of 63 was exceeded and reported
+    # as the cap in the warning; a cap of 64 answers on that first level
+    for run in (lambda cap: circle_quadrature(np.cos, max_points=cap),
+                lambda cap: szego_verify(VerblunskySequence([2.0, 0.5]), max_points=cap)):
+        with pytest.raises(ValueError, match="max_points must be at least 64, got 63"):
+            run(63)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value, pts = circle_quadrature(np.cos, max_points=64)
+    assert pts == 64 and abs(value) < 1e-15
+    assert [w.category for w in caught] == [QuadratureWarning]
+    rep = szego_verify(VerblunskySequence([2.0, 0.5]), max_points=64)
+    assert rep.quad_points == 64
+    assert rep.warnings == ("quadrature did not converge to 1.0e-11 within 64 points",)
+
+
 # ---------------------------------------------------------------------------
 # Khrushchev values
 
@@ -188,8 +205,8 @@ def test_pole_set_two_coefficients():
 
 
 def test_pole_set_guard_band_refuses():
-    with pytest.raises(AmbiguousRootError):
-        pole_set(VerblunskySequence([2]), guard=0.51)
+    with pytest.raises(AmbiguousRootError, match="denominator roots in the circle guard band"):
+        pole_set(guard_band_sequence())
 
 
 def guard_band_sequence() -> VerblunskySequence:
@@ -352,11 +369,10 @@ def test_poles_find_roots_once(root_calls, run):
 
 
 def test_verify_refusal_builds_no_tail(tail_builds):
-    # with a guard band of 0.9 every zero of Phi_4* is ambiguous: the roots
-    # are found first, so the refusal comes before the tail and the split
-    seq = VerblunskySequence([2.0, 0.5j, -0.3, 0.2])
+    # a zero of Phi_2* lies 5e-9 inside the circle: the roots are found
+    # first, so the refusal comes before the tail and the split
     with pytest.raises(AmbiguousRootError, match="denominator roots in the circle guard band"):
-        szego_verify(seq, guard=0.9)
+        szego_verify(guard_band_sequence())
     assert tail_builds == []
 
 
@@ -465,6 +481,19 @@ def test_verify_refuses_a_tail_off_its_wall_identity(monkeypatch):
     for alphas in _CHECKED:
         with pytest.raises(CrossCheckError, match="over the tail"):
             szego_verify(VerblunskySequence(alphas))
+
+
+@pytest.mark.parametrize("alphas, points", [([2.0, 0.5], 256), ([2.0, 0.5j, -0.3, 0.2], 128)])
+def test_verify_samples_the_split_once_on_the_final_midpoints(split_samples, alphas, points):
+    # the quadrature's last call is on the final level's new midpoints, half its grid
+    rep = szego_verify(VerblunskySequence(alphas))
+    assert rep.quad_points == points
+    assert split_samples == [points // 2]
+
+
+def test_log_split_samples_the_split_on_its_grid_then_the_final_level(split_samples):
+    assert log_split_check(VerblunskySequence([2.0, 0.5]), 2) < 1e-9
+    assert split_samples == [512, 128]
 
 
 @pytest.mark.parametrize("alphas", [[2.0, 0.5j, -0.3], [0.5, 2.0], []])
@@ -600,9 +629,23 @@ def test_trace_reflected_star_counts_match_independent_roots():
 
 def test_migration_runs_one_recurrence(szego_runs):
     rows = zero_migration(VerblunskySequence([2.0, 0.5]), [2, 3, 5])
-    # F = Psi_2*/Phi_2* for the poles, then every Phi_n* from one run of 5 steps
-    assert szego_runs == [2, 2, 5]
+    # every Phi_n* and Phi_2*, whose in-disk zeros are the poles, from one run of 5 steps
+    assert szego_runs == [5]
     assert [row.n for row in rows] == [2, 3, 5]
+
+
+@pytest.mark.parametrize("root, run", [
+    (1.0 + 1e-8, lambda: zero_count_trace(VerblunskySequence([0.5]), 1)),
+    (1.0, lambda: zero_migration(VerblunskySequence([0.5, 0.3]), [1])),
+], ids=["trace", "migration"])
+def test_star_zeros_in_the_guard_band_are_refused(monkeypatch, root, run):
+    # the zero of Phi_1 replaced by one just outside the band, whose
+    # reflection lies in it; the zero of Phi_1* replaced by one on the circle
+    find = opuc.analysis.poly_roots
+    monkeypatch.setattr(opuc.analysis, "poly_roots",
+                        lambda p: [root] if p.degree == 1 else find(p))
+    with pytest.raises(AmbiguousRootError, match=r"zeros of Phi_1\* in the circle guard band"):
+        run()
 
 
 def test_migration_head_only():
@@ -658,6 +701,14 @@ def test_moments_stable_beyond_stored_length():
     for m in (3, 4, 7):
         rep = moments(seq, m, 12)
         assert rep.moments == base.moments
+
+
+@pytest.mark.parametrize("m, runs", [(1, [3, 1]), (3, [3, 3]), (5, [5, 5])])
+def test_moments_run_one_szego_and_one_second_kind_recurrence(szego_runs, m, runs):
+    # Phi_m* and Phi_L*, whose in-disk zeros are the poles, from one run;
+    # Psi_m* from the second-kind run on -alpha_j
+    moments(VerblunskySequence([2.0, 0.5j, -0.3]), m, 10)
+    assert szego_runs == runs
 
 
 def test_moments_overflow_raises():

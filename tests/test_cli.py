@@ -420,6 +420,7 @@ def test_help_still_exits_zero(capsys):
     ["verify", "--quad-tol", "nan"],   # would run to the point cap
     ["verify", "--quad-tol", "0"],     # would fall back to the case's tolerance
     ["verify", "--max-points", "0"],
+    ["verify", "--max-points", "63"],  # the first quadrature level has 64 points
     ["verify", "--tol", "nan"],        # printed a report and exited 1
     ["verify", "--tol", "0"],
     ["verify", "--tol", "-1"],
@@ -732,6 +733,10 @@ def test_batch_answers_on_any_arguments_and_writes_its_summary(cases, tol, out, 
      "'quad' max_points must be a positive integer"),
     ('{"alphas": [{"re": 0.5, "im": 0}], "quad": {"max_points": 2.5}}',
      "'quad' max_points must be a positive integer"),
+    ('{"alphas": [{"re": 2.0, "im": 0}, {"re": 0.5, "im": 0}], "quad": {"max_points": 1}}',
+     "'quad' max_points must be at least 64, got 1"),
+    ('{"alphas": [{"re": 0.5, "im": 0}], "quad": {"max_points": 63}}',
+     "'quad' max_points must be at least 64, got 63"),
     ("[" * 100000 + "]" * 100000, "JSON nested too deeply"),
     ('{"alphas": [{"re": "2.0", "im": 0}]}', "alphas[0]: expected an object with numbers"),
     ('{"alphas": [{"re": 2.0, "im": "0"}]}', "alphas[0]: expected an object with numbers"),
@@ -747,8 +752,9 @@ def test_malformed_case_file_is_one_error_line(tmp_path, capsys, payload, messag
     # an integer beyond float64, a NaN guard (which would admit |alpha| = 1),
     # a NaN or infinite quadrature tolerance (the latter stopped after 128
     # points), a point cap that is no positive integer (0 stopped after one
-    # level), nesting beyond the recursion limit, and strings or booleans
-    # where a number belongs
+    # level) or below the first level's 64 points (1 answered on 64 and
+    # warned of a cap of 1), nesting beyond the recursion limit, and strings
+    # or booleans where a number belongs
     case = tmp_path / "case.json"
     case.write_text(payload)
     assert main(["poles", "--input", str(case)]) == 1
