@@ -28,7 +28,7 @@ from .opuc_core import (
     second_kind_polys,
 )
 from .poly import ComplexPoly, roots as poly_roots, series_div, split_by_circle
-from .schur import KhrushchevSplit, as_rational_F, khrushchev_split, tail_schur
+from .schur import KhrushchevSplit, RationalFn, as_rational_F, khrushchev_split, tail_schur
 
 DEFAULT_QUAD_TOL = 1e-11
 DEFAULT_QUAD_MAX_POINTS = 1 << 20
@@ -271,11 +271,12 @@ def _denominator_mean(split: KhrushchevSplit, logw: float, phistar_L: ComplexPol
     z Phi_n A_t Khrushchev's denominator for ``split`` at n, which is Phi_L*.
 
     The roots r of Phi_L* (``den_roots``) within NEAR_ROOT_BAND of the
-    circle are divided out of Phi_L* once, leaving Q (Q = Phi_L* when there
-    are none).  Each puts a spike -log|z - r|^2 into log|D|^2, which costs
-    the trapezoid rule about 1/margin points, so extra(z) - log|Q|^2, which
-    is smooth, is integrated, and the spikes' mean over the circle,
-    Jensen's 2 sum log max(1, |r|), is subtracted afterwards.
+    circle are divided out of Phi_L* once, smallest modulus first, leaving
+    Q (Q = Phi_L* when there are none).  Each puts a spike -log|z - r|^2
+    into log|D|^2, which costs the trapezoid rule about 1/margin points, so
+    extra(z) - log|Q|^2, which is smooth, is integrated, and the spikes'
+    mean over the circle, Jensen's 2 sum log max(1, |r|), is subtracted
+    afterwards.
 
     The split is sampled once, on the last angles the quadrature asked for
     (see ``circle_quadrature``), where |D| must agree with |Q| prod |z - r|
@@ -286,7 +287,9 @@ def _denominator_mean(split: KhrushchevSplit, logw: float, phistar_L: ComplexPol
     roots divided out, and |B_t|^2 and |A_t|^2 on the sampled angles.
     """
     near = [r for r in den_roots if abs(abs(r) - 1.0) < NEAR_ROOT_BAND]
-    quotient = ComplexPoly(_deflate(phistar_L.coeffs, near))
+    # forward deflation is stable in ascending order of modulus (Peters and
+    # Wilkinson, 1971); ``near`` itself keeps the root finder's order
+    quotient = ComplexPoly(_deflate(phistar_L.coeffs, sorted(near, key=abs)))
     last = None   # the angles of the latest call, their points and |Q| there
 
     def integrand(thetas: np.ndarray) -> np.ndarray:
@@ -474,15 +477,18 @@ def log_split_check(seq: VerblunskySequence, n: int) -> float:
     ``szego_verify``, the third piece is log|D|^2 - log|B_t|^2 with D = F's
     denominator Phi_L*, by ``_denominator_mean`` with ``extra`` = log|B_t|^2
     (its mean, negated), so the split is sampled twice: on the grid, then on
-    the final quadrature level's new angles.  Overflow is refused as in
-    ``szego_verify``.
+    the final quadrature level's new angles.  One run of the recurrence gives
+    the split's Phi_n, Phi_n* and F's denominator Phi_L*.  Overflow is
+    refused as in ``szego_verify``.
     """
     thetas = 2.0 * np.pi * np.arange(512) / 512
-    at_n = khrushchev_split(seq, n)
+    tail, L = tail_schur(seq, n), len(seq)  # the tail validates n first
+    pairs = _szego_pairs(seq.alphas, (n, L))
+    at_n = KhrushchevSplit(*pairs[n], tail, omega(seq, n - 1))
     logw = omega_log_sign(seq, n - 1)[1]
     bt2, at2, d2, _ = _checked_sample(at_n, logw, thetas)
     split = logw + np.log(bt2 - at2) - np.log(d2)
-    F = as_rational_F(seq)
+    F = RationalFn(second_kind_polys(seq, L)[1], pairs[L][1])
     direct = np.log(np.abs(F(np.exp(1j * thetas)).real))
     pointwise = float(np.max(np.abs(direct - split)) / max(1.0, float(np.max(np.abs(direct)))))
 

@@ -139,20 +139,6 @@ def report_to_dict(report: SzegoReport) -> dict:
     }
 
 
-def report_from_dict(data: dict) -> SzegoReport:
-    return SzegoReport(
-        lhs=data["lhs"],
-        poles=tuple(complex(p["re"], p["im"]) for p in data["poles"]),
-        epsilon=data["epsilon"],
-        log_integral=data["log_integral"],
-        rhs=data["rhs"],
-        rel_error=data["rel_error"],
-        quad_points=data["quad_points"],
-        warnings=tuple(data["warnings"]),
-        subtracted=tuple(complex(r["re"], r["im"]) for r in data["subtracted"]),
-    )
-
-
 def moment_report_to_dict(report: MomentReport) -> dict:
     return {
         "moments": [_cx(c) for c in report.moments],

@@ -92,9 +92,6 @@ class VerblunskySequence:
                 n = j + 1
         return n
 
-    def flipped(self) -> "VerblunskySequence":
-        return VerblunskySequence(tuple(-a for a in self.alphas), self.guard_unit)
-
 
 @dataclasses.dataclass(frozen=True)
 class WallPair:

@@ -151,9 +151,9 @@ class ComplexPoly:
         return f"ComplexPoly({list(self.coeffs)!r}, formal_degree={self.formal_degree})"
 
 
-def from_roots(rts: Iterable[complex], lead: complex = 1.0) -> ComplexPoly:
-    """Expand lead * prod (z - r) into dense coefficients."""
-    coeffs = [complex(lead)]
+def from_roots(rts: Iterable[complex]) -> ComplexPoly:
+    """Expand the monic prod (z - r) into dense coefficients."""
+    coeffs = [1 + 0j]
     for r in rts:
         r = complex(r)
         nxt = [0j] * (len(coeffs) + 1)
@@ -209,13 +209,13 @@ def _newton_polygon_start(c: np.ndarray) -> np.ndarray:
         for (x0, y0), (x1, y1) in zip(hull, hull[1:])])
 
 
-def _aberth(c: np.ndarray, tol: float, z: np.ndarray) -> np.ndarray | None:
-    """Simultaneous (Aberth-Ehrlich) iteration from the start points ``z``;
-    None if not converged."""
+def _aberth(c: np.ndarray, z: np.ndarray) -> np.ndarray | None:
+    """Simultaneous (Aberth-Ehrlich) iteration from the start points ``z``
+    to scaled residuals within DEFAULT_ROOT_TOL; None if not converged."""
     n = len(c) - 1
     dc = c[1:] * np.arange(1, n + 1)
     for _ in range(_ABERTH_MAX_SWEEPS + 1):
-        if (_scaled_residuals(c, z) <= tol).all():
+        if (_scaled_residuals(c, z) <= DEFAULT_ROOT_TOL).all():
             return z
         pv = _horner(c, z)
         dpv = _horner(dc, z)
@@ -231,15 +231,15 @@ def _aberth(c: np.ndarray, tol: float, z: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def roots(p: ComplexPoly, tol: float = DEFAULT_ROOT_TOL) -> list[complex]:
+def roots(p: ComplexPoly) -> list[complex]:
     """All complex roots of the trimmed polynomial, with multiplicity.
 
     Exact zero coefficients at the low end deflate exactly (roots at the
     origin are reported as exactly 0).  Each returned root r satisfies
-    ``|p(r)| <= tol * sum_k |c_k| |r|**k``: the companion-matrix roots,
-    each after one Newton step, if all of them do, else Aberth iteration
-    from the Newton-polygon circles; if that misses too, RootFindingError
-    carries the companion residuals.
+    ``|p(r)| <= DEFAULT_ROOT_TOL * sum_k |c_k| |r|**k``: the companion-matrix
+    roots, each after one Newton step, if all of them do, else Aberth
+    iteration from the Newton-polygon circles; if that misses too,
+    RootFindingError carries the companion residuals.
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has no well-defined root set")
@@ -278,14 +278,14 @@ def roots(p: ComplexPoly, tol: float = DEFAULT_ROOT_TOL) -> list[complex]:
         gap = np.abs(cand[:, None] - cand[None, :]) + np.diag(np.full(n, np.inf))
         cand = np.where(np.abs(step) < 0.1 * gap.min(axis=1), cand - step, cand)
         resid = _scaled_residuals(c, cand)
-        if not resid.max() <= tol:  # a NaN residual is a miss
-            cand = _aberth(c, tol, _newton_polygon_start(c))
+        if not resid.max() <= DEFAULT_ROOT_TOL:  # a NaN residual is a miss
+            cand = _aberth(c, _newton_polygon_start(c))
             if cand is None:
                 worst = np.nan_to_num(resid, nan=np.inf).max()
                 raise RootFindingError(
                     "the polynomial has a root beyond float64 range (its companion matrix "
                     "overflows)" if overflow else
-                    f"root residuals up to {worst:.3e} exceed tolerance {tol:.1e}",
+                    f"root residuals up to {worst:.3e} exceed tolerance {DEFAULT_ROOT_TOL:.1e}",
                     residuals=resid.tolist(),
                 )
     found.extend(complex(r) for r in cand)
@@ -309,29 +309,19 @@ def series_div(num: ComplexPoly, den: ComplexPoly, order: int) -> list[complex]:
     return out
 
 
-def split_by_circle(values: Iterable[complex], guard: float = DEFAULT_DISK_GUARD,
-                    ) -> tuple[list[complex], list[complex], list[complex]]:
+def split_by_circle(
+        values: Iterable[complex]) -> tuple[list[complex], list[complex], list[complex]]:
     """Partition points into (inside, ambiguous, outside) relative to the
-    unit circle with a guard band of half-width ``guard``."""
-    if guard <= 0:
-        raise ValueError("guard must be positive")
+    unit circle with a guard band of half-width DEFAULT_DISK_GUARD."""
     inside: list[complex] = []
     ambiguous: list[complex] = []
     outside: list[complex] = []
     for v in values:
         m = abs(v)
-        if m <= 1.0 - guard:
+        if m <= 1.0 - DEFAULT_DISK_GUARD:
             inside.append(v)
-        elif m < 1.0 + guard:
+        elif m < 1.0 + DEFAULT_DISK_GUARD:
             ambiguous.append(v)
         else:
             outside.append(v)
     return inside, ambiguous, outside
-
-
-def count_in_disk(values: Iterable[complex], guard: float = DEFAULT_DISK_GUARD,
-                  ) -> tuple[int, list[complex]]:
-    """Count points with ``|v| <= 1 - guard``; the guard band is returned as
-    ambiguous data, never silently classified."""
-    inside, ambiguous, _ = split_by_circle(values, guard)
-    return len(inside), ambiguous

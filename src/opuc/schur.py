@@ -62,16 +62,14 @@ class RationalFn:
             raise PoleEvaluationError(f"denominator vanishes at z = {z!r}")
         return self.num(z) / d
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
 
 @dataclasses.dataclass(frozen=True)
 class SchurStep:
     """One inverse Schur step: the extracted coefficient and the next iterate.
 
-    ``unimodular`` is the flagged terminal state |alpha| = 1 (within guard):
-    the next iterate would have a pole at the origin, so none is built.
+    ``unimodular`` is the flagged terminal state |alpha| = 1 (within
+    DEFAULT_GUARD_UNIT): the next iterate would have a pole at the origin,
+    so none is built.
     """
 
     alpha: complex
@@ -169,7 +167,7 @@ def as_rational_F(seq: VerblunskySequence) -> RationalFn:
     return RationalFn(second_kind_polys(seq, L)[1], szego_polys(seq, L)[1])
 
 
-def inverse_schur_step(f: RationalFn, guard: float = DEFAULT_GUARD_UNIT) -> SchurStep:
+def inverse_schur_step(f: RationalFn) -> SchurStep:
     """Extract alpha = f(0) and build the next iterate by exact rational algebra.
 
     With f = P/Q and a = P(0) (Q is normalized at construction so Q(0) = 1),
@@ -178,7 +176,7 @@ def inverse_schur_step(f: RationalFn, guard: float = DEFAULT_GUARD_UNIT) -> Schu
     origin is removed by dropping the constant coefficient, which is exact.
     """
     a = f.num(0)
-    if abs(abs(a) - 1.0) <= guard:
+    if abs(abs(a) - 1.0) <= DEFAULT_GUARD_UNIT:
         return SchurStep(alpha=a, next_fn=None, unimodular=True)
     shifted_num = (f.num - a * f.den).coeffs[1:]
     den = f.den - a.conjugate() * f.num
@@ -186,18 +184,17 @@ def inverse_schur_step(f: RationalFn, guard: float = DEFAULT_GUARD_UNIT) -> Schu
     return SchurStep(alpha=a, next_fn=nxt, unimodular=False)
 
 
-def recover_coefficients(fstar: RationalFn, max_n: int,
-                         guard: float = DEFAULT_GUARD_UNIT) -> RecoveryResult:
+def recover_coefficients(fstar: RationalFn, max_n: int) -> RecoveryResult:
     """Run the inverse Schur algorithm from a rational F_*.
 
     Seeds with f_0 = (1/z)(F_* - F_*(0)) / (F_* + F_*(0)), which is invariant
     under rescaling F_* by a nonzero constant, then collects f_n(0) for
     n < max_n.  Stops early, with the reason recorded, when an iterate's
-    value at 0 is unimodular (within ``guard``) or a pole lands on the origin.
-    A negative ``max_n`` or F_*(0) = 0 is a ValueError; an F_*(0) that is
-    nonzero but at most 1e-14 of sum_k |c_k| over the numerator's
-    coefficients is a PoleEvaluationError (the seed's denominator
-    F_* + F_*(0) vanishes at 0 to rounding).
+    value at 0 is unimodular (within DEFAULT_GUARD_UNIT) or a pole lands on
+    the origin.  A negative ``max_n`` or F_*(0) = 0 is a ValueError; an
+    F_*(0) that is nonzero but at most 1e-14 of sum_k |c_k| over the
+    numerator's coefficients is a PoleEvaluationError (the seed's
+    denominator F_* + F_*(0) vanishes at 0 to rounding).
     """
     if max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
@@ -215,7 +212,7 @@ def recover_coefficients(fstar: RationalFn, max_n: int,
     alphas: list[complex] = []
     for _ in range(max_n):
         try:
-            step = inverse_schur_step(f, guard)
+            step = inverse_schur_step(f)
         except ValueError:
             return RecoveryResult(tuple(alphas), "pole_at_zero")
         alphas.append(step.alpha)

@@ -28,13 +28,12 @@ from opuc import (
     szego_polys,
 )
 from opuc.poly import (
-    DEFAULT_DISK_GUARD,
     DEFAULT_ROOT_TOL,
     RootFindingError,
     _horner,
     _newton_polygon_start,
-    count_in_disk,
     roots as poly_roots,
+    split_by_circle,
 )
 from opuc.schur import RationalFn, as_rational_F
 
@@ -190,7 +189,7 @@ def reference_szego_polys(seq: VerblunskySequence, n: int) -> tuple[ComplexPoly,
 
 
 def reference_second_kind_polys(seq: VerblunskySequence, n: int) -> tuple[ComplexPoly, ComplexPoly]:
-    return reference_szego_polys(seq.flipped(), n)
+    return reference_szego_polys(VerblunskySequence([-a for a in seq.alphas]), n)
 
 
 def reference_backward_schur(alphas) -> RationalFn:
@@ -246,11 +245,11 @@ def reference_scaled_residuals(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return resid
 
 
-def reference_aberth(c: np.ndarray, tol: float, z: np.ndarray) -> np.ndarray | None:
+def reference_aberth(c: np.ndarray, z: np.ndarray) -> np.ndarray | None:
     n = len(c) - 1
     dc = c[1:] * np.arange(1, n + 1)
     for _ in range(201):
-        if (reference_scaled_residuals(c, z) <= tol).all():
+        if (reference_scaled_residuals(c, z) <= DEFAULT_ROOT_TOL).all():
             return z
         pv = _horner(c, z)
         dpv = _horner(dc, z)
@@ -266,7 +265,7 @@ def reference_aberth(c: np.ndarray, tol: float, z: np.ndarray) -> np.ndarray | N
     return None
 
 
-def reference_roots(p: ComplexPoly, tol: float = DEFAULT_ROOT_TOL) -> list[complex]:
+def reference_roots(p: ComplexPoly) -> list[complex]:
     cs = list(p.coeffs)
     found: list[complex] = []
     while cs[0] == 0:
@@ -291,36 +290,34 @@ def reference_roots(p: ComplexPoly, tol: float = DEFAULT_ROOT_TOL) -> list[compl
         step = _horner(c, cand) / _horner(c[1:] * np.arange(1, n + 1), cand)
         gap = np.abs(cand[:, None] - cand[None, :]) + np.diag(np.full(n, np.inf))
         cand = np.where(np.abs(step) < 0.1 * gap.min(axis=1), cand - step, cand)
-        if not reference_scaled_residuals(c, cand).max() <= tol:
-            cand = reference_aberth(c, tol, _newton_polygon_start(c))
+        if not reference_scaled_residuals(c, cand).max() <= DEFAULT_ROOT_TOL:
+            cand = reference_aberth(c, _newton_polygon_start(c))
             if cand is None:
                 raise RootFindingError("reference route refused")
     found.extend(complex(r) for r in cand)
     return found
 
 
-def independent_star_counts(seq: VerblunskySequence, n_max: int,
-                            guard: float = DEFAULT_DISK_GUARD) -> list[int]:
+def independent_star_counts(seq: VerblunskySequence, n_max: int) -> list[int]:
     """In-disk zeros of Phi_k*, k = 1..n_max, each from Phi_k*'s own roots
     (``zero_count_trace`` reflects the roots of Phi_k instead)."""
     counts = []
     for k in range(1, n_max + 1):
         phistar = szego_polys(seq, k)[1]
-        inside, amb = count_in_disk(poly_roots(phistar), guard) if phistar.degree >= 1 else (0, [])
+        inside, amb, _ = split_by_circle(poly_roots(phistar) if phistar.degree >= 1 else [])
         assert not amb, (k, amb)
-        counts.append(inside)
+        counts.append(len(inside))
     return counts
 
 
-def independent_phi_N_star_count(seq: VerblunskySequence,
-                                 guard: float = DEFAULT_DISK_GUARD) -> int:
+def independent_phi_N_star_count(seq: VerblunskySequence) -> int:
     """In-disk zeros of Phi_N* from its own roots (the library takes the
     count from the zero-count rule instead); AmbiguousRootError when one
     lies in the guard band."""
     phistar = szego_polys(seq, seq.N)[1]
     if phistar.degree < 1:
         return 0
-    inside, amb = count_in_disk(poly_roots(phistar), guard)
+    inside, amb, _ = split_by_circle(poly_roots(phistar))
     if amb:
         raise AmbiguousRootError("zeros of Phi_N* in the circle guard band", amb)
-    return inside
+    return len(inside)

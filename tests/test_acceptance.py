@@ -15,7 +15,6 @@ from opuc import (
     RationalFn,
     VerblunskySequence,
     as_rational_F,
-    count_in_disk,
     moments,
     omega,
     pole_set,
@@ -167,13 +166,13 @@ def test_criterion_6_pole_zero_structure():
     for seq in nonclassical_suite():
         poles = sorted(pole_set(seq), key=lambda z: (z.real, z.imag))
         _, phistar_n = szego_polys(seq, seq.N)
-        star_zeros, _ = count_in_disk(poly_roots(phistar_n))
+        star_zeros = len(split_by_circle(poly_roots(phistar_n))[0])
         if len(poles) > star_zeros:
             ok_bound = False
         counts = set()
         for m in range(seq.N, len(seq) + 1):
             _, ps = szego_polys(seq, m)
-            c = count_in_disk(poly_roots(ps))[0] if ps.degree >= 1 else 0
+            c = len(split_by_circle(poly_roots(ps))[0]) if ps.degree >= 1 else 0
             counts.add(c)
         if len(counts) != 1 or counts == {0}:
             ok_constancy = False

@@ -15,7 +15,6 @@ from opuc import (
     as_rational_F,
     boyd_integral,
     circle_quadrature,
-    count_in_disk,
     log_split_check,
     moments,
     omega,
@@ -28,7 +27,7 @@ from opuc import (
     zero_migration,
 )
 from opuc.analysis import NEAR_ROOT_BAND
-from opuc.poly import RootFindingError, roots as poly_roots
+from opuc.poly import RootFindingError, roots as poly_roots, split_by_circle
 from opuc.schur import KhrushchevSplit
 
 from helpers import (
@@ -430,6 +429,18 @@ def test_subtracted_log_integral_matches_50_digits():
     assert abs(rep.log_integral - float(_mp_log_integral(seq.alphas))) < 1e-12
 
 
+def test_verify_deflates_in_ascending_order_of_modulus():
+    # L = 48 with 34 roots of Phi_L* divided out: deflated in the root
+    # finder's order the quotient cost rel_error 3.95e-10, smallest modulus
+    # first (Peters and Wilkinson, 1971) 3.98e-13; ``subtracted`` keeps the
+    # root finder's order
+    seq = draw_near_circle(np.random.default_rng(2), 48, 1e-6, 1e-3)
+    rep = szego_verify(seq)
+    near = [r for r in poly_roots(as_rational_F(seq).den) if abs(abs(r) - 1.0) < NEAR_ROOT_BAND]
+    assert len(near) == 34 and rep.subtracted == tuple(near)
+    assert rep.rel_error < 1e-11
+
+
 def test_verify_without_near_roots_matches_50_digits():
     # no root of Phi_L* within NEAR_ROOT_BAND of the circle: nothing is
     # subtracted and log|Phi_L*|^2 is integrated whole
@@ -739,6 +750,13 @@ def test_log_split_builds_one_tail_per_index(tail_builds, n, builds):
     assert tail_builds == builds
 
 
+def test_log_split_runs_one_szego_and_one_second_kind_recurrence(szego_runs):
+    # Phi_n, Phi_n* and F's denominator Phi_L* from one run; F's numerator
+    # Psi_L* from the second-kind run on -alpha_j
+    log_split_check(VerblunskySequence([2.0, 0.5j, -0.3, 0.2]), 1)
+    assert szego_runs == [4, 4]
+
+
 def test_log_split_subtracts_near_circle_roots():
     # a root of Phi_L* 7.2e-8 off the circle: integrated unsubtracted, the
     # third piece ran to the point cap and missed the pole product by 1.2e-6
@@ -793,7 +811,7 @@ def test_pole_count_bounded_by_star_zeros():
     for _ in range(10):
         seq = random_nonclassical(rng, require_growth_window=False)
         _, phistar = szego_polys(seq, seq.N)
-        star_zeros, _ = count_in_disk(poly_roots(phistar))
+        star_zeros = len(split_by_circle(poly_roots(phistar))[0])
         assert len(pole_set(seq)) <= star_zeros
 
 

@@ -1,5 +1,6 @@
-"""The public API as a snapshot: the names ``opuc`` exports and the parameter
-names of each exported callable.  Adding, removing or renaming a parameter
+"""The public API as a snapshot: the names ``opuc`` exports, the parameter
+names of each exported callable and the public methods and properties of
+each exported class.  Adding, removing or renaming a parameter or a method
 shows up here as a diff."""
 
 import inspect
@@ -32,20 +33,19 @@ API = {
     "as_rational_f": ("seq",),
     "boyd_integral": ("seq", "N"),
     "circle_quadrature": ("g", "tol", "max_points"),
-    "count_in_disk": ("values", "guard"),
-    "from_roots": ("rts", "lead"),
-    "inverse_schur_step": ("f", "guard"),
+    "from_roots": ("rts",),
+    "inverse_schur_step": ("f",),
     "log_split_check": ("seq", "n"),
     "moments": ("seq", "m", "J"),
     "omega": ("seq", "n"),
     "omega_log_sign": ("seq", "n"),
     "pole_set": ("seq",),
     "re_F_khrushchev": ("seq", "n", "theta"),
-    "recover_coefficients": ("fstar", "max_n", "guard"),
-    "roots": ("p", "tol"),
+    "recover_coefficients": ("fstar", "max_n"),
+    "roots": ("p",),
     "second_kind_polys": ("seq", "n"),
     "series_div": ("num", "den", "order"),
-    "split_by_circle": ("values", "guard"),
+    "split_by_circle": ("values",),
     "szego_lhs": ("seq",),
     "szego_polys": ("seq", "n"),
     "szego_verify": ("seq", "tol", "max_points"),
@@ -54,6 +54,14 @@ API = {
     "wall_polys": ("seq", "n"),
     "zero_count_trace": ("seq", "n_max"),
     "zero_migration": ("seq", "n_values"),
+}
+
+# class name: its public methods and properties, for each exported class
+# that has any (those of the classes it inherits from within opuc included)
+METHODS = {
+    "ComplexPoly": ("degree", "is_zero", "magnitude_bound", "reverse", "shifted"),
+    "RationalFn": ("value",),
+    "VerblunskySequence": ("N", "alpha"),
 }
 
 
@@ -71,6 +79,19 @@ def test_exported_names():
 
 def test_parameter_names():
     assert {name: _parameters(getattr(opuc, name)) for name in opuc.__all__} == API
+
+
+def _methods(cls) -> tuple[str, ...]:
+    return tuple(sorted(
+        name for klass in cls.__mro__ if klass.__module__.startswith("opuc")
+        for name, value in vars(klass).items()
+        if not name.startswith("_") and (callable(value) or isinstance(value, property))))
+
+
+def test_public_methods():
+    classes = [getattr(opuc, name) for name in opuc.__all__]
+    snapshot = {cls.__name__: _methods(cls) for cls in classes if inspect.isclass(cls)}
+    assert {name: methods for name, methods in snapshot.items() if methods} == METHODS
 
 
 def test_no_signature_only_for_exception_classes():

@@ -10,7 +10,6 @@ from opuc import VerblunskySequence, pole_set, szego_polys
 from opuc.poly import (
     ComplexPoly,
     RootFindingError,
-    count_in_disk,
     from_roots,
     roots,
     series_div,
@@ -218,6 +217,20 @@ def test_roots_resolves_clusters_of_very_different_sizes():
         assert abs(p(r)) <= 1e-12 * p.magnitude_bound(r)
 
 
+def test_roots_keep_the_tiny_pair_apart_from_minus_one():
+    # z^3 + z^2 + 1.37e-266 has the roots -1 and +-i sqrt(1.37e-266).  Aberth
+    # started from the companion roots (-1, 0, 0) ends on -1 three times, and
+    # -1 meets the residual bound, so residuals alone cannot reject that
+    # answer: a restart from the companion roots must keep the pair apart
+    p = ComplexPoly([1.37e-266, 0, 1, 1])
+    assert abs(p(-1)) <= 1e-12 * p.magnitude_bound(-1)
+    got = sorted(roots(p), key=abs)
+    assert abs(got[2] + 1) < 1e-15
+    for r in got[:2]:
+        assert abs(abs(r) / math.sqrt(1.37e-266) - 1) < 1e-12
+    assert abs(got[0] - got[1]) > 1.9 * abs(got[0])
+
+
 def _mp_scaled_residual(cs, r) -> float:
     """|p(r)| / sum_k |c_k| |r|**k in 40-digit arithmetic, which never overflows."""
     with mpmath.workdps(40):
@@ -387,25 +400,20 @@ def test_series_div_convolution_recovers_numerator(num_cs, den_tail, order):
 # disk classification
 
 
-def test_count_in_disk_plain():
-    count, amb = count_in_disk([0.5, 2.0], guard=1e-8)
-    assert (count, amb) == (1, [])
+def test_split_by_circle_plain():
+    assert split_by_circle([0.5, 2.0]) == ([0.5], [], [2.0])
 
 
-def test_count_in_disk_guard_band_is_ambiguous():
-    count, amb = count_in_disk([0.99999999 + 0j], guard=1e-6)
-    assert count == 0 and amb == [0.99999999 + 0j]
+def test_split_by_circle_guard_band_is_ambiguous():
+    # the band is DEFAULT_DISK_GUARD = 1e-8 on each side of the circle
+    band = [1 - 5e-9 + 0j, 1 + 5e-9j]
+    assert split_by_circle([1 - 2e-8, *band, 1 + 2e-8]) == ([1 - 2e-8], band, [1 + 2e-8])
 
 
-def test_count_in_disk_empty():
-    assert count_in_disk([], guard=1e-8) == (0, [])
-
-
-def test_split_by_circle_requires_positive_guard():
-    with pytest.raises(ValueError):
-        split_by_circle([1.0], guard=0.0)
+def test_split_by_circle_empty():
+    assert split_by_circle([]) == ([], [], [])
 
 
 def test_from_roots_expands():
-    p = from_roots([1.0, -1.0], lead=2.0)
-    assert p.coeffs == (-2, 0, 2)
+    p = from_roots([1.0, -1.0])
+    assert p.coeffs == (-1, 0, 1)

@@ -66,7 +66,7 @@ def test_rationalfn_keeps_distinct_roots():
 
 def test_tail_empty_is_zero_function():
     f = tail_schur(VerblunskySequence([]), 0)
-    assert f.is_zero() and f.den.coeffs == (1,)
+    assert f.num.is_zero() and f.den.coeffs == (1,)
 
 
 def test_tail_single_coefficient_is_constant():
@@ -258,7 +258,7 @@ def test_caratheodory_routes_agree():
 def test_step_constant_two():
     step = inverse_schur_step(RationalFn(ComplexPoly([2]), ComplexPoly([1])))
     assert step.alpha == 2 and not step.unimodular
-    assert step.next_fn.is_zero()
+    assert step.next_fn.num.is_zero()
 
 
 def test_step_identity_map():
@@ -269,7 +269,7 @@ def test_step_identity_map():
 
 def test_step_zero_function():
     step = inverse_schur_step(RationalFn(ComplexPoly([0]), ComplexPoly([1])))
-    assert step.alpha == 0 and step.next_fn.is_zero()
+    assert step.alpha == 0 and step.next_fn.num.is_zero()
 
 
 def test_step_unimodular_flagged():
