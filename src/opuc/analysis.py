@@ -26,9 +26,10 @@ from .opuc_core import (
     omega,
     omega_log_sign,
     second_kind_polys,
+    szego_polys,
 )
 from .poly import ComplexPoly, roots as poly_roots, series_div, split_by_circle
-from .schur import KhrushchevSplit, RationalFn, as_rational_F, khrushchev_split, tail_schur
+from .schur import KhrushchevSplit, RationalFn, as_rational_F, tail_schur
 
 DEFAULT_QUAD_TOL = 1e-11
 DEFAULT_QUAD_MAX_POINTS = 1 << 20
@@ -102,16 +103,32 @@ def _samples(g, thetas: np.ndarray) -> tuple[np.ndarray, bool]:
     return vals, bool(np.all(np.isfinite(vals)))
 
 
+def _cap_note(tol: float, max_points: int) -> str:
+    """The note for a quadrature that stopped at its point cap."""
+    return f"quadrature did not converge to {tol:.1e} within {max_points} points"
+
+
+def _warn_at_cap(converged: bool) -> None:
+    """Warn QuadratureWarning, at the caller's caller, for a quadrature at
+    the default tolerance and point cap that stopped at the cap."""
+    if not converged:
+        warnings.warn(_cap_note(DEFAULT_QUAD_TOL, DEFAULT_QUAD_MAX_POINTS),
+                      QuadratureWarning, stacklevel=3)
+
+
 def circle_quadrature(g, tol: float = DEFAULT_QUAD_TOL,
-                      max_points: int = DEFAULT_QUAD_MAX_POINTS) -> tuple[float, int]:
-    """(1/2pi) * integral of g over [0, 2pi) by the periodic trapezoid rule.
+                      max_points: int = DEFAULT_QUAD_MAX_POINTS) -> tuple[float, int, bool]:
+    """(1/2pi) * integral of g over [0, 2pi) by the periodic trapezoid rule,
+    with the number of points used and whether ``tol`` was met.
 
     ``g`` must accept an ndarray of angles.  The grid doubles from
     QUAD_MIN_POINTS = 64 points until successive values differ by less
-    than ``tol``; hitting ``max_points`` first emits a QuadratureWarning
-    and returns the last value.  A ``max_points`` below 64, which the
-    first level would exceed, is a ValueError.  Each level keeps the sum
-    over the grid before it and evaluates ``g`` only at the new midpoints.
+    than ``tol``; hitting ``max_points`` first returns the last value and
+    False.  It warns nothing, so concurrent callers share no warnings
+    state; each caller reports a stop at the cap itself.  A ``max_points``
+    below 64, which the first level would exceed, is a ValueError.  Each
+    level keeps the sum over the grid before it and evaluates ``g`` only at
+    the new midpoints.
     A non-finite sample makes that level evaluate its whole grid shifted
     by half a step, and the levels after it nest in the shifted grid; a
     non-finite sample there too raises QuadratureError.  The last call of
@@ -135,12 +152,9 @@ def circle_quadrature(g, tol: float = DEFAULT_QUAD_TOL,
             total = float(vals.sum())
         cur = total / m
         if abs(cur - prev) < tol:
-            return cur, m
+            return cur, m, True
         if 2 * m > max_points:
-            warnings.warn(
-                f"quadrature did not converge to {tol:.1e} within {max_points} points",
-                QuadratureWarning, stacklevel=2)
-            return cur, m
+            return cur, m, False
         prev, m = cur, 2 * m
         new = offset + 2.0 * np.pi * np.arange(1, m, 2) / m
 
@@ -152,9 +166,13 @@ def re_F_khrushchev(seq: VerblunskySequence, n: int, theta: float | np.ndarray):
 
     evaluated in cleared form so only polynomial values enter.  ``theta``
     is one angle (a float is returned) or an ndarray of angles (an ndarray
-    is returned, all from one build of the polynomials and the tail).
+    is returned, all from one build of the polynomials and the tail).  The
+    tail is built first, so an ``n`` whose tail is not classical is refused
+    before anything else is built.
     """
-    values = khrushchev_split(seq, n).re_F(np.atleast_1d(np.asarray(theta, dtype=float)))
+    tail = tail_schur(seq, n)
+    split = KhrushchevSplit(*szego_polys(seq, n), tail, omega(seq, n - 1))
+    values = split.re_F(np.atleast_1d(np.asarray(theta, dtype=float)))
     return values if np.ndim(theta) else float(values[0])
 
 
@@ -283,8 +301,9 @@ def _denominator_mean(split: KhrushchevSplit, logw: float, phistar_L: ComplexPol
     within DEFLATION_TOL of the split's scale |Phi_n* B_t| + |z Phi_n A_t|,
     or CrossCheckError is raised.  An infinite ``logw`` = log|omega_{n-1}|
     and samples that overflow float64 raise QuadratureError.  Returns that
-    mean (Jensen's term already subtracted), the number of points, the
-    roots divided out, and |B_t|^2 and |A_t|^2 on the sampled angles.
+    mean (Jensen's term already subtracted), the number of points, whether
+    the quadrature met ``tol``, the roots divided out, and |B_t|^2 and
+    |A_t|^2 on the sampled angles.
     """
     near = [r for r in den_roots if abs(abs(r) - 1.0) < NEAR_ROOT_BAND]
     # forward deflation is stable in ascending order of modulus (Peters and
@@ -303,7 +322,7 @@ def _denominator_mean(split: KhrushchevSplit, logw: float, phistar_L: ComplexPol
         last = thetas, zs, q
         return extra(zs) - np.log(q2)
 
-    mean, pts = circle_quadrature(integrand, tol, max_points)
+    mean, pts, converged = circle_quadrature(integrand, tol, max_points)
     thetas, zs, product = last
     bt2, at2, d2, scale = _checked_sample(split, logw, thetas)
     for r in near:
@@ -314,12 +333,7 @@ def _denominator_mean(split: KhrushchevSplit, logw: float, phistar_L: ComplexPol
             f"|D| and |Q| prod |z - r| differ by {worst:.1e} of the split's scale "
             f"after dividing out {len(near)} near-circle roots")
     jensen = 2.0 * sum(math.log(max(1.0, abs(r))) for r in near)
-    return mean - jensen, pts, near, bt2, at2
-
-
-def szego_lhs(seq: VerblunskySequence) -> float:
-    """prod over the stored list of (1 - |alpha_j|^2); implicit factors are 1."""
-    return omega(seq, len(seq) - 1)
+    return mean - jensen, pts, converged, near, bt2, at2
 
 
 def szego_verify(seq: VerblunskySequence, tol: float = DEFAULT_QUAD_TOL,
@@ -342,6 +356,8 @@ def szego_verify(seq: VerblunskySequence, tol: float = DEFAULT_QUAD_TOL,
     a case doubling to the point cap.  The samples of |B_t|^2 and |A_t|^2
     are checked against omega_t instead.  ``tol`` and ``max_points`` go to
     ``circle_quadrature``; a ``max_points`` below 64 is a ValueError there.
+    A quadrature that stops at ``max_points`` puts its note in the report's
+    ``warnings`` and warns nothing, so concurrent calls cannot mix notes.
 
     The roots of Phi_L* are found once, before anything else is built, so
     a refusal (a root in the circle guard band, roots that cannot be
@@ -353,19 +369,17 @@ def szego_verify(seq: VerblunskySequence, tol: float = DEFAULT_QUAD_TOL,
     split = KhrushchevSplit(*pairs[N], tail_schur(seq, N), omega(seq, N - 1))
     sign, logw = omega_log_sign(seq, N - 1)
     logwt = math.fsum(math.log1p(-abs(a) ** 2) for a in seq.alphas[N:])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", QuadratureWarning)
-        log_integral, pts, near, bt2, at2 = _denominator_mean(
-            split, logw, pairs[L][1], den_roots, lambda zs: logw + logwt, tol, max_points)
+    log_integral, pts, converged, near, bt2, at2 = _denominator_mean(
+        split, logw, pairs[L][1], den_roots, lambda zs: logw + logwt, tol, max_points)
     gap = float(np.max(np.abs(bt2 - at2 - math.exp(logwt)) / (bt2 + at2)))
     if not gap <= DEFLATION_TOL:
         raise CrossCheckError(
             f"|B_t|^2 - |A_t|^2 and prod (1 - |alpha_j|^2) over the tail differ "
             f"by {gap:.1e} of |B_t|^2 + |A_t|^2")
-    notes = tuple(str(w.message) for w in caught)
+    notes = () if converged else (_cap_note(tol, max_points),)
     log_pole_product = -2.0 * sum(math.log(abs(p)) for p in poles)
     rhs = sign * math.exp(log_integral + log_pole_product)
-    lhs = szego_lhs(seq)
+    lhs = omega(seq, L - 1)  # prod over the stored list; implicit factors are 1
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     return SzegoReport(lhs=lhs, poles=tuple(poles), epsilon=sign,
                        log_integral=log_integral, rhs=rhs, rel_error=rel,
@@ -374,7 +388,8 @@ def szego_verify(seq: VerblunskySequence, tol: float = DEFAULT_QUAD_TOL,
 
 def boyd_integral(seq: VerblunskySequence, N: int) -> float:
     """(1/2pi) * integral of log(1 - |f_N|^2) over the circle, by
-    ``circle_quadrature`` at its default tolerance and point cap.
+    ``circle_quadrature`` at its default tolerance and point cap; stopping
+    at the cap warns QuadratureWarning.
 
     For a classical tail this equals log prod_{j>=N} (1 - |alpha_j|^2).
     """
@@ -386,7 +401,9 @@ def boyd_integral(seq: VerblunskySequence, N: int) -> float:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.log(bt2 - at2) - np.log(bt2)
 
-    return circle_quadrature(integrand)[0]
+    value, _, converged = circle_quadrature(integrand)
+    _warn_at_cap(converged)
+    return value
 
 
 def zero_count_trace(seq: VerblunskySequence, n_max: int) -> list[TraceRow]:
@@ -411,7 +428,7 @@ def zero_count_trace(seq: VerblunskySequence, n_max: int) -> list[TraceRow]:
     steps = _szego_steps(seq.alphas, n_max)  # one run gives every Phi_k
     next(steps)  # Phi_0 = 1
     for k, phi_k in enumerate(steps, start=1):
-        zeros = poly_roots(ComplexPoly(phi_k, k))
+        zeros = poly_roots(ComplexPoly(phi_k))
         actual = len(_inside(zeros, f"zeros of Phi_{k}"))
         actual_star = len(_inside((1 / r.conjugate() for r in zeros if r != 0),
                                   f"zeros of Phi_{k}*"))
@@ -479,7 +496,8 @@ def log_split_check(seq: VerblunskySequence, n: int) -> float:
     (its mean, negated), so the split is sampled twice: on the grid, then on
     the final quadrature level's new angles.  One run of the recurrence gives
     the split's Phi_n, Phi_n* and F's denominator Phi_L*.  Overflow is
-    refused as in ``szego_verify``.
+    refused as in ``szego_verify``; a quadrature that stops at its point cap
+    warns QuadratureWarning.
     """
     thetas = 2.0 * np.pi * np.arange(512) / 512
     tail, L = tail_schur(seq, n), len(seq)  # the tail validates n first
@@ -493,8 +511,10 @@ def log_split_check(seq: VerblunskySequence, n: int) -> float:
     pointwise = float(np.max(np.abs(direct - split)) / max(1.0, float(np.max(np.abs(direct)))))
 
     poles, den_roots = _poles(F.den, seq)
-    integral = -_denominator_mean(at_n, logw, F.den, den_roots,
-                                  lambda zs: np.log(np.abs(at_n.tail.den(zs)) ** 2))[0]
+    mean, _, converged, *_ = _denominator_mean(
+        at_n, logw, F.den, den_roots, lambda zs: np.log(np.abs(at_n.tail.den(zs)) ** 2))
+    _warn_at_cap(converged)
+    integral = -mean
     target = math.exp(-2.0 * sum(math.log(abs(p)) for p in poles))
     diff = abs(math.exp(integral) - target)
     if diff > 100.0 * DEFAULT_QUAD_TOL * max(1.0, target):

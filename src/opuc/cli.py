@@ -32,6 +32,7 @@ from .analysis import (
     SzegoReport,
     moments,
     pole_set,
+    re_F_khrushchev,
     szego_verify,
     zero_count_trace,
 )
@@ -47,7 +48,6 @@ from .schur import (
     PoleEvaluationError,
     RationalFn,
     as_rational_F,
-    khrushchev_split,
     recover_coefficients,
 )
 from .poly import ComplexPoly, RootFindingError
@@ -191,7 +191,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     thetas = 2.0 * np.pi * np.arange(args.points) / args.points
     with np.errstate(all="ignore"):  # out-of-range samples end in a refusal, not a warning
         direct = as_rational_F(case.seq)(np.cos(thetas) + 1j * np.sin(thetas)).real
-        formula = khrushchev_split(case.seq, case.seq.N).re_F(thetas)
+        formula = re_F_khrushchev(case.seq, case.seq.N, thetas)
     if not (np.isfinite(direct).all() and np.isfinite(formula).all()):
         raise OverflowError("samples of Re F on the grid overflow float64")
     rows = zip(thetas.tolist(), direct.tolist(), formula.tolist(),
@@ -307,8 +307,9 @@ def cmd_batch(args: argparse.Namespace) -> int:
         "worst_rel_error": worst,
         "cases": [{k: v for k, v in e.items() if k != "report"} for e in entries],
     }
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
-    _emit(summary)
+    text = json.dumps(summary, indent=2, allow_nan=False)
+    (out_dir / "summary.json").write_text(text + "\n")
+    print(text)
     return 0
 
 

@@ -95,7 +95,7 @@ class VerblunskySequence:
 
 @dataclasses.dataclass(frozen=True)
 class WallPair:
-    """Wall polynomials A_n, B_n; both carry formal degree n for reversal."""
+    """Wall polynomials A_n, B_n; ``n`` is the degree to reverse both at."""
 
     A: ComplexPoly
     B: ComplexPoly
@@ -133,8 +133,8 @@ def _szego_steps(alphas, n: int):
 
 def _szego_pairs(alphas, ns) -> dict[int, tuple[ComplexPoly, ComplexPoly]]:
     """{n: (Phi_n, Phi_n*)} for every n in ``ns``, from one run of the
-    recurrence up to the largest; formal degree n, as ``szego_polys``.  Only
-    the Phi_n asked for are reversed into Phi_n*."""
+    recurrence up to the largest.  Only the Phi_n asked for are reversed
+    into Phi_n*."""
     want = set(ns)
     if min(want) < 0:
         raise ValueError("index must be nonnegative")
@@ -144,7 +144,7 @@ def _szego_pairs(alphas, ns) -> dict[int, tuple[ComplexPoly, ComplexPoly]]:
             # 0.0 - imag, not conjugate(): an imaginary zero comes out +0,
             # as the coupled recurrence's second line leaves it
             star = [complex(c.real, 0.0 - c.imag) for c in reversed(phi)]
-            out[k] = ComplexPoly(phi, k), ComplexPoly(star, k)
+            out[k] = ComplexPoly(phi), ComplexPoly(star)
     return out
 
 
@@ -208,8 +208,7 @@ def wall_polys(seq: VerblunskySequence, n: int) -> WallPair:
             (p21 + a.conjugate() * p22).shifted(1),
             a * p21 + p22,
         )
-    A = ComplexPoly(p12.coeffs, n)
-    B = ComplexPoly(p22.coeffs, n)
+    A, B = p12, p22
 
     scale = max(1.0, max(abs(c) for c in p11.coeffs), max(abs(c) for c in p21.coeffs))
     dev_structure = max(

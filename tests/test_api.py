@@ -11,7 +11,7 @@ import opuc
 # built-in constructor (inspect finds no signature for it)
 API = {
     "AmbiguousRootError": ("message", "ambiguous"),
-    "ComplexPoly": ("coeffs", "formal_degree"),
+    "ComplexPoly": ("coeffs",),
     "CrossCheckError": None,
     "GuardViolationError": ("index", "modulus", "guard"),
     "IdentityReport": ("n", "grid", "wall_on_circle", "pinter_nevai", "liouville"),
@@ -23,7 +23,7 @@ API = {
     "RationalFn": ("num", "den"),
     "RecoveryResult": ("alphas", "termination"),
     "RootFindingError": ("message", "residuals"),
-    "SchurStep": ("alpha", "next_fn", "unimodular"),
+    "SchurStep": ("alpha", "next_fn"),
     "SzegoReport": ("lhs", "poles", "epsilon", "log_integral", "rhs", "rel_error",
                     "quad_points", "warnings", "subtracted"),
     "TraceRow": ("k", "predicted", "actual", "predicted_star", "actual_star"),
@@ -46,7 +46,6 @@ API = {
     "second_kind_polys": ("seq", "n"),
     "series_div": ("num", "den", "order"),
     "split_by_circle": ("values",),
-    "szego_lhs": ("seq",),
     "szego_polys": ("seq", "n"),
     "szego_verify": ("seq", "tol", "max_points"),
     "tail_schur": ("seq", "N"),

@@ -9,12 +9,14 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import opuc
 from opuc.cli import CaseError, load_case, main, report_to_dict
-from opuc import CrossCheckError, SzegoReport, VerblunskySequence, szego_verify
+from opuc import (CrossCheckError, SzegoReport, VerblunskySequence, re_F_khrushchev,
+                  szego_verify)
 from opuc.schur import KhrushchevSplit, PoleEvaluationError
 
 from helpers import NEAR_COMMON_ROOT_ALPHAS
@@ -275,10 +277,16 @@ def test_grid_sample_at_a_pole_is_one_refusal_line(tmp_path, capsys, monkeypatch
 
 
 def test_grid_builds_tail_once(tmp_path, capsys, tail_builds):
+    # the Khrushchev column is re_F_khrushchev at the split index, bit for
+    # bit (17 significant digits give every double back)
     case = write_case(tmp_path / "case.json", [2.0, 0.5j, -0.3])
     assert main(["grid", "--input", str(case), "--points", "64"]) == 0
-    assert len(capsys.readouterr().out.strip().splitlines()) == 65
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 65
     assert tail_builds == [1]
+    seq = VerblunskySequence([2.0, 0.5j, -0.3])
+    want = re_F_khrushchev(seq, seq.N, 2.0 * np.pi * np.arange(64) / 64)
+    assert [float(line.split(",")[2]) for line in lines[1:]] == want.tolist()
 
 
 def test_grid_builds_no_wall_product(tmp_path, capsys, wall_builds):

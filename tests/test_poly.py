@@ -58,11 +58,6 @@ def test_trailing_exact_zeros_trimmed_but_near_zeros_kept():
     assert ComplexPoly([1, 2, 1e-300]).coeffs == (1, 2, 1e-300)
 
 
-def test_formal_degree_below_actual_rejected():
-    with pytest.raises(ValueError):
-        ComplexPoly([1, 2, 3], formal_degree=1)
-
-
 def test_zero_polynomial():
     p = ComplexPoly([])
     assert p.coeffs == (0j,)

@@ -16,7 +16,6 @@ from opuc import (
     wall_polys,
 )
 from opuc.poly import roots as poly_roots
-from opuc.schur import khrushchev_split
 
 from helpers import (
     draw_head,
@@ -210,8 +209,9 @@ def test_split_denominator_is_phi_L_star():
     worst = 0.0
     for _ in range(40):
         seq = random_nonclassical(rng, require_growth_window=False)
-        split = khrushchev_split(seq, seq.N)
-        den = split.phistar * split.tail.den - (split.phi * split.tail.num).shifted(1)
+        tail = tail_schur(seq, seq.N)
+        phi, phistar = szego_polys(seq, seq.N)
+        den = phistar * tail.den - (phi * tail.num).shifted(1)
         _, phistar_L = szego_polys(seq, len(seq))
         scale = max(abs(c) for c in phistar_L.coeffs)
         worst = max(worst, max(abs(c) for c in (den - phistar_L).coeffs) / scale)
@@ -257,7 +257,7 @@ def test_caratheodory_routes_agree():
 
 def test_step_constant_two():
     step = inverse_schur_step(RationalFn(ComplexPoly([2]), ComplexPoly([1])))
-    assert step.alpha == 2 and not step.unimodular
+    assert step.alpha == 2
     assert step.next_fn.num.is_zero()
 
 
@@ -274,7 +274,7 @@ def test_step_zero_function():
 
 def test_step_unimodular_flagged():
     step = inverse_schur_step(RationalFn(ComplexPoly([1]), ComplexPoly([1])))
-    assert step.unimodular and step.next_fn is None and step.alpha == 1
+    assert step.next_fn is None and step.alpha == 1
 
 
 # ---------------------------------------------------------------------------
