@@ -34,6 +34,8 @@ from .schur import KhrushchevSplit, RationalFn, as_rational_F, tail_schur
 DEFAULT_QUAD_TOL = 1e-11
 DEFAULT_QUAD_MAX_POINTS = 1 << 20
 QUAD_MIN_POINTS = 64     # the first level of circle_quadrature
+QUAD_ERROR_BOUND = 1e-15  # szego_verify's bound on its trapezoid error: below the
+                          # rounding of the m-point sum, so more points gain nothing
 POLE_CLUSTER_TOL = 1e-7
 NEAR_ROOT_BAND = 0.1     # roots of Phi_L* with ||r| - 1| below this are subtracted
 DEFLATION_TOL = 1e-6     # |D| against |Q| prod |z - r|, and |B_t|^2 - |A_t|^2 against
@@ -67,7 +69,6 @@ class SzegoReport:
     rhs: float
     rel_error: float
     quad_points: int
-    warnings: tuple[str, ...]
     subtracted: tuple[complex, ...] = ()   # roots of Phi_L* integrated analytically
 
 
@@ -103,17 +104,12 @@ def _samples(g, thetas: np.ndarray) -> tuple[np.ndarray, bool]:
     return vals, bool(np.all(np.isfinite(vals)))
 
 
-def _cap_note(tol: float, max_points: int) -> str:
-    """The note for a quadrature that stopped at its point cap."""
-    return f"quadrature did not converge to {tol:.1e} within {max_points} points"
-
-
 def _warn_at_cap(converged: bool) -> None:
     """Warn QuadratureWarning, at the caller's caller, for a quadrature at
     the default tolerance and point cap that stopped at the cap."""
     if not converged:
-        warnings.warn(_cap_note(DEFAULT_QUAD_TOL, DEFAULT_QUAD_MAX_POINTS),
-                      QuadratureWarning, stacklevel=3)
+        warnings.warn(f"quadrature did not converge to {DEFAULT_QUAD_TOL:.1e} within "
+                      f"{DEFAULT_QUAD_MAX_POINTS} points", QuadratureWarning, stacklevel=3)
 
 
 def circle_quadrature(g, tol: float = DEFAULT_QUAD_TOL,
@@ -131,9 +127,7 @@ def circle_quadrature(g, tol: float = DEFAULT_QUAD_TOL,
     the new midpoints.
     A non-finite sample makes that level evaluate its whole grid shifted
     by half a step, and the levels after it nest in the shifted grid; a
-    non-finite sample there too raises QuadratureError.  The last call of
-    ``g`` is therefore on the final level's new midpoints, or on its whole
-    shifted grid after a retry.
+    non-finite sample there too raises QuadratureError.
     """
     if max_points < QUAD_MIN_POINTS:
         raise ValueError(f"max_points must be at least {QUAD_MIN_POINTS}, got {max_points}")
@@ -282,48 +276,57 @@ def _deflate(c, rts: list[complex]) -> list[complex]:
     return c
 
 
+def _trapezoid_points(roots) -> int:
+    """The smallest m = QUAD_MIN_POINTS * 2^k at which sum -(2/m) log(1 -
+    |rho_r|^m) falls below QUAD_ERROR_BOUND, rho_r = r inside the disk and
+    1/r outside: a bound on the m-point trapezoid error of the mean over
+    the circle of log|Q|^2, Q with ``roots``, whose error for each root is
+    exactly (2/m) log|1 - rho_r^m|, as prod (r - z) over the m-th roots of
+    unity is r^m - 1 (Trefethen and Weideman, SIAM Rev. 56, 2014).  Roots
+    at least NEAR_ROOT_BAND off the circle add at most 2.6e-24 each at
+    m = 512, so up to 3e8 of them need no more points.
+    """
+    rhos = [a if a < 1.0 else 1.0 / a for a in map(abs, roots)]
+    m = QUAD_MIN_POINTS
+    while -2.0 / m * sum(math.log1p(-rho ** m) for rho in rhos) >= QUAD_ERROR_BOUND:
+        m *= 2
+    return m
+
+
 def _denominator_mean(split: KhrushchevSplit, logw: float, phistar_L: ComplexPoly,
-                      den_roots: list[complex], extra, tol: float = DEFAULT_QUAD_TOL,
-                      max_points: int = DEFAULT_QUAD_MAX_POINTS):
-    """The mean over the circle of extra(z) - log|D|^2, with D = Phi_n* B_t -
+                      den_roots: list[complex]):
+    """Minus the mean over the circle of log|D|^2, with D = Phi_n* B_t -
     z Phi_n A_t Khrushchev's denominator for ``split`` at n, which is Phi_L*.
 
     The roots r of Phi_L* (``den_roots``) within NEAR_ROOT_BAND of the
     circle are divided out of Phi_L* once, smallest modulus first, leaving
     Q (Q = Phi_L* when there are none).  Each puts a spike -log|z - r|^2
     into log|D|^2, which costs the trapezoid rule about 1/margin points, so
-    extra(z) - log|Q|^2, which is smooth, is integrated, and the spikes'
-    mean over the circle, Jensen's 2 sum log max(1, |r|), is subtracted
-    afterwards.
+    the mean of log|Q|^2, which is smooth, is taken on the m angles
+    2 pi k / m, m sized from the other roots (``_trapezoid_points``), and
+    the spikes' mean over the circle, Jensen's 2 sum log max(1, |r|), is
+    added to it.
 
-    The split is sampled once, on the last angles the quadrature asked for
-    (see ``circle_quadrature``), where |D| must agree with |Q| prod |z - r|
-    within DEFLATION_TOL of the split's scale |Phi_n* B_t| + |z Phi_n A_t|,
-    or CrossCheckError is raised.  An infinite ``logw`` = log|omega_{n-1}|
-    and samples that overflow float64 raise QuadratureError.  Returns that
-    mean (Jensen's term already subtracted), the number of points, whether
-    the quadrature met ``tol``, the roots divided out, and |B_t|^2 and
-    |A_t|^2 on the sampled angles.
+    The split is sampled once, on the same angles, where |D| must agree
+    with |Q| prod |z - r| within DEFLATION_TOL of the split's scale
+    |Phi_n* B_t| + |z Phi_n A_t|, or CrossCheckError is raised.  An infinite
+    ``logw`` = log|omega_{n-1}| and samples that overflow float64 raise
+    QuadratureError.  Returns minus that mean, the number of points, the
+    roots divided out, and |B_t|^2 and |A_t|^2 on the angles.
     """
-    near = [r for r in den_roots if abs(abs(r) - 1.0) < NEAR_ROOT_BAND]
+    near, far = [], []
+    for r in den_roots:
+        (near if abs(abs(r) - 1.0) < NEAR_ROOT_BAND else far).append(r)
     # forward deflation is stable in ascending order of modulus (Peters and
     # Wilkinson, 1971); ``near`` itself keeps the root finder's order
     quotient = ComplexPoly(_deflate(phistar_L.coeffs, sorted(near, key=abs)))
-    last = None   # the angles of the latest call, their points and |Q| there
-
-    def integrand(thetas: np.ndarray) -> np.ndarray:
-        nonlocal last
-        last = None   # the previous level's arrays are not needed any more
-        zs = np.exp(1j * thetas)
-        with np.errstate(over="ignore"):
-            q = np.abs(quotient(zs))
-            q2 = q * q
-        _refuse_overflow(logw, q2)
-        last = thetas, zs, q
-        return extra(zs) - np.log(q2)
-
-    mean, pts, converged = circle_quadrature(integrand, tol, max_points)
-    thetas, zs, product = last
+    m = _trapezoid_points(far)
+    thetas = 2.0 * np.pi * np.arange(m) / m
+    zs = np.exp(1j * thetas)
+    with np.errstate(over="ignore", divide="ignore"):
+        product = np.abs(quotient(zs))
+        log_q2 = np.log(product * product)
+    _refuse_overflow(logw, log_q2)
     bt2, at2, d2, scale = _checked_sample(split, logw, thetas)
     for r in near:
         product *= np.abs(zs - r)
@@ -333,11 +336,10 @@ def _denominator_mean(split: KhrushchevSplit, logw: float, phistar_L: ComplexPol
             f"|D| and |Q| prod |z - r| differ by {worst:.1e} of the split's scale "
             f"after dividing out {len(near)} near-circle roots")
     jensen = 2.0 * sum(math.log(max(1.0, abs(r))) for r in near)
-    return mean - jensen, pts, converged, near, bt2, at2
+    return -float(np.mean(log_q2)) - jensen, m, near, bt2, at2
 
 
-def szego_verify(seq: VerblunskySequence, tol: float = DEFAULT_QUAD_TOL,
-                 max_points: int = DEFAULT_QUAD_MAX_POINTS) -> SzegoReport:
+def szego_verify(seq: VerblunskySequence) -> SzegoReport:
     """Both sides of the signed Szego identity with their relative error.
 
     The pole product and the integral are combined in log space; the sign
@@ -345,19 +347,15 @@ def szego_verify(seq: VerblunskySequence, tol: float = DEFAULT_QUAD_TOL,
     sequence the pole product is empty and the report reduces to the
     textbook statement.
 
-    The integral is the mean of the constant log|omega_{N-1}| + log omega_t
-    less log|D|^2, D = Phi_L* (``_denominator_mean``, which integrates it
-    with the roots of Phi_L* near the circle divided out of D and samples
-    the split on the final level's new angles).  omega_t = prod_{j >= N}
-    (1 - |alpha_j|^2) is |B_t|^2 - |A_t|^2 on the circle (each backward
-    Schur step multiplies |den|^2 - |num|^2 there by 1 - |alpha_j|^2);
-    sampled, that difference loses |B_t|^2 / omega_t, up to 3e8, to
-    cancellation, and the noise, above the 1e-11 stopping rule, would keep
-    a case doubling to the point cap.  The samples of |B_t|^2 and |A_t|^2
-    are checked against omega_t instead.  ``tol`` and ``max_points`` go to
-    ``circle_quadrature``; a ``max_points`` below 64 is a ValueError there.
-    A quadrature that stops at ``max_points`` puts its note in the report's
-    ``warnings`` and warns nothing, so concurrent calls cannot mix notes.
+    The integral is the constant log|omega_{N-1}| + log omega_t less the
+    mean of log|D|^2, D = Phi_L* (``_denominator_mean``, which takes that
+    mean by one trapezoid level sized from the roots of Phi_L*, with those
+    near the circle divided out of D, and samples the split on the same
+    angles).  omega_t = prod_{j >= N} (1 - |alpha_j|^2) is |B_t|^2 - |A_t|^2
+    on the circle (each backward Schur step multiplies |den|^2 - |num|^2
+    there by 1 - |alpha_j|^2); sampled, that difference loses
+    |B_t|^2 / omega_t, up to 3e8, to cancellation, so it is not integrated:
+    the samples of |B_t|^2 and |A_t|^2 are checked against omega_t instead.
 
     The roots of Phi_L* are found once, before anything else is built, so
     a refusal (a root in the circle guard band, roots that cannot be
@@ -369,21 +367,20 @@ def szego_verify(seq: VerblunskySequence, tol: float = DEFAULT_QUAD_TOL,
     split = KhrushchevSplit(*pairs[N], tail_schur(seq, N), omega(seq, N - 1))
     sign, logw = omega_log_sign(seq, N - 1)
     logwt = math.fsum(math.log1p(-abs(a) ** 2) for a in seq.alphas[N:])
-    log_integral, pts, converged, near, bt2, at2 = _denominator_mean(
-        split, logw, pairs[L][1], den_roots, lambda zs: logw + logwt, tol, max_points)
+    neg_mean, pts, near, bt2, at2 = _denominator_mean(split, logw, pairs[L][1], den_roots)
     gap = float(np.max(np.abs(bt2 - at2 - math.exp(logwt)) / (bt2 + at2)))
     if not gap <= DEFLATION_TOL:
         raise CrossCheckError(
             f"|B_t|^2 - |A_t|^2 and prod (1 - |alpha_j|^2) over the tail differ "
             f"by {gap:.1e} of |B_t|^2 + |A_t|^2")
-    notes = () if converged else (_cap_note(tol, max_points),)
+    log_integral = logw + logwt + neg_mean
     log_pole_product = -2.0 * sum(math.log(abs(p)) for p in poles)
     rhs = sign * math.exp(log_integral + log_pole_product)
     lhs = omega(seq, L - 1)  # prod over the stored list; implicit factors are 1
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     return SzegoReport(lhs=lhs, poles=tuple(poles), epsilon=sign,
                        log_integral=log_integral, rhs=rhs, rel_error=rel,
-                       quad_points=pts, warnings=notes, subtracted=tuple(near))
+                       quad_points=pts, subtracted=tuple(near))
 
 
 def boyd_integral(seq: VerblunskySequence, N: int) -> float:
@@ -492,12 +489,12 @@ def log_split_check(seq: VerblunskySequence, n: int) -> float:
         exp( (1/2pi) int log|Phi_n* - z Phi_n f_n|^2 ) = prod |lambda_j|^{-2}
     within 100 times the default quadrature tolerance.  As in
     ``szego_verify``, the third piece is log|D|^2 - log|B_t|^2 with D = F's
-    denominator Phi_L*, by ``_denominator_mean`` with ``extra`` = log|B_t|^2
-    (its mean, negated), so the split is sampled twice: on the grid, then on
-    the final quadrature level's new angles.  One run of the recurrence gives
-    the split's Phi_n, Phi_n* and F's denominator Phi_L*.  Overflow is
-    refused as in ``szego_verify``; a quadrature that stops at its point cap
-    warns QuadratureWarning.
+    denominator Phi_L*: the mean of log|D|^2 comes from
+    ``_denominator_mean``, which samples the split a second time, and the
+    mean of log|B_t|^2 from ``circle_quadrature`` at its default tolerance
+    and point cap; stopping at the cap warns QuadratureWarning.  One run of
+    the recurrence gives the split's Phi_n, Phi_n* and F's denominator
+    Phi_L*.  Overflow is refused as in ``szego_verify``.
     """
     thetas = 2.0 * np.pi * np.arange(512) / 512
     tail, L = tail_schur(seq, n), len(seq)  # the tail validates n first
@@ -511,10 +508,11 @@ def log_split_check(seq: VerblunskySequence, n: int) -> float:
     pointwise = float(np.max(np.abs(direct - split)) / max(1.0, float(np.max(np.abs(direct)))))
 
     poles, den_roots = _poles(F.den, seq)
-    mean, _, converged, *_ = _denominator_mean(
-        at_n, logw, F.den, den_roots, lambda zs: np.log(np.abs(at_n.tail.den(zs)) ** 2))
+    neg_mean_d = _denominator_mean(at_n, logw, F.den, den_roots)[0]
+    mean_b, _, converged = circle_quadrature(
+        lambda t: np.log(np.abs(tail.den(np.exp(1j * t))) ** 2))
     _warn_at_cap(converged)
-    integral = -mean
+    integral = -neg_mean_d - mean_b
     target = math.exp(-2.0 * sum(math.log(abs(p)) for p in poles))
     diff = abs(math.exp(integral) - target)
     if diff > 100.0 * DEFAULT_QUAD_TOL * max(1.0, target):

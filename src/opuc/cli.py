@@ -15,7 +15,6 @@ import argparse
 import cmath
 import functools
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,9 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    DEFAULT_QUAD_MAX_POINTS,
-    DEFAULT_QUAD_TOL,
-    QUAD_MIN_POINTS,
     AmbiguousRootError,
     MomentReport,
     QuadratureError,
@@ -62,8 +58,6 @@ class CaseError(ValueError):
 @dataclass(frozen=True)
 class CaseFile:
     seq: VerblunskySequence
-    quad_tol: float
-    quad_max_points: int
     label: str
 
 
@@ -94,23 +88,10 @@ def load_case(path: Path) -> CaseFile:
     if not isinstance(raw, dict) or not isinstance(raw.get("alphas"), list):
         raise CaseError(f"{path}: case file must be an object with an 'alphas' list")
     alphas = [_complex_from_obj(a, f"alphas[{j}]") for j, a in enumerate(raw["alphas"])]
-    quad = raw.get("quad", {})
-    if not isinstance(quad, dict):
-        raise CaseError(f"{path}: 'quad' must be an object")
     try:
         guard = _number(raw.get("guard_unit", DEFAULT_GUARD_UNIT))
-        tol = _number(quad.get("tol", DEFAULT_QUAD_TOL))
-        points = quad.get("max_points", DEFAULT_QUAD_MAX_POINTS)
-        max_points = int(points)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise CaseError(f"{path}: 'guard_unit' and 'quad' entries must be numbers: {exc}") from exc
-    if not 0 < tol < math.inf:
-        raise CaseError(f"{path}: 'quad' tol must be positive and finite, got {tol!r}")
-    if isinstance(points, bool) or max_points != points or max_points < 1:
-        raise CaseError(f"{path}: 'quad' max_points must be a positive integer, got {points!r}")
-    if max_points < QUAD_MIN_POINTS:  # the first quadrature level has this many
-        raise CaseError(f"{path}: 'quad' max_points must be at least {QUAD_MIN_POINTS}, "
-                        f"got {max_points}")
+    except (TypeError, OverflowError) as exc:
+        raise CaseError(f"{path}: 'guard_unit' entries must be numbers: {exc}") from exc
     label = str(raw.get("label", Path(path).stem))
     try:
         seq = VerblunskySequence(alphas, guard)
@@ -118,7 +99,7 @@ def load_case(path: Path) -> CaseFile:
         raise CaseError(f"{path}: index {exc.index} on unit circle") from exc
     except ValueError as exc:
         raise CaseError(f"{path}: {exc}") from exc
-    return CaseFile(seq=seq, quad_tol=tol, quad_max_points=max_points, label=label)
+    return CaseFile(seq=seq, label=label)
 
 
 def _cx(z: complex) -> dict:
@@ -134,7 +115,6 @@ def report_to_dict(report: SzegoReport) -> dict:
         "rel_error": report.rel_error,
         "quad_points": report.quad_points,
         "poles": [_cx(p) for p in report.poles],
-        "warnings": list(report.warnings),
         "subtracted": [_cx(r) for r in report.subtracted],
     }
 
@@ -164,21 +144,16 @@ def _parse_complex_list(text: str, flag: str) -> list[complex]:
     return out
 
 
-def _require_positive(*flags: tuple[str, float | None]) -> None:
-    """Refuse an option value that is given and not positive, NaN included."""
-    for flag, value in flags:
-        if value is not None and not value > 0:
-            raise ValueError(f"{flag} must be positive, got {value!r}")
+def _require_positive(flag: str, value: float) -> None:
+    """Refuse an option value that is not positive, NaN included."""
+    if not value > 0:
+        raise ValueError(f"{flag} must be positive, got {value!r}")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # a --quad-tol or --max-points of 0 would fall back to the case's value
-    _require_positive(("--tol", args.tol), ("--quad-tol", args.quad_tol))
-    if args.max_points is not None and args.max_points < QUAD_MIN_POINTS:
-        raise ValueError(f"--max-points must be at least {QUAD_MIN_POINTS}, got {args.max_points}")
+    _require_positive("--tol", args.tol)
     case = load_case(args.input)
-    report = szego_verify(case.seq, tol=args.quad_tol or case.quad_tol,
-                          max_points=args.max_points or case.quad_max_points)
+    report = szego_verify(case.seq)
     payload = {"label": case.label, **report_to_dict(report)}
     _emit(payload)
     return 0 if report.rel_error < args.tol else 1
@@ -275,8 +250,7 @@ def _run_batch_case(path: Path, tol: float) -> dict:
     try:
         case = load_case(path)
         entry["label"] = case.label
-        report = szego_verify(case.seq, tol=case.quad_tol,
-                              max_points=case.quad_max_points)
+        report = szego_verify(case.seq)
         entry["report"] = json.dumps(report_to_dict(report), indent=2, allow_nan=False)
         entry["rel_error"] = report.rel_error
         entry["status"] = "pass" if report.rel_error < tol else "fail"
@@ -288,7 +262,7 @@ def _run_batch_case(path: Path, tol: float) -> dict:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
-    _require_positive(("--tol", args.tol))
+    _require_positive("--tol", args.tol)
     case_dir = Path(args.dir)
     if not case_dir.is_dir():
         print(f"error: {case_dir} is not a directory", file=sys.stderr)
@@ -333,10 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--input", type=Path, required=True, help="case JSON file")
     verify.add_argument("--tol", type=float, default=DEFAULT_VERIFY_TOL,
                         help="pass threshold on the relative error")
-    verify.add_argument("--quad-tol", type=float, default=None,
-                        help="override the case quadrature tolerance")
-    verify.add_argument("--max-points", type=int, default=None,
-                        help="override the case quadrature point cap")
     verify.set_defaults(func=cmd_verify)
 
     grid = sub.add_parser("grid", help="Dump Re F on a circle grid as CSV")

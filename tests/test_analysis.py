@@ -1,5 +1,5 @@
 import math
-import threading
+import re
 import warnings
 
 import mpmath
@@ -134,57 +134,30 @@ def test_quadrature_nests_in_the_shifted_grid():
 def test_quadrature_refuses_a_cap_below_its_first_level():
     # the first level has 64 points: a cap of 63 was exceeded and reported
     # as the cap in the note; a cap of 64 answers on that first level
-    for run in (lambda cap: circle_quadrature(np.cos, max_points=cap),
-                lambda cap: szego_verify(VerblunskySequence([2.0, 0.5]), max_points=cap)):
-        with pytest.raises(ValueError, match="max_points must be at least 64, got 63"):
-            run(63)
+    with pytest.raises(ValueError, match="max_points must be at least 64, got 63"):
+        circle_quadrature(np.cos, max_points=63)
     value, pts, converged = circle_quadrature(np.cos, max_points=64)
     assert pts == 64 and abs(value) < 1e-15 and not converged
-    rep = szego_verify(VerblunskySequence([2.0, 0.5]), max_points=64)
-    assert rep.quad_points == 64
-    assert rep.warnings == ("quadrature did not converge to 1.0e-11 within 64 points",)
 
 
-def test_verify_keeps_each_cap_note_in_its_own_report_across_threads(monkeypatch):
-    # thread A waits inside its quadrature until B is inside its own, and B
-    # waits until A has returned: each report carries its own note, and no
-    # note reaches the process-wide warnings machinery or displaces it
-    real = opuc.analysis.circle_quadrature
-    a_inside, b_inside, a_done = (threading.Event() for _ in range(3))
+@pytest.mark.parametrize("roots, points", [
+    ([], 64), ([0.5], 64), ([0.9], 512), ([1.1], 512), ([1 / 1.1], 512),
+    ([1 / 1.1] * 10 ** 4, 512),
+], ids=["none", "0.5", "0.9", "1.1", "1/1.1", "10^4 at 1/1.1"])
+def test_trapezoid_points_come_from_the_roots(roots, points):
+    # every root left in Q lies at least NEAR_ROOT_BAND = 0.1 off the circle,
+    # so no case needs more than 512 points
+    assert opuc.analysis._trapezoid_points(roots) == points
 
-    def interleaved(g, tol, max_points):
-        if threading.current_thread().name == "A":
-            a_inside.set()
-            b_inside.wait(10)
-            try:
-                return real(g, tol, max_points)
-            finally:
-                a_done.set()
-        b_inside.set()
-        a_done.wait(10)
-        return real(g, tol, max_points)
 
-    monkeypatch.setattr(opuc.analysis, "circle_quadrature", interleaved)
-    seq = VerblunskySequence([2.0, 0.5j, -0.3, 0.2])
-    reports = {}
-
-    def run():
-        reports[threading.current_thread().name] = szego_verify(seq, max_points=64)
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        a = threading.Thread(target=run, name="A")
-        a.start()
-        assert a_inside.wait(10)
-        b = threading.Thread(target=run, name="B")
-        b.start()
-        for thread in (a, b):
-            thread.join(10)
-            assert not thread.is_alive()
-        warnings.warn("probe", UserWarning)
-    note = ("quadrature did not converge to 1.0e-11 within 64 points",)
-    assert reports["A"].warnings == note and reports["B"].warnings == note
-    assert [str(w.message) for w in caught] == ["probe"]
+@pytest.mark.parametrize("m", [64, 128])
+def test_trapezoid_error_of_a_log_root_term_is_exact(m):
+    # over the m-th roots of unity prod (r - z) = r^m - 1: the m-point mean
+    # of log|z - r|^2 is (2/m) log|1 - r^m| for r inside the disk, whose
+    # exact mean is 0; the sizing rule rests on this identity
+    r = 0.5 + 0.3j
+    zs = np.exp(2j * np.pi * np.arange(m) / m)
+    assert abs(np.mean(np.log(np.abs(zs - r) ** 2)) - 2 / m * math.log(abs(1 - r ** m))) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +288,7 @@ def test_rhs_empty():
 
 
 def test_verify_two_coefficients():
-    rep = szego_verify(VerblunskySequence([2, 0.5]), tol=1e-10)
+    rep = szego_verify(VerblunskySequence([2, 0.5]))
     assert rep.lhs == -2.25
     assert rep.rel_error < 1e-8
 
@@ -331,7 +304,7 @@ def test_verify_keeps_tail_polynomials_exact():
 
 def test_verify_builds_tail_once(tail_builds):
     rep = szego_verify(VerblunskySequence([2.0, 0.95, -0.95j, 0.9]))
-    assert rep.quad_points >= 512  # several doubling levels
+    assert rep.quad_points == 512  # the most the sizing rule asks for
     assert tail_builds == [1]
 
 
@@ -430,12 +403,11 @@ def test_a_spurious_pole_exceeds_the_zero_count_rule(spurious_root, run):
 
 def test_verify_subtracts_a_root_next_to_the_circle():
     # L = 24 with a root of Phi_L* 7.2e-8 off the circle: unsubtracted, the
-    # trapezoid rule needs about 1/margin points and stops at the cap
+    # trapezoid rule needs about 1/margin points
     seq = draw_near_circle(np.random.default_rng(4), 24, 1e-8, 1e-6)
     rep = szego_verify(seq)
-    assert rep.warnings == ()
     assert rep.rel_error < 1e-8
-    assert rep.quad_points <= 16384
+    assert rep.quad_points <= 512
     near = [r for r in poly_roots(as_rational_F(seq).den) if abs(abs(r) - 1.0) < NEAR_ROOT_BAND]
     assert rep.subtracted == tuple(near)
     assert min(abs(abs(r) - 1.0) for r in rep.subtracted) < 1e-6
@@ -518,9 +490,8 @@ def test_verify_takes_the_tail_term_without_cancellation():
     # carried enough rounding noise to need 16384 points for a 1.4e-9 answer
     seq = VerblunskySequence([3.0, 0.2j] + [0.9 * np.exp(0.7j * k * k) for k in range(9)])
     rep = szego_verify(seq)
-    assert rep.warnings == ()
     assert rep.subtracted
-    assert rep.quad_points <= 512
+    assert rep.quad_points == 64
     assert rep.rel_error < 1e-13
 
 
@@ -537,15 +508,15 @@ def test_verify_refuses_a_tail_off_its_wall_identity(monkeypatch):
             szego_verify(VerblunskySequence(alphas))
 
 
-@pytest.mark.parametrize("alphas, points", [([2.0, 0.5], 256), ([2.0, 0.5j, -0.3, 0.2], 128)])
-def test_verify_samples_the_split_once_on_the_final_midpoints(split_samples, alphas, points):
-    # the quadrature's last call is on the final level's new midpoints, half its grid
+@pytest.mark.parametrize("alphas, points", [([2.0, 0.5], 128), ([2.0, 0.5j, -0.3, 0.2], 128)])
+def test_verify_samples_the_split_once_on_its_quadrature_angles(split_samples, alphas, points):
+    # one trapezoid level, sized from the roots of Phi_L*, and the split on its angles
     rep = szego_verify(VerblunskySequence(alphas))
     assert rep.quad_points == points
-    assert split_samples == [points // 2]
+    assert split_samples == [rep.quad_points]
 
 
-def test_log_split_samples_the_split_on_its_grid_then_the_final_level(split_samples):
+def test_log_split_samples_the_split_on_its_grid_then_its_quadrature_angles(split_samples):
     assert log_split_check(VerblunskySequence([2.0, 0.5]), 2) < 1e-9
     assert split_samples == [512, 128]
 
@@ -807,6 +778,18 @@ def test_log_split_subtracts_near_circle_roots():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert log_split_check(seq, seq.N) < 1e-7
+
+
+def test_log_split_subtracts_the_mean_of_log_B_t(monkeypatch):
+    # the third piece is mean log|D|^2 - mean log|B_t|^2; the second mean is 0
+    # on every tail (B_t(0) = 1, no zero in the closed disk), so only a
+    # shifted value shows its sign: exp of the piece moves by exp(-0.5)
+    monkeypatch.setattr(opuc.analysis, "circle_quadrature", lambda g: (0.5, 64, True))
+    with pytest.raises(CrossCheckError) as refusal:
+        log_split_check(VerblunskySequence([2.0, 0.5]), 2)
+    third = float(re.search(r"third integral (\S+) disagrees", str(refusal.value)).group(1))
+    pole_product = 1 / (math.sqrt(3) - 1) ** 2
+    assert abs(third - pole_product * math.exp(-0.5)) < 1e-12
 
 
 def test_log_split_refuses_a_quotient_that_misses_the_denominator(monkeypatch):

@@ -25,7 +25,7 @@ API = {
     "RootFindingError": ("message", "residuals"),
     "SchurStep": ("alpha", "next_fn"),
     "SzegoReport": ("lhs", "poles", "epsilon", "log_integral", "rhs", "rel_error",
-                    "quad_points", "warnings", "subtracted"),
+                    "quad_points", "subtracted"),
     "TraceRow": ("k", "predicted", "actual", "predicted_star", "actual_star"),
     "VerblunskySequence": ("alphas", "guard_unit"),
     "WallPair": ("A", "B", "n"),
@@ -47,7 +47,7 @@ API = {
     "series_div": ("num", "den", "order"),
     "split_by_circle": ("values",),
     "szego_polys": ("seq", "n"),
-    "szego_verify": ("seq", "tol", "max_points"),
+    "szego_verify": ("seq",),
     "tail_schur": ("seq", "N"),
     "verify_identities": ("seq", "n", "grid"),
     "wall_polys": ("seq", "n"),

@@ -169,18 +169,22 @@ def test_verify_nan_coefficient_rejected(tmp_path, capsys):
     assert "not finite" in err
 
 
-def test_verify_quad_not_an_object(tmp_path, capsys):
-    case = write_case(tmp_path / "quad.json", [2.0], quad=5)
-    assert main(["verify", "--input", str(case)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "'quad' must be an object" in err
-
-
-def test_verify_max_points_not_a_number(tmp_path, capsys):
-    case = write_case(tmp_path / "points.json", [2.0], quad={"max_points": "lots"})
-    assert main(["verify", "--input", str(case)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "must be numbers" in err
+@pytest.mark.parametrize("quad", [
+    5, {"max_points": "lots"}, {"tol": 1e-3, "max_points": 64},
+    {"tol": float("nan")}, {"tol": float("inf")}, {"tol": "1e-3"}, {"tol": True},
+    {"max_points": 0}, {"max_points": 1}, {"max_points": 63}, {"max_points": 2.5},
+    {"max_points": True},
+])
+def test_verify_ignores_a_quad_setting(tmp_path, capsys, quad):
+    # the quadrature is sized from the roots, so a case file's old "quad"
+    # object, however malformed, is ignored like any other unread key
+    alphas = [2.0, 0.95, -0.95j, 0.9]
+    outputs = []
+    for extra in ({}, {"quad": quad}):
+        case = write_case(tmp_path / "case.json", alphas, **extra)
+        assert main(["verify", "--input", str(case)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[1] == outputs[0]
 
 
 def test_report_roundtrip():
@@ -193,8 +197,7 @@ def test_report_roundtrip():
         report = szego_verify(VerblunskySequence(alphas))
         data = json.loads(json.dumps(report_to_dict(report)))
         again = SzegoReport(**{**data, "poles": points(data["poles"]),
-                               "subtracted": points(data["subtracted"]),
-                               "warnings": tuple(data["warnings"])})
+                               "subtracted": points(data["subtracted"])})
         assert again == report
 
 
@@ -431,10 +434,6 @@ def test_help_still_exits_zero(capsys):
     ["polys", "--n", "-1"],
     ["moments", "--order", "0"],
     ["moments", "--m", "-1"],
-    ["verify", "--quad-tol", "nan"],   # would run to the point cap
-    ["verify", "--quad-tol", "0"],     # would fall back to the case's tolerance
-    ["verify", "--max-points", "0"],
-    ["verify", "--max-points", "63"],  # the first quadrature level has 64 points
     ["verify", "--tol", "nan"],        # printed a report and exited 1
     ["verify", "--tol", "0"],
     ["verify", "--tol", "-1"],
@@ -516,10 +515,10 @@ def test_batch_writes_strict_json(tmp_path, capsys, monkeypatch):
     import opuc.cli
     from opuc.analysis import SzegoReport
 
-    def nan_report(seq, **kwargs):
+    def nan_report(seq):
         nan = float("nan")
         return SzegoReport(lhs=1.0, poles=(), epsilon=1, log_integral=nan, rhs=nan,
-                           rel_error=nan, quad_points=64, warnings=())
+                           rel_error=nan, quad_points=64)
 
     monkeypatch.setattr(opuc.cli, "szego_verify", nan_report)
     cases = tmp_path / "cases"
@@ -564,7 +563,7 @@ def test_cli_answers_or_refuses_on_any_valid_case(alphas):
     with tempfile.TemporaryDirectory() as tmp:
         case = str(write_case(Path(tmp) / "case.json", alphas))
         for argv in (["poles"], ["trace"], ["moments"], ["polys", "--n", str(len(alphas))],
-                     ["verify", "--max-points", "4096"]):
+                     ["verify"]):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                     warnings.catch_warnings(record=True) as caught:
@@ -627,11 +626,7 @@ _case_payloads = st.one_of(
     _json_values.map(json.dumps),
     st.fixed_dictionaries(
         {"alphas": st.one_of(st.lists(_alpha_entries, max_size=4), _json_values)},
-        optional={"quad": st.one_of(
-                      st.fixed_dictionaries({}, optional={"tol": _numbers, "max_points": _numbers}),
-                      _json_values),
-                  "guard_unit": _numbers,
-                  "label": _json_values}).map(json.dumps),
+        optional={"guard_unit": _numbers, "label": _json_values}).map(json.dumps),
 )
 
 
@@ -650,7 +645,7 @@ def test_cli_answers_or_refuses_on_any_case_file(payload):
         except CaseError:
             valid = False
         for argv in (["poles"], ["trace"], ["moments"], ["polys", "--n", "2"],
-                     ["verify", "--max-points", "4096"], ["grid", "--points", "16"]):
+                     ["verify"], ["grid", "--points", "16"]):
             code, out, err, caught = _run_cli([argv[0], "--input", str(case), *argv[1:]])
             assert code in ((0, 1, 2) if valid else (1,)), argv
             assert err.count("\n") <= 1 and caught == [], argv
@@ -718,7 +713,7 @@ def test_batch_answers_on_any_arguments_and_writes_its_summary(cases, tol, out, 
             case_dir.mkdir()
             for j, case in enumerate(cases):
                 if isinstance(case, list):
-                    write_case(case_dir / f"{j}.json", case, quad={"max_points": 4096})
+                    write_case(case_dir / f"{j}.json", case)
                 else:
                     (case_dir / f"{j}.json").write_text(case)
         out_dir = _output_path(Path(tmp), out, "results")
@@ -738,19 +733,6 @@ def test_batch_answers_on_any_arguments_and_writes_its_summary(cases, tol, out, 
 @pytest.mark.parametrize("payload, message", [
     ('{"alphas": [{"re": 1%s, "im": 0}]}' % ("0" * 400,), "alphas[0]: expected an object"),
     ('{"alphas": [{"re": 1.0, "im": 0}], "guard_unit": NaN}', "guard_unit must be positive"),
-    ('{"alphas": [{"re": 0.5, "im": 0}], "quad": {"tol": NaN}}', "'quad' tol must be positive"),
-    ('{"alphas": [{"re": 0.5, "im": 0}], "quad": {"tol": Infinity}}',
-     "'quad' tol must be positive and finite"),
-    ('{"alphas": [{"re": 0.5, "im": 0}], "quad": {"max_points": 0}}',
-     "'quad' max_points must be a positive integer"),
-    ('{"alphas": [{"re": 0.5, "im": 0}], "quad": {"max_points": true}}',
-     "'quad' max_points must be a positive integer"),
-    ('{"alphas": [{"re": 0.5, "im": 0}], "quad": {"max_points": 2.5}}',
-     "'quad' max_points must be a positive integer"),
-    ('{"alphas": [{"re": 2.0, "im": 0}, {"re": 0.5, "im": 0}], "quad": {"max_points": 1}}',
-     "'quad' max_points must be at least 64, got 1"),
-    ('{"alphas": [{"re": 0.5, "im": 0}], "quad": {"max_points": 63}}',
-     "'quad' max_points must be at least 64, got 63"),
     ("[" * 100000 + "]" * 100000, "JSON nested too deeply"),
     ('{"alphas": [{"re": "2.0", "im": 0}]}', "alphas[0]: expected an object with numbers"),
     ('{"alphas": [{"re": 2.0, "im": "0"}]}', "alphas[0]: expected an object with numbers"),
@@ -759,16 +741,11 @@ def test_batch_answers_on_any_arguments_and_writes_its_summary(cases, tol, out, 
     ('{"alphas": [{"re": 0.5, "im": false}]}', "alphas[0]: expected an object with numbers"),
     ('{"alphas": [{"re": 0.5, "im": 0}], "guard_unit": "1e-8"}', "entries must be numbers"),
     ('{"alphas": [{"re": 0.5, "im": 0}], "guard_unit": true}', "entries must be numbers"),
-    ('{"alphas": [{"re": 0.5, "im": 0}], "quad": {"tol": "1e-3"}}', "entries must be numbers"),
-    ('{"alphas": [{"re": 0.5, "im": 0}], "quad": {"tol": true}}', "entries must be numbers"),
 ])
 def test_malformed_case_file_is_one_error_line(tmp_path, capsys, payload, message):
     # an integer beyond float64, a NaN guard (which would admit |alpha| = 1),
-    # a NaN or infinite quadrature tolerance (the latter stopped after 128
-    # points), a point cap that is no positive integer (0 stopped after one
-    # level) or below the first level's 64 points (1 answered on 64 and
-    # warned of a cap of 1), nesting beyond the recursion limit, and strings
-    # or booleans where a number belongs
+    # nesting beyond the recursion limit, and strings or booleans where a
+    # number belongs
     case = tmp_path / "case.json"
     case.write_text(payload)
     assert main(["poles", "--input", str(case)]) == 1
