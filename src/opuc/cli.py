@@ -1,12 +1,13 @@
 """Command-line harness: case-file ingestion, verification, JSON reports,
 and CSV grid dumps.
 
-Exit codes for ``verify``: 0 pass, 1 parse/validation failure (a malformed
-argument or an output path that cannot be written included), 2 the
-verification refused (roots in the circle guard band, roots that could not
-be resolved, a failed internal cross-check, a non-finite integrand, a sample
-at a pole or a float64 overflow).  Every failure is one line on stderr.
-JSON is strict.
+Exit codes for ``verify``: 0 pass, 1 a report whose relative error misses
+``--tol`` (the report goes to stdout, nothing to stderr) or a
+parse/validation failure (a malformed argument or an output path that
+cannot be written included), 2 the verification refused (roots in the
+circle guard band, roots that could not be resolved, a failed internal
+cross-check, a non-finite integrand, a sample at a pole or a float64
+overflow).  Every error and refusal is one line on stderr.  JSON is strict.
 """
 
 from __future__ import annotations

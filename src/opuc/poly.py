@@ -159,6 +159,15 @@ def _horner(c: Sequence[complex], z: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _powers(z: np.ndarray, n: int) -> np.ndarray:
+    """The matrix V[i, k] = z_i**k, k = 0..n, by one running product per row:
+    p(z) = V c, and sum_k |c_k| |z|**k = |V| |c|."""
+    v = np.empty((len(z), n + 1), dtype=complex)
+    v[:, 0] = 1.0
+    v[:, 1:] = z[:, None]
+    return v.cumprod(axis=1, out=v)
+
+
 def _scaled_residuals(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     """|p(z)| / sum_k |c_k| |z|**k; where that sum overflows (|z| > 1), the
     same ratio from the reversed coefficients at 1/z."""
@@ -225,7 +234,10 @@ def roots(p: ComplexPoly) -> list[complex]:
     ``|p(r)| <= DEFAULT_ROOT_TOL * sum_k |c_k| |r|**k``: the companion-matrix
     roots, each after one Newton step, if all of them do, else Aberth
     iteration from the Newton-polygon circles; if that misses too,
-    RootFindingError carries the companion residuals.
+    RootFindingError carries the companion residuals.  The step and the
+    companion residuals come from one matrix of powers (``_powers``), the
+    scale in real arithmetic; a root whose scale is not finite is checked
+    through the reversed coefficients at 1/r.
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has no well-defined root set")
@@ -260,10 +272,20 @@ def roots(p: ComplexPoly) -> list[complex]:
             overflow = True
         # a Newton step shorter than a tenth of the gap to the nearest root:
         # none merge; a non-finite step is not taken
-        step = _horner(c, cand) / _horner(c[1:] * np.arange(1, n + 1), cand)
-        gap = np.abs(cand[:, None] - cand[None, :]) + np.diag(np.full(n, np.inf))
+        v = _powers(cand, n)
+        step = (v @ c) / (v[:, :n] @ (c[1:] * np.arange(1, n + 1)))
+        gap = np.abs(cand[:, None] - cand[None, :])
+        np.fill_diagonal(gap, np.inf)
         cand = np.where(np.abs(step) < 0.1 * gap.min(axis=1), cand - step, cand)
-        resid = _scaled_residuals(c, cand)
+        v = _powers(cand, n)
+        # the scale in real arithmetic; where it is not finite (the powers
+        # overflow, or inf * 0 at a zero coefficient) the root is checked
+        # through the reversed coefficients at 1/r; a NaN root keeps its NaN
+        scale = np.abs(v) @ np.abs(c)
+        resid = np.abs(v @ c) / np.maximum(scale, 1e-300)
+        over = ~np.isfinite(scale) & np.isfinite(cand)
+        if over.any():
+            resid[over] = _scaled_residuals(c[::-1], 1.0 / cand[over])
         if not resid.max() <= DEFAULT_ROOT_TOL:  # a NaN residual is a miss
             cand = _aberth(c, _newton_polygon_start(c))
             if cand is None:
@@ -274,7 +296,7 @@ def roots(p: ComplexPoly) -> list[complex]:
                     f"root residuals up to {worst:.3e} exceed tolerance {DEFAULT_ROOT_TOL:.1e}",
                     residuals=resid.tolist(),
                 )
-    found.extend(complex(r) for r in cand)
+    found.extend(cand.tolist())
     return found
 
 

@@ -122,6 +122,22 @@ def aberth_runs(monkeypatch):
 
 
 @pytest.fixture
+def horner_calls(monkeypatch):
+    """Record the degree of the polynomial in each array Horner evaluation."""
+    import opuc.poly
+
+    calls: list[int] = []
+    horner = opuc.poly._horner
+
+    def counted(c, z):
+        calls.append(len(c) - 1)
+        return horner(c, z)
+
+    patch_everywhere(monkeypatch, horner, counted)
+    return calls
+
+
+@pytest.fixture
 def szego_runs(monkeypatch):
     """Record, for each run of the Szego recurrence, the number of steps
     it took (the pairs it yielded, less the initial one)."""

@@ -32,6 +32,7 @@ from opuc.poly import (
     RootFindingError,
     _horner,
     _newton_polygon_start,
+    _powers,
     roots as poly_roots,
     split_by_circle,
 )
@@ -229,10 +230,12 @@ def draw_wide(rng: np.random.Generator) -> VerblunskySequence:
 
 
 # ---------------------------------------------------------------------------
-# reference root-finding: np.roots for the companion eigenvalues and the
-# residual scale sum_k |c_k| |z|**k by Horner in complex arithmetic (the
-# library builds the same companion matrix itself and takes the scale in real
-# arithmetic; wherever this route accepts, the two agree bit for bit)
+# reference root-finding: np.roots for the companion eigenvalues, the
+# library's Newton step from the power matrix, and the residual by Horner with
+# the scale sum_k |c_k| |z|**k in complex arithmetic (the library builds the
+# same companion matrix itself and takes the residual from the power matrix,
+# the scale in real arithmetic; wherever this route accepts, the two agree bit
+# for bit)
 
 
 def reference_scaled_residuals(c: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -287,8 +290,10 @@ def reference_roots(p: ComplexPoly) -> list[complex]:
             cand = np.roots(c[::-1])
         except np.linalg.LinAlgError:
             cand = np.full(n, np.nan, dtype=complex)
-        step = _horner(c, cand) / _horner(c[1:] * np.arange(1, n + 1), cand)
-        gap = np.abs(cand[:, None] - cand[None, :]) + np.diag(np.full(n, np.inf))
+        v = _powers(cand, n)
+        step = (v @ c) / (v[:, :n] @ (c[1:] * np.arange(1, n + 1)))
+        gap = np.abs(cand[:, None] - cand[None, :])
+        np.fill_diagonal(gap, np.inf)
         cand = np.where(np.abs(step) < 0.1 * gap.min(axis=1), cand - step, cand)
         if not reference_scaled_residuals(c, cand).max() <= DEFAULT_ROOT_TOL:
             cand = reference_aberth(c, _newton_polygon_start(c))

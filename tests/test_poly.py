@@ -16,7 +16,7 @@ from opuc.poly import (
     split_by_circle,
 )
 
-from helpers import random_nonclassical, reference_roots
+from helpers import draw_near_circle, random_nonclassical, reference_roots
 
 # ---------------------------------------------------------------------------
 # construction / evaluation
@@ -200,6 +200,20 @@ def test_roots_of_phi_L_star_match_50_digit_roots():
             assert min(abs(g - r) for g in got) <= 1e-13 * abs(r)
 
 
+@pytest.mark.parametrize("L, seed", [(48, 4), (64, 41)])
+def test_roots_of_near_circle_phi_L_star_match_60_digit_roots(L, seed):
+    # the near-circle sweep's longest Phi_L*, roots 1e-6..1e-2 off the circle;
+    # oracle: mpmath's roots of the same float64 coefficients at 60 digits
+    _, phistar = szego_polys(draw_near_circle(np.random.default_rng(seed), L, 1e-6, 1e-2), L)
+    got = roots(phistar)
+    with mpmath.workdps(60):
+        ref = mpmath.polyroots([mpmath.mpc(c.real, c.imag) for c in reversed(phistar.coeffs)],
+                               maxsteps=200, extraprec=60)
+    assert len(got) == len(ref) == L
+    for r in map(complex, ref):
+        assert min(abs(g - r) for g in got) <= 1e-12 * abs(r)
+
+
 def test_roots_resolves_clusters_of_very_different_sizes():
     # z^3 + z^2 + 1.37e-266 has roots near -1 and +-1.17e-133 i: the
     # companion matrix resolves the small pair only to absolute accuracy,
@@ -293,20 +307,45 @@ def test_roots_match_the_np_roots_reference_bit_for_bit():
     assert answered >= 1
 
 
-def test_roots_of_a_polynomial_whose_scale_overflows_at_a_huge_root():
-    # sum_k |c_k| |z|**k overflows at the root near r0; in complex arithmetic
-    # the overflow met an imaginary 0 as inf * 0 = NaN, the 1/z fallback never
-    # ran and the polynomial was refused ("root residuals up to inf")
-    r0 = -4e10 + 4.5e10j
-    rts = [r0] + [0.9 * complex(math.cos(t), math.sin(t))
-                  for t in 2 * math.pi * np.arange(35) / 35]
-    p = from_roots(rts)
-    with pytest.raises(RootFindingError):
-        reference_roots(p)
-    got = roots(p)
+HUGE_ROOT = -4e10 + 4.5e10j
+
+
+def _huge_root_poly() -> ComplexPoly:
+    """A root near HUGE_ROOT and 35 on the circle of radius 0.9: the sum
+    sum_k |c_k| |z|**k overflows at the huge root."""
+    return from_roots([HUGE_ROOT] + [0.9 * complex(math.cos(t), math.sin(t))
+                                     for t in 2 * math.pi * np.arange(35) / 35])
+
+
+def _assert_huge_root_resolved(p: ComplexPoly, got: list[complex]) -> None:
     assert len(got) == 36
     assert max(_mp_scaled_residual(p.coeffs, r) for r in got) <= 1e-11
-    assert min(abs(r - r0) for r in got) <= 1e-12 * abs(r0)
+    assert min(abs(r - HUGE_ROOT) for r in got) <= 1e-12 * abs(HUGE_ROOT)
+
+
+def test_roots_of_a_polynomial_whose_scale_overflows_at_a_huge_root():
+    # in complex arithmetic the overflow met an imaginary 0 as inf * 0 = NaN,
+    # the 1/z fallback never ran and the polynomial was refused ("root
+    # residuals up to inf")
+    p = _huge_root_poly()
+    with pytest.raises(RootFindingError):
+        reference_roots(p)
+    _assert_huge_root_resolved(p, roots(p))
+
+
+def test_companion_roots_make_no_horner_loop_unless_the_scale_overflows(horner_calls):
+    # the Newton step and the residual come from one matrix of powers, a fixed
+    # number of numpy calls at every degree; only a row whose scale overflows
+    # is checked by Horner, through the reversed coefficients at 1/r
+    rng = np.random.default_rng(3)
+    assert len(roots(ComplexPoly(rng.normal(size=41) + 1j * rng.normal(size=41)))) == 40
+    assert horner_calls == []
+    p = _huge_root_poly()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = roots(p)
+    assert horner_calls == [36]
+    _assert_huge_root_resolved(p, got)
 
 
 def test_pole_set_refuses_instead_of_miscounting_huge_roots():
