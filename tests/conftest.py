@@ -122,6 +122,38 @@ def aberth_runs(monkeypatch):
 
 
 @pytest.fixture
+def start_sweeps(monkeypatch):
+    """Record the degree of the polynomial in each sweep of roots' Aberth start."""
+    import opuc.poly
+
+    calls: list[int] = []
+    sweep = opuc.poly._aberth_sweep
+
+    def counted(cols, z):
+        calls.append(len(cols) - 1)
+        return sweep(cols, z)
+
+    patch_everywhere(monkeypatch, sweep, counted)
+    return calls
+
+
+@pytest.fixture
+def companion_eigvals(monkeypatch):
+    """Record the order of each companion matrix whose eigenvalues roots takes."""
+    import opuc.poly
+
+    calls: list[int] = []
+    eigvals = opuc.poly.np.linalg.eigvals
+
+    def counted(a):
+        calls.append(len(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(opuc.poly.np.linalg, "eigvals", counted)
+    return calls
+
+
+@pytest.fixture
 def horner_calls(monkeypatch):
     """Record the degree of the polynomial in each array Horner evaluation."""
     import opuc.poly

@@ -235,7 +235,10 @@ def draw_wide(rng: np.random.Generator) -> VerblunskySequence:
 # the scale sum_k |c_k| |z|**k in complex arithmetic (the library builds the
 # same companion matrix itself and takes the residual from the power matrix,
 # the scale in real arithmetic; wherever this route accepts, the two agree bit
-# for bit)
+# for bit).  On a miss, Aberth from the companion roots where its inclusion
+# discs are disjoint, then from the Newton-polygon circles.  From degree 40 on
+# the library tries its Aberth start first, which this route leaves out: there
+# it is the route the start hands over to
 
 
 def reference_scaled_residuals(c: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -268,6 +271,27 @@ def reference_aberth(c: np.ndarray, z: np.ndarray) -> np.ndarray | None:
     return None
 
 
+def reference_discs_disjoint(c: np.ndarray, z: np.ndarray) -> bool:
+    """Smith's inclusion discs, one root at a time: the radius
+    n (|p(z_i)| + 4 n eps sum_k |c_k||z_i|^k) / |c_n prod_{j != i} (z_i - z_j)|,
+    the numerator from the reversed coefficients at 1/z_i where |z_i| > 1,
+    and every pair of discs apart."""
+    n = len(z)
+    eps = np.finfo(float).eps
+    radii = []
+    for i, zi in enumerate(z):
+        cc, x, shift = (c, zi, 0.0) if abs(zi) <= 1 else (c[::-1], 1 / zi, n * math.log(abs(zi)))
+        val = abs(_horner(cc, np.array([x]))[0])
+        scale = sum(abs(ck) * abs(x) ** k for k, ck in enumerate(cc))
+        log_prod = sum(math.log(abs(zi - zj)) if zi != zj else -math.inf
+                       for j, zj in enumerate(z) if j != i)
+        log_r = (math.log(n * (val + 4 * n * eps * scale)) + shift
+                 - math.log(abs(c[-1])) - log_prod)
+        radii.append(math.exp(log_r) if log_r < 700 else math.inf)
+    return all(abs(z[i] - z[j]) > radii[i] + radii[j]
+               for i in range(n) for j in range(i + 1, n))
+
+
 def reference_roots(p: ComplexPoly) -> list[complex]:
     cs = list(p.coeffs)
     found: list[complex] = []
@@ -296,9 +320,14 @@ def reference_roots(p: ComplexPoly) -> list[complex]:
         np.fill_diagonal(gap, np.inf)
         cand = np.where(np.abs(step) < 0.1 * gap.min(axis=1), cand - step, cand)
         if not reference_scaled_residuals(c, cand).max() <= DEFAULT_ROOT_TOL:
-            cand = reference_aberth(c, _newton_polygon_start(c))
-            if cand is None:
+            restart = reference_aberth(c, cand) if np.isfinite(cand).all() else None
+            if restart is not None and not reference_discs_disjoint(c, restart):
+                restart = None
+            if restart is None:
+                restart = reference_aberth(c, _newton_polygon_start(c))
+            if restart is None:
                 raise RootFindingError("reference route refused")
+            cand = restart
     found.extend(complex(r) for r in cand)
     return found
 

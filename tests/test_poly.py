@@ -6,17 +6,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import opuc.poly
 from opuc import VerblunskySequence, pole_set, szego_polys
 from opuc.poly import (
     ComplexPoly,
     RootFindingError,
+    _newton_polygon_start,
     from_roots,
     roots,
     series_div,
     split_by_circle,
 )
 
-from helpers import draw_near_circle, random_nonclassical, reference_roots
+from helpers import (
+    draw_head,
+    draw_near_circle,
+    draw_tail,
+    random_nonclassical,
+    reference_discs_disjoint,
+    reference_roots,
+)
 
 # ---------------------------------------------------------------------------
 # construction / evaluation
@@ -180,8 +189,10 @@ def test_roots_keeps_a_multiple_root_with_its_multiplicity(aberth_runs):
 
 
 def test_roots_restarts_aberth_only_on_a_companion_miss(aberth_runs):
+    # first from the companion roots, whose discs overlap on this trap, then
+    # from the Newton-polygon circles
     roots(ComplexPoly([1.3748121654206392e-266, 0, 1, 1]))
-    assert aberth_runs == [3]
+    assert aberth_runs == [3, 3]
 
 
 def test_roots_of_phi_L_star_match_50_digit_roots():
@@ -201,17 +212,138 @@ def test_roots_of_phi_L_star_match_50_digit_roots():
 
 
 @pytest.mark.parametrize("L, seed", [(48, 4), (64, 41)])
-def test_roots_of_near_circle_phi_L_star_match_60_digit_roots(L, seed):
+def test_roots_of_near_circle_phi_L_star_match_60_digit_roots(L, seed, start_sweeps,
+                                                              companion_eigvals):
     # the near-circle sweep's longest Phi_L*, roots 1e-6..1e-2 off the circle;
-    # oracle: mpmath's roots of the same float64 coefficients at 60 digits
+    # oracle: mpmath's roots of the same float64 coefficients at 60 digits.
+    # The Aberth start certifies them without the companion matrix, within 25
+    # sweeps (7-19 on the benchmark's near-circle cases); a start that decays
+    # into its 50-sweep cap and the companion route would be slower than the
+    # companion route alone
     _, phistar = szego_polys(draw_near_circle(np.random.default_rng(seed), L, 1e-6, 1e-2), L)
+    start_sweeps.clear()  # the draw found roots too
+    companion_eigvals.clear()
     got = roots(phistar)
+    assert companion_eigvals == []
+    assert 1 <= len(start_sweeps) <= 25
     with mpmath.workdps(60):
         ref = mpmath.polyroots([mpmath.mpc(c.real, c.imag) for c in reversed(phistar.coeffs)],
                                maxsteps=200, extraprec=60)
     assert len(got) == len(ref) == L
     for r in map(complex, ref):
         assert min(abs(g - r) for g in got) <= 1e-12 * abs(r)
+
+
+def test_roots_take_the_aberth_start_from_degree_40(start_sweeps, companion_eigvals):
+    rng = np.random.default_rng(3)
+    for deg in (39, 40):
+        p = ComplexPoly(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
+        got = roots(p)
+        assert len(got) == deg
+        assert max(_mp_scaled_residual(p.coeffs, r) for r in got) <= 1e-11
+    assert companion_eigvals == [39]
+    assert set(start_sweeps) == {40}
+
+
+def _circle(m: int, radius: float) -> list[complex]:
+    return [radius * complex(math.cos(t), math.sin(t)) for t in 2 * math.pi * np.arange(m) / m]
+
+
+def _coincident_start(c):
+    z = _newton_polygon_start(c)
+    z[1] = z[0]
+    return z
+
+
+HAND_OVER_CASES = {
+    # two coincident start points: the first correction is not finite
+    "correction not finite": (lambda: from_roots(_circle(41, 0.9)), 1),
+    # a triple root: the corrections stall near 1e-8 and never meet the stop
+    # test
+    "sweep cap": (lambda: from_roots([0.5] * 3 + _circle(40, 0.9)), 50),
+    # a root near 1e9 sets the stop test's scale, so the sweeps stop before
+    # the roots on the circle meet the residual bound
+    "residual": (lambda: from_roots([6e8 + 8e8j] + _circle(41, 0.9)), None),
+    # a double root: every residual meets the bound, two discs overlap
+    "discs": (lambda: from_roots([0.5] * 2 + _circle(40, 0.9)), None),
+}
+
+
+@pytest.mark.parametrize("reason", list(HAND_OVER_CASES))
+def test_roots_hand_over_from_the_aberth_start_to_the_companion_route(
+        reason, monkeypatch, start_sweeps, companion_eigvals):
+    # each way the start can miss ends on the companion route, with the
+    # answer of the companion route alone, bit for bit
+    build, sweeps = HAND_OVER_CASES[reason]
+    p = build()
+    if reason == "correction not finite":
+        monkeypatch.setattr(opuc.poly, "_newton_polygon_start", _coincident_start)
+    discs: list[bool] = []
+    check = opuc.poly._discs_disjoint
+
+    def recorded(*args):
+        discs.append(check(*args))
+        return discs[-1]
+
+    monkeypatch.setattr(opuc.poly, "_discs_disjoint", recorded)
+    got = roots(p)
+    assert companion_eigvals == [p.degree]
+    if sweeps is not None:
+        assert len(start_sweeps) == sweeps
+    assert discs == ([False] if reason == "discs" else [])
+    monkeypatch.setattr(opuc.poly, "_START_MIN_DEGREE", math.inf)
+    assert np.array_equal(_bits(got), _bits(roots(p)))
+    if reason != "residual":  # the reference's complex scale overflows at 1e9
+        assert np.array_equal(_bits(got), _bits(reference_roots(p)))
+
+
+@pytest.mark.parametrize("L", [128, 256])
+def test_roots_of_long_phi_L_star(L, companion_eigvals):
+    # Phi_L* of a sweep draw (head L/4, classical tail), whose coefficients
+    # span about 1e-15..1 at L = 256: the powers of a root outside the disk
+    # overflowed the sweep until it took them at 1/z.  At L = 128 the start
+    # certifies its roots.  At L = 256 the float64 coefficients fix some
+    # roots only to about 1e-7 while roots lie 1e-4 apart, and Smith's radius
+    # is 4 n^2 eps sum_k |c_k||z|^k / |p'|, so the discs overlap and the
+    # companion route answers
+    rng = np.random.default_rng(7)
+    seq = VerblunskySequence(draw_head(rng, L // 4) + draw_tail(rng, L - L // 4))
+    _, phistar = szego_polys(seq, L)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = roots(phistar)
+    assert len(got) == L
+    assert max(_mp_scaled_residual(phistar.coeffs, r) for r in got) <= 1e-11
+    if L == 128:
+        assert companion_eigvals == []
+        c = np.asarray(phistar.coeffs) / np.abs(phistar.coeffs).max()
+        assert reference_discs_disjoint(c, np.asarray(got))
+
+
+def test_roots_answer_the_draws_the_companion_route_missed(aberth_runs):
+    # five draws of degree 26-39 whose companion roots miss the bound and
+    # whose Newton-polygon restart does not converge; Aberth from the
+    # companion roots does, with disjoint discs.  Oracle: mpmath's roots of
+    # the same coefficients at 50 digits
+    rng = np.random.default_rng(0)
+    draws = {}
+    for i in range(2652):
+        deg = int(rng.integers(2, 40))
+        cs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+        if rng.random() < 1 / 3:
+            cs = cs * 10.0 ** rng.uniform(-8.0, 8.0, deg + 1)
+        if i in (715, 1390, 1545, 1974, 2651):
+            draws[i] = cs
+    for cs in draws.values():
+        got = roots(ComplexPoly(cs))
+        assert len(got) == len(cs) - 1
+        assert max(_mp_scaled_residual(cs, r) for r in got) <= 1e-11
+        with mpmath.workdps(50):
+            ref = mpmath.polyroots([mpmath.mpc(c.real, c.imag) for c in reversed(cs)],
+                                   maxsteps=400, extraprec=200)
+        for r in map(complex, ref):
+            assert min(abs(g - r) for g in got) <= 1e-12 * abs(r)
+    assert aberth_runs == [len(cs) - 1 for cs in draws.values()]
 
 
 def test_roots_resolves_clusters_of_very_different_sizes():
