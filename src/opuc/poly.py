@@ -21,10 +21,11 @@ _ABERTH_MAX_SWEEPS = 200
 # from this degree on, roots starts with Aberth sweeps, O(n^2) each, from the
 # Newton-polygon circles rather than the companion matrix's O(n^3)
 # eigenvalues: on the near-circle sweep's Phi_L* (median time per call, one
-# thread) they tie at degree 32 (0.87 vs 0.82 ms) and the sweeps are 1.3x
-# faster at 48 and 1.7x at 64
+# thread) they tie at degree 32 (0.64 vs 0.63 ms) and the sweeps are 1.6x
+# faster at 48 and 2.0x at 64
 _START_MIN_DEGREE = 40
 _START_MAX_SWEEPS = 50
+_EPS = np.finfo(float).eps
 
 
 class RootFindingError(RuntimeError):
@@ -199,18 +200,23 @@ def _newton_polygon_start(c: np.ndarray) -> np.ndarray:
     (k, log|c_k|), x1 - x0 points on the circle of radius
     (|c_x0|/|c_x1|)^(1/(x1 - x0)): clusters of roots of very different
     sizes each start at their own scale (Bini, Numer. Algorithms 13, 1996)."""
-    hull: list[tuple[int, float]] = []
-    for x, y in ((k, np.log(abs(ck))) for k, ck in enumerate(c) if ck != 0):
-        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
-                                 >= (hull[-1][1] - hull[-2][1]) * (x - hull[-2][0])):
-            hull.pop()
-        hull.append((x, y))
+    xs: list[int] = []
+    ys: list[float] = []
+    for x, ck in enumerate(c.tolist()):
+        if ck:
+            y = math.log(abs(ck))
+            while len(xs) > 1 and ((xs[-1] - xs[-2]) * (y - ys[-2])
+                                   >= (ys[-1] - ys[-2]) * (x - xs[-2])):
+                xs.pop()
+                ys.pop()
+            xs.append(x)
+            ys.append(y)
     n = len(c) - 1
-    x, y = np.array(hull).T
-    width = np.diff(x).astype(int)
+    x, y = np.array(xs), np.array(ys)
+    width = x[1:] - x[:-1]
     x0 = np.repeat(x[:-1], width)
-    j = np.arange(len(x0)) - (x0 - x[0]).astype(int)  # the point's index on its edge
-    return np.exp(np.repeat(-np.diff(y) / width, width)
+    j = np.arange(len(x0)) - (x0 - x[0])  # the point's index on its edge
+    return np.exp(np.repeat((y[:-1] - y[1:]) / width, width)
                   + 1j * (2.0 * np.pi * (j / np.repeat(width, width) + x0 / n) + 0.39))
 
 
@@ -236,39 +242,64 @@ def _aberth(c: np.ndarray, z: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _aberth_sweep(cols: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """One Aberth-Ehrlich sweep's corrections p/p' / (1 - p/p' sum_{j != i} 1/(z_i - z_j)).
+def _aberth_sweep(cols: np.ndarray, z: np.ndarray,
+                  act: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One Aberth-Ehrlich sweep over the roots z[act], each against all of z:
+    their new values z_i - corr_i, corr_i = p/p' / (1 - p/p' sum_{j != i}
+    1/(z_i - z_j)), and which of them are still moving, i.e. whose
+    correction exceeds both 1e-10 max(1, |z_i|) and the rounding floor
+    4 n eps S_i / |p'(z_i)|, S_i = sum_k |c_k| |z_i|**k.
 
-    ``cols`` holds the coefficients c, the reversed coefficients and the
-    derivative coefficients of each, as four columns (``_aberth_start``).
-    p and p' come from one matrix of powers of u, with u = z where |z| <= 1
-    and u = 1/z elsewhere, so no power exceeds 1 in modulus: at |z| > 1 the
-    reversed coefficients give q(u) = u^n p(z), and p/p' = z q / (n q - u q')."""
+    ``cols`` holds, as four columns (``_aberth_start``), the coefficients c,
+    their derivative's, the reversed coefficients and those of
+    u (n q - u q').  p and p' come from one matrix of powers of u, with
+    u = z where |z| <= 1 and u = 1/z elsewhere, so no power exceeds 1 in
+    modulus: at |z| > 1 the reversed coefficients give q(u) = u^n p(z), and
+    p/p' = q / (u (n q - u q')).  With d the denominator of p/p' in either
+    frame and s_i the frame's sum of |coefficient| |u_i|**k, the floor is
+    4 n eps s_i / |d_i|; s_i is at most n + 1 for max-normalised
+    coefficients, so it is summed only for the rows that bound could stop."""
     n = len(cols) - 1
-    out = np.abs(z) > 1.0
-    u = np.where(out, 1.0 / z, z)
-    p, q, dp, dq = (_powers(u, n) @ cols).T
-    newton = np.where(out, z * q / (n * q - u * dq), p / dp)
-    diff = np.subtract.outer(z, z)
-    np.fill_diagonal(diff, np.inf)
-    return newton / (1.0 - newton * np.reciprocal(diff, out=diff).sum(axis=1))
+    za = z[act]
+    az = np.abs(za)
+    out = az > 1.0
+    v = _powers(np.where(out, 1.0 / za, za), n)
+    p, dp, q, dq = (v @ cols).T
+    d = np.where(out, dq, dp)
+    newton = np.where(out, q, p) / d
+    diff = np.subtract.outer(za, z)
+    diff[np.arange(len(act)), act] = np.inf
+    corr = newton / (1.0 - newton * np.reciprocal(diff, out=diff).sum(axis=1))
+    size = np.abs(corr)
+    moving = size > 1e-10 * np.maximum(1.0, az)
+    rounding = size * np.abs(d)  # at the floor when at most 4 n eps s_i
+    eps4n = 4 * n * _EPS
+    near = (moving & (rounding <= eps4n * (n + 1))).nonzero()[0]
+    if len(near):
+        s = np.abs(v[near]) @ np.abs(cols[:, ::2])
+        moving[near] = rounding[near] > eps4n * np.where(out[near], s[:, 1], s[:, 0])
+    return za - corr, moving
 
 
 def _aberth_start(c: np.ndarray) -> np.ndarray | None:
-    """Aberth sweeps from the Newton-polygon circles until the largest
-    correction is at most 1e-10 max(1, max|z|); None on a correction that is
-    not finite, or after _START_MAX_SWEEPS sweeps."""
+    """Aberth sweeps from the Newton-polygon circles, each over the roots
+    still moving (``_aberth_sweep``): a root stops once its own correction
+    is at most 1e-10 max(1, |z_i|) or its rounding floor, so a sweep costs
+    O(moving n), and the start ends when every root has stopped.  None on a
+    correction that is not finite, or after _START_MAX_SWEEPS sweeps."""
     n = len(c) - 1
-    k = np.arange(1, n + 1)
+    dc = c[1:] * np.arange(1, n + 1)
     cols = np.zeros((n + 1, 4), dtype=complex)
-    cols[:, 0], cols[:, 1], cols[:n, 2], cols[:n, 3] = c, c[::-1], c[1:] * k, c[-2::-1] * k
+    cols[:, 0], cols[:n, 1], cols[:, 2], cols[1:, 3] = c, dc, c[::-1], dc[::-1]
     z = _newton_polygon_start(c)
+    act = np.arange(n)
     for _ in range(_START_MAX_SWEEPS):
-        corr = _aberth_sweep(cols, z)
-        if not np.isfinite(corr).all():
+        swept, moving = _aberth_sweep(cols, z, act)
+        if not np.isfinite(swept).all():
             return None
-        z = z - corr
-        if np.abs(corr).max() <= 1e-10 * max(1.0, np.abs(z).max()):
+        z[act] = swept
+        act = act[moving]
+        if not len(act):
             return z
     return None
 
@@ -310,7 +341,7 @@ def _discs_disjoint(c: np.ndarray, z: np.ndarray, absp: np.ndarray, scale: np.nd
     come from the reversed coefficients at 1/z_i, times |z_i|**n in logs.  A
     coincident pair gives an infinite radius."""
     n = len(z)
-    eps4n = 4 * n * np.finfo(float).eps
+    eps4n = 4 * n * _EPS
     log_m = np.log(absp + eps4n * scale)
     over = ~np.isfinite(scale) & np.isfinite(z)
     if over.any():
@@ -333,16 +364,20 @@ def roots(p: ComplexPoly) -> list[complex]:
     ``|p(r)| <= DEFAULT_ROOT_TOL * sum_k |c_k| |r|**k``.  The candidates are
     tried in this order, on the max-normalised coefficients:
 
-    * from degree 40 on, Aberth sweeps (``_aberth_sweep``) from the
+    * from degree 40 on, Aberth sweeps (``_aberth_start``) from the
       Newton-polygon circles: p and p' from one matrix of powers of z, or
       of 1/z with the reversed coefficients where |z| > 1, so no power
-      exceeds 1 in modulus; they stop once the largest correction is at
-      most 1e-10 max(1, max|z|), and hand over on a correction that is not
-      finite or after 50 sweeps.  Accepted after the polish below when
-      every residual meets the bound and Smith's inclusion discs
+      exceeds 1 in modulus.  Each sweep takes only the roots still moving:
+      a root stops once its own correction is at most 1e-10 max(1, |z_i|)
+      or its rounding floor 4 n eps S_i / |p'(z_i)|, with
+      S_i = sum_k |c_k| |z_i|**k, so one large root does not stop the
+      others early and a root the float64 coefficients fix only loosely
+      does not keep the sweeps going; they hand over on a correction that
+      is not finite or after 50 sweeps.  Accepted after the polish below
+      when every residual meets the bound and Smith's inclusion discs
       (``_discs_disjoint``: radius n (|p(z_i)| + 4 n eps S_i) /
-      |c_n prod_{j != i} (z_i - z_j)|, S_i = sum_k |c_k| |z_i|**k) are
-      pairwise disjoint, so the candidates are n distinct roots;
+      |c_n prod_{j != i} (z_i - z_j)|) are pairwise disjoint, so the
+      candidates are n distinct roots;
     * the companion-matrix eigenvalues, accepted when every residual
       meets the bound;
     * Aberth iteration (``_aberth``, evaluated by Horner, to the residual

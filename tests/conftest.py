@@ -123,15 +123,16 @@ def aberth_runs(monkeypatch):
 
 @pytest.fixture
 def start_sweeps(monkeypatch):
-    """Record the degree of the polynomial in each sweep of roots' Aberth start."""
+    """Record (degree of the polynomial, roots swept) for each sweep of roots'
+    Aberth start."""
     import opuc.poly
 
-    calls: list[int] = []
+    calls: list[tuple[int, int]] = []
     sweep = opuc.poly._aberth_sweep
 
-    def counted(cols, z):
-        calls.append(len(cols) - 1)
-        return sweep(cols, z)
+    def counted(cols, z, act):
+        calls.append((len(cols) - 1, len(act)))
+        return sweep(cols, z, act)
 
     patch_everywhere(monkeypatch, sweep, counted)
     return calls

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import opuc.poly
 from opuc import VerblunskySequence, pole_set, szego_polys
 from opuc.poly import (
+    DEFAULT_ROOT_TOL,
     ComplexPoly,
     RootFindingError,
     _newton_polygon_start,
@@ -25,6 +26,7 @@ from helpers import (
     random_nonclassical,
     reference_discs_disjoint,
     reference_roots,
+    reference_scaled_residuals,
 )
 
 # ---------------------------------------------------------------------------
@@ -226,6 +228,11 @@ def test_roots_of_near_circle_phi_L_star_match_60_digit_roots(L, seed, start_swe
     got = roots(phistar)
     assert companion_eigvals == []
     assert 1 <= len(start_sweeps) <= 25
+    # each sweep takes only the roots still moving, so the count never rises,
+    # and some roots stop before the last sweep
+    active = [m for _, m in start_sweeps]
+    assert active[0] == L and active[-1] < L
+    assert all(a >= b for a, b in zip(active, active[1:]))
     with mpmath.workdps(60):
         ref = mpmath.polyroots([mpmath.mpc(c.real, c.imag) for c in reversed(phistar.coeffs)],
                                maxsteps=200, extraprec=60)
@@ -242,7 +249,7 @@ def test_roots_take_the_aberth_start_from_degree_40(start_sweeps, companion_eigv
         assert len(got) == deg
         assert max(_mp_scaled_residual(p.coeffs, r) for r in got) <= 1e-11
     assert companion_eigvals == [39]
-    assert set(start_sweeps) == {40}
+    assert {deg for deg, _ in start_sweeps} == {40}
 
 
 def _circle(m: int, radius: float) -> list[complex]:
@@ -258,12 +265,11 @@ def _coincident_start(c):
 HAND_OVER_CASES = {
     # two coincident start points: the first correction is not finite
     "correction not finite": (lambda: from_roots(_circle(41, 0.9)), 1),
-    # a triple root: the corrections stall near 1e-8 and never meet the stop
-    # test
-    "sweep cap": (lambda: from_roots([0.5] * 3 + _circle(40, 0.9)), 50),
-    # a root near 1e9 sets the stop test's scale, so the sweeps stop before
-    # the roots on the circle meet the residual bound
-    "residual": (lambda: from_roots([6e8 + 8e8j] + _circle(41, 0.9)), None),
+    # the start needs 5 sweeps on these roots, and the cap is lowered to 3
+    "sweep cap": (lambda: from_roots(_circle(41, 0.9)), 3),
+    # a triple root: its three approximations stop at their rounding floor,
+    # some way apart, and their discs overlap
+    "triple root": (lambda: from_roots([0.5] * 3 + _circle(40, 0.9)), 15),
     # a double root: every residual meets the bound, two discs overlap
     "discs": (lambda: from_roots([0.5] * 2 + _circle(40, 0.9)), None),
 }
@@ -278,6 +284,8 @@ def test_roots_hand_over_from_the_aberth_start_to_the_companion_route(
     p = build()
     if reason == "correction not finite":
         monkeypatch.setattr(opuc.poly, "_newton_polygon_start", _coincident_start)
+    if reason == "sweep cap":
+        monkeypatch.setattr(opuc.poly, "_START_MAX_SWEEPS", 3)
     discs: list[bool] = []
     check = opuc.poly._discs_disjoint
 
@@ -290,11 +298,78 @@ def test_roots_hand_over_from_the_aberth_start_to_the_companion_route(
     assert companion_eigvals == [p.degree]
     if sweeps is not None:
         assert len(start_sweeps) == sweeps
-    assert discs == ([False] if reason == "discs" else [])
+    assert discs == ([False] if reason in ("triple root", "discs") else [])
     monkeypatch.setattr(opuc.poly, "_START_MIN_DEGREE", math.inf)
     assert np.array_equal(_bits(got), _bits(roots(p)))
-    if reason != "residual":  # the reference's complex scale overflows at 1e9
-        assert np.array_equal(_bits(got), _bits(reference_roots(p)))
+    assert np.array_equal(_bits(got), _bits(reference_roots(p)))
+
+
+def test_roots_take_the_start_beside_a_root_near_1e9(start_sweeps, companion_eigvals):
+    # each root stops at its own tolerance 1e-10 max(1, |z_i|): a stop test
+    # relative to the largest root would end the sweeps once the root near 1e9
+    # converged, with residuals up to 2.8e-2 left on the circle
+    p = from_roots([6e8 + 8e8j] + _circle(41, 0.9))
+    got = roots(p)
+    assert companion_eigvals == []
+    assert 1 <= len(start_sweeps) <= 25
+    assert len(got) == 42
+    assert max(_mp_scaled_residual(p.coeffs, r) for r in got) <= 1e-12
+    c = np.asarray(p.coeffs) / np.abs(p.coeffs).max()
+    assert reference_discs_disjoint(c, np.asarray(got))
+    assert min(abs(r - (6e8 + 8e8j)) for r in got) <= 1e-12 * 1e9
+
+
+def _long_phi_L_star(L: int, draw: int) -> ComplexPoly:
+    """Phi_L* of the ``draw``-th sweep draw (head L/4, classical tail) from
+    ``default_rng(7)``."""
+    rng = np.random.default_rng(7)
+    for _ in range(draw + 1):
+        seq = VerblunskySequence(draw_head(rng, L // 4) + draw_tail(rng, L - L // 4))
+    return szego_polys(seq, L)[1]
+
+
+@pytest.mark.parametrize("L, draw", [(192, 1), (192, 3), (256, 0), (256, 1), (256, 2), (256, 3)])
+def test_long_phi_L_star_hand_over_before_the_sweep_cap(L, draw, start_sweeps,
+                                                         companion_eigvals):
+    # the float64 coefficients fix some of these roots only to 6e-10..3e-6,
+    # where the corrections stall above 1e-10 max(1, |z_i|) and would run the
+    # start into its 50-sweep cap; each such root stops at its rounding floor
+    # instead, so the start ends once the others have converged (16-41
+    # sweeps).  Its discs overlap (ROADMAP item 6): the companion route answers
+    p = _long_phi_L_star(L, draw)
+    start_sweeps.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = roots(p)
+    assert companion_eigvals == [L]
+    assert len(start_sweeps) < opuc.poly._START_MAX_SWEEPS
+    assert len(got) == L
+
+
+def test_roots_of_random_degree_40_to_80_polynomials(companion_eigvals):
+    # coefficients normal, every other draw scaled by 10^U(-8, 8): every draw
+    # is answered, the start answers all 60 (a stop test relative to the
+    # largest root left five of the scaled ones to the companion route), and
+    # each of its answers meets the residual bound with disjoint discs
+    rng = np.random.default_rng(40)
+    started = 0
+    for i in range(60):
+        deg = int(rng.integers(40, 81))
+        cs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+        if i % 2:
+            cs = cs * 10.0 ** rng.uniform(-8.0, 8.0, deg + 1)
+        companion_eigvals.clear()
+        got = np.asarray(roots(ComplexPoly(cs)))
+        assert len(got) == deg
+        if not companion_eigvals:
+            started += 1
+            c = cs / np.abs(cs).max()
+            out = np.abs(got) > 1.0  # there the ratio from the reversed coefficients at 1/z
+            resid = np.concatenate([reference_scaled_residuals(c, got[~out]),
+                                    reference_scaled_residuals(c[::-1], 1.0 / got[out])])
+            assert resid.max() <= DEFAULT_ROOT_TOL
+            assert reference_discs_disjoint(c, got)
+    assert started == 60
 
 
 @pytest.mark.parametrize("L", [128, 256])
