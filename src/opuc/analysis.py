@@ -254,14 +254,6 @@ def _refuse_overflow(logw: float, samples: np.ndarray) -> None:
             "|Phi_n* - z Phi_n f_n|^2 exceeds the largest double")
 
 
-def _checked_sample(split: KhrushchevSplit, logw: float, thetas: np.ndarray):
-    """``split.sample`` at the angles, refusing samples that overflow float64."""
-    with np.errstate(over="ignore"):
-        samples = split.sample(thetas)
-    _refuse_overflow(logw, samples[2])
-    return samples
-
-
 def _deflate(c, rts: list[complex]) -> list[complex]:
     """Coefficients (constant first) of the quotient of ``c`` by prod (z - r)
     over ``rts``, by synthetic division from the leading coefficient; each
@@ -307,8 +299,11 @@ def _denominator_mean(split: KhrushchevSplit, logw: float, phistar_L: ComplexPol
     the spikes' mean over the circle, Jensen's 2 sum log max(1, |r|), is
     added to it.
 
-    The split is sampled once, on the same angles, where |D| must agree
-    with |Q| prod |z - r| within DEFLATION_TOL of the split's scale
+    Q and the split are sampled once, together, on those angles: the m-th
+    roots of unity, where one FFT of their stacked coefficients gives every
+    value (``KhrushchevSplit.on_circle``); the points z themselves are built
+    only for the near roots' |z - r|.  There |D| must agree with
+    |Q| prod |z - r| within DEFLATION_TOL of the split's scale
     |Phi_n* B_t| + |z Phi_n A_t|, or CrossCheckError is raised.  An infinite
     ``logw`` = log|omega_{n-1}| and samples that overflow float64 raise
     QuadratureError.  Returns minus that mean, the number of points, the
@@ -319,17 +314,18 @@ def _denominator_mean(split: KhrushchevSplit, logw: float, phistar_L: ComplexPol
         (near if abs(abs(r) - 1.0) < NEAR_ROOT_BAND else far).append(r)
     # forward deflation is stable in ascending order of modulus (Peters and
     # Wilkinson, 1971); ``near`` itself keeps the root finder's order
-    quotient = ComplexPoly(_deflate(phistar_L.coeffs, sorted(near, key=abs)))
+    quotient = _deflate(phistar_L.coeffs, sorted(near, key=abs))
     m = _trapezoid_points(far)
-    thetas = 2.0 * np.pi * np.arange(m) / m
-    zs = np.exp(1j * thetas)
     with np.errstate(over="ignore", divide="ignore"):
-        product = np.abs(quotient(zs))
+        (bt2, at2, d2, scale), (q,) = split.on_circle(m, quotient)
+        product = np.abs(q)
         log_q2 = np.log(product * product)
     _refuse_overflow(logw, log_q2)
-    bt2, at2, d2, scale = _checked_sample(split, logw, thetas)
-    for r in near:
-        product *= np.abs(zs - r)
+    _refuse_overflow(logw, d2)
+    if near:
+        zs = np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
+        for r in near:
+            product *= np.abs(zs - r)
     worst = float(np.max(np.abs(np.sqrt(d2) - product) / scale))
     if not worst <= DEFLATION_TOL:
         raise CrossCheckError(
@@ -482,7 +478,7 @@ def log_split_check(seq: VerblunskySequence, n: int) -> float:
     """Check the pointwise log split of |Re F| and the Jensen-type value of
     its third piece; returns the larger of the two normalized residuals.
 
-    Pointwise on a 512-point grid:
+    Pointwise on the 512th roots of unity:
         log|Re F| = log|omega_{n-1}| + log(1 - |f_n|^2) - log|Phi_n* - z Phi_n f_n|^2
     with Re F taken from the rational form of F (an independent route), and
 
@@ -494,17 +490,21 @@ def log_split_check(seq: VerblunskySequence, n: int) -> float:
     mean of log|B_t|^2 from ``circle_quadrature`` at its default tolerance
     and point cap; stopping at the cap warns QuadratureWarning.  One run of
     the recurrence gives the split's Phi_n, Phi_n* and F's denominator
-    Phi_L*.  Overflow is refused as in ``szego_verify``.
+    Phi_L*.  The pointwise values of the split and of F's Psi_L* and Phi_L*
+    come from one FFT of their stacked coefficients
+    (``KhrushchevSplit.on_circle``).  Overflow is refused as in
+    ``szego_verify``.
     """
-    thetas = 2.0 * np.pi * np.arange(512) / 512
     tail, L = tail_schur(seq, n), len(seq)  # the tail validates n first
     pairs = _szego_pairs(seq.alphas, (n, L))
     at_n = KhrushchevSplit(*pairs[n], tail, omega(seq, n - 1))
     logw = omega_log_sign(seq, n - 1)[1]
-    bt2, at2, d2, _ = _checked_sample(at_n, logw, thetas)
-    split = logw + np.log(bt2 - at2) - np.log(d2)
     F = RationalFn(second_kind_polys(seq, L)[1], pairs[L][1])
-    direct = np.log(np.abs(F(np.exp(1j * thetas)).real))
+    with np.errstate(over="ignore"):
+        (bt2, at2, d2, _), (num, den) = at_n.on_circle(512, F.num.coeffs, F.den.coeffs)
+    _refuse_overflow(logw, d2)
+    split = logw + np.log(bt2 - at2) - np.log(d2)
+    direct = np.log(np.abs((num / den).real))
     pointwise = float(np.max(np.abs(direct - split)) / max(1.0, float(np.max(np.abs(direct)))))
 
     poles, den_roots = _poles(F.den, seq)

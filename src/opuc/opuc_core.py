@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .poly import ComplexPoly
+from .poly import ComplexPoly, _on_circle
 
 DEFAULT_GUARD_UNIT = 1e-8
 CROSS_CHECK_TOL = 1e-10
@@ -165,8 +165,8 @@ def second_kind_polys(seq: VerblunskySequence, n: int) -> tuple[ComplexPoly, Com
 def omega(seq: VerblunskySequence, n: int) -> float:
     """prod_{j=0}^{n} (1 - |alpha_j|^2); may be negative.  Empty product is 1."""
     out = 1.0
-    for j in range(min(n + 1, len(seq))):
-        out *= 1.0 - _abs2(seq.alpha(j))
+    for a in seq.alphas[:max(n + 1, 0)]:
+        out *= 1.0 - _abs2(a)
     return out
 
 
@@ -174,8 +174,8 @@ def omega_log_sign(seq: VerblunskySequence, n: int) -> tuple[int, float]:
     """(sign, log magnitude) of omega_n; safe against under/overflow."""
     sign = 1
     logmag = 0.0
-    for j in range(min(n + 1, len(seq))):
-        f = 1.0 - _abs2(seq.alpha(j))
+    for a in seq.alphas[:max(n + 1, 0)]:
+        f = 1.0 - _abs2(a)
         if f < 0:
             sign = -sign
         logmag += math.log(abs(f))
@@ -232,17 +232,19 @@ def wall_polys(seq: VerblunskySequence, n: int) -> WallPair:
 
 
 def verify_identities(seq: VerblunskySequence, n: int, grid: int = 256) -> IdentityReport:
-    """Measure the three core identities at index n on a circle grid.
+    """Measure the three core identities at index n; the Wall identity on
+    the ``grid``-th roots of unity, where A_n and B_n come from one FFT.
 
     Deviations are reported raw (data, not failures): the caller decides
-    what tolerance is appropriate for the coefficient scale at hand.
+    what tolerance is appropriate for the coefficient scale at hand.  A
+    ``grid`` below 1 is a ValueError.
     """
+    if grid < 1:
+        raise ValueError(f"grid must be at least 1, got {grid}")
     wp = wall_polys(seq, n)
     om = omega(seq, n)
-    thetas = 2.0 * np.pi * np.arange(grid) / grid
-    zs = np.exp(1j * thetas)
-    wall_dev = float(np.max(np.abs(
-        np.abs(wp.B(zs)) ** 2 - np.abs(wp.A(zs)) ** 2 - om)))
+    b, a = _on_circle([wp.B.coeffs, wp.A.coeffs], grid)
+    wall_dev = float(np.max(np.abs(np.abs(b) ** 2 - np.abs(a) ** 2 - om)))
 
     phi, phistar = szego_polys(seq, n + 1)
     pn_dev = max(

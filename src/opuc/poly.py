@@ -168,6 +168,21 @@ def _horner(c: Sequence[complex], z: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _on_circle(rows: Sequence[Sequence[complex]], m: int) -> np.ndarray:
+    """Values of each coefficient row (constant first) at the m-th roots of
+    unity exp(2 pi i j / m), j = 0..m-1: row i of the result is the inverse
+    DFT, unscaled, of row i, from one FFT of the stacked rows.  Rows of more
+    than m coefficients are folded first, c_k added into c_{k mod m}, as
+    z^m = 1 there."""
+    k = max(map(len, rows))
+    stacked = np.zeros((len(rows), k), dtype=complex)
+    for i, row in enumerate(rows):
+        stacked[i, :len(row)] = row
+    if k > m:
+        stacked = np.pad(stacked, ((0, 0), (0, -k % m))).reshape(len(rows), -1, m).sum(axis=1)
+    return np.fft.ifft(stacked, n=m, norm="forward")
+
+
 def _powers(z: np.ndarray, n: int) -> np.ndarray:
     """The matrix V[i, k] = z_i**k, k = 0..n, by one running product per row:
     p(z) = V c, and sum_k |c_k| |z|**k = |V| |c|."""

@@ -51,17 +51,17 @@ def wall_builds(monkeypatch):
 
 @pytest.fixture
 def split_samples(monkeypatch):
-    """Record the number of angles in each KhrushchevSplit.sample call."""
+    """Record the number of points m in each KhrushchevSplit.on_circle call."""
     from opuc.schur import KhrushchevSplit
 
     sizes: list[int] = []
-    sample = KhrushchevSplit.sample
+    on_circle = KhrushchevSplit.on_circle
 
-    def counted(self, thetas):
-        sizes.append(len(thetas))
-        return sample(self, thetas)
+    def counted(self, m, *rows):
+        sizes.append(m)
+        return on_circle(self, m, *rows)
 
-    monkeypatch.setattr(KhrushchevSplit, "sample", counted)
+    monkeypatch.setattr(KhrushchevSplit, "on_circle", counted)
     return sizes
 
 

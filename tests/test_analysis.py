@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import opuc.analysis
+import opuc.schur
 from opuc import (
     AmbiguousRootError,
     CrossCheckError,
@@ -35,6 +36,7 @@ from helpers import (
     draw_near_circle,
     draw_tail,
     draw_wide,
+    horner_on_circle,
     independent_phi_N_star_count,
     independent_star_counts,
     random_classical,
@@ -496,16 +498,37 @@ def test_verify_takes_the_tail_term_without_cancellation():
 
 
 def test_verify_refuses_a_tail_off_its_wall_identity(monkeypatch):
-    sample = KhrushchevSplit.sample
+    on_circle = KhrushchevSplit.on_circle
 
-    def skewed(self, thetas):
-        bt2, at2, d2, scale = sample(self, thetas)
-        return 1.001 * bt2, at2, d2, scale
+    def skewed(self, m, *rows):
+        (bt2, at2, d2, scale), values = on_circle(self, m, *rows)
+        return (1.001 * bt2, at2, d2, scale), values
 
-    monkeypatch.setattr(KhrushchevSplit, "sample", skewed)
+    monkeypatch.setattr(KhrushchevSplit, "on_circle", skewed)
     for alphas in _CHECKED:
         with pytest.raises(CrossCheckError, match="over the tail"):
             szego_verify(VerblunskySequence(alphas))
+
+
+@pytest.mark.parametrize("alphas", _CHECKED)
+def test_verify_makes_no_horner_loop(horner_calls, alphas):
+    # the split and Q are sampled by one FFT; these roots need no Horner either
+    szego_verify(VerblunskySequence(alphas))
+    assert horner_calls == []
+
+
+def test_verify_answers_as_horner_at_the_same_angles(monkeypatch):
+    rng = np.random.default_rng(29)
+    cases = [random_nonclassical(rng, require_growth_window=False) for _ in range(40)]
+    cases += [random_classical(rng) for _ in range(10)]
+    cases += [VerblunskySequence(alphas) for alphas in _CHECKED]
+    reports = [szego_verify(seq) for seq in cases]
+    assert sum(bool(rep.subtracted) for rep in reports) >= 5
+    monkeypatch.setattr(opuc.schur, "_on_circle", horner_on_circle)
+    for seq, rep in zip(cases, reports):
+        ref = szego_verify(seq)
+        assert rep.quad_points == ref.quad_points
+        assert abs(rep.rhs - ref.rhs) <= 1e-13 * abs(ref.rhs), seq.alphas
 
 
 @pytest.mark.parametrize("alphas, points", [([2.0, 0.5], 128), ([2.0, 0.5j, -0.3, 0.2], 128)])

@@ -205,6 +205,12 @@ def test_identities_small_case():
     assert rep.liouville < 1e-12
 
 
+@pytest.mark.parametrize("grid", [0, -3])
+def test_identities_refuse_an_empty_grid(grid):
+    with pytest.raises(ValueError, match="grid must be at least 1"):
+        verify_identities(VerblunskySequence([2, 0.5]), 1, grid=grid)
+
+
 def test_identities_free_case_liouville():
     # Phi_1 Psi_1* + Phi_1* Psi_1 = 2z when all coefficients vanish
     seq = VerblunskySequence([])

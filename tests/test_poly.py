@@ -12,7 +12,9 @@ from opuc.poly import (
     DEFAULT_ROOT_TOL,
     ComplexPoly,
     RootFindingError,
+    _horner,
     _newton_polygon_start,
+    _on_circle,
     from_roots,
     roots,
     series_div,
@@ -62,6 +64,29 @@ def test_array_eval_matches_scalar_recurrence_bit_for_bit():
     for c in cs[-2::-1]:
         acc = acc * zs + c
     assert np.array_equal(ComplexPoly(cs)(zs), acc)
+
+
+@pytest.mark.parametrize("m, degree", [(64, 40), (64, 64), (64, 131), (16, 35)])
+def test_on_circle_matches_40_digit_values_and_horner(m, degree):
+    # degree below m, at m and at 2m + 3 (folded twice), coefficients over 16
+    # decades; each stage of the FFT rounds partial sums of |c_k|-weighted
+    # unit terms, so its error is bounded by 4 (log2 m + 1) eps sum |c_k|, the
+    # + 1 for folding; Horner's by 4 degree eps sum |c_k|
+    rng = np.random.default_rng(degree)
+    c = ((rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1))
+         * 10.0 ** rng.uniform(-8, 8, degree + 1))
+    vals = _on_circle([c, c[:3]], m)
+    assert vals.shape == (2, m)
+    zs = np.exp(2j * np.pi * np.arange(m) / m)
+    eps_sum = np.finfo(float).eps * np.abs(c).sum()
+    fft_bound = 4 * (math.log2(m) + 1) * eps_sum
+    with mpmath.workdps(40):
+        coeffs = [mpmath.mpc(x.real, x.imag) for x in reversed(c)]
+        exact = [complex(mpmath.polyval(coeffs, w)) for w in mpmath.unitroots(m)]
+    assert np.max(np.abs(vals[0] - exact)) <= fft_bound
+    assert np.max(np.abs(vals[0] - _horner(c, zs))) <= fft_bound + 4 * degree * eps_sum
+    np.testing.assert_allclose(vals[1], c[0] + c[1] * zs + c[2] * zs ** 2,
+                               rtol=0, atol=8 * np.finfo(float).eps * np.abs(c[:3]).sum())
 
 
 def test_trailing_exact_zeros_trimmed_but_near_zeros_kept():
