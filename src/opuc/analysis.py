@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 
@@ -31,24 +30,23 @@ from .opuc_core import (
 from .poly import ComplexPoly, roots as poly_roots, series_div, split_by_circle
 from .schur import KhrushchevSplit, RationalFn, as_rational_F, tail_schur
 
-DEFAULT_QUAD_TOL = 1e-11
-DEFAULT_QUAD_MAX_POINTS = 1 << 20
-QUAD_MIN_POINTS = 64     # the first level of circle_quadrature
-QUAD_ERROR_BOUND = 1e-15  # szego_verify's bound on its trapezoid error: below the
-                          # rounding of the m-point sum, so more points gain nothing
+QUAD_MIN_POINTS = 64     # the fewest points _trapezoid_points asks for
+QUAD_MAX_POINTS = 1 << 20  # the most: a grid above it is refused, not built
+QUAD_ERROR_BOUND = 1e-15  # the bound on each trapezoid error: below the rounding
+                          # of the m-point sum, so more points gain nothing
+CANCELLATION_TOL = 1e-9  # eps (|B_t|^2 + |A_t|^2) / (|B_t|^2 - |A_t|^2) above this
+                         # leaves boyd_integral too few digits: refused
+LOG_SPLIT_TOL = 1e-9     # log_split_check's bound on the third integral's miss
 POLE_CLUSTER_TOL = 1e-7
 NEAR_ROOT_BAND = 0.1     # roots of Phi_L* with ||r| - 1| below this are subtracted
 DEFLATION_TOL = 1e-6     # |D| against |Q| prod |z - r|, and |B_t|^2 - |A_t|^2 against
                          # omega_t, relative to the scale of each difference
 
 
-class QuadratureWarning(UserWarning):
-    """Quadrature stopped at the point cap before meeting its tolerance."""
-
-
 class QuadratureError(RuntimeError):
-    """Integrand produced non-finite samples even after a half-step shift,
-    or samples that overflow float64."""
+    """A circle mean that cannot be taken: non-finite samples, samples that
+    overflow float64, a grid above QUAD_MAX_POINTS, or a difference that
+    cancels to too few digits."""
 
 
 class AmbiguousRootError(RuntimeError):
@@ -96,61 +94,21 @@ class MigrationRow:
     circle_dist: tuple[float, ...]  # 1 - |zero|
 
 
-def _samples(g, thetas: np.ndarray) -> tuple[np.ndarray, bool]:
-    # non-finite samples are handled by the half-step retry, so numpy's
-    # divide/invalid warnings during sampling are noise
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.asarray(g(thetas), dtype=float)
-    return vals, bool(np.all(np.isfinite(vals)))
+def circle_quadrature(g, m: int) -> float:
+    """(1/2pi) * integral of g over [0, 2pi) by the m-point periodic
+    trapezoid rule: the mean of g at the angles 2 pi k / m.
 
-
-def _warn_at_cap(converged: bool) -> None:
-    """Warn QuadratureWarning, at the caller's caller, for a quadrature at
-    the default tolerance and point cap that stopped at the cap."""
-    if not converged:
-        warnings.warn(f"quadrature did not converge to {DEFAULT_QUAD_TOL:.1e} within "
-                      f"{DEFAULT_QUAD_MAX_POINTS} points", QuadratureWarning, stacklevel=3)
-
-
-def circle_quadrature(g, tol: float = DEFAULT_QUAD_TOL,
-                      max_points: int = DEFAULT_QUAD_MAX_POINTS) -> tuple[float, int, bool]:
-    """(1/2pi) * integral of g over [0, 2pi) by the periodic trapezoid rule,
-    with the number of points used and whether ``tol`` was met.
-
-    ``g`` must accept an ndarray of angles.  The grid doubles from
-    QUAD_MIN_POINTS = 64 points until successive values differ by less
-    than ``tol``; hitting ``max_points`` first returns the last value and
-    False.  It warns nothing, so concurrent callers share no warnings
-    state; each caller reports a stop at the cap itself.  A ``max_points``
-    below 64, which the first level would exceed, is a ValueError.  Each
-    level keeps the sum over the grid before it and evaluates ``g`` only at
-    the new midpoints.
-    A non-finite sample makes that level evaluate its whole grid shifted
-    by half a step, and the levels after it nest in the shifted grid; a
-    non-finite sample there too raises QuadratureError.
+    ``g`` must accept an ndarray of angles.  Its error for log|Q|^2, Q a
+    polynomial with no zero on the circle, is bounded from Q's roots by
+    ``_trapezoid_points``, which sizes m.  A non-finite sample raises
+    QuadratureError.
     """
-    if max_points < QUAD_MIN_POINTS:
-        raise ValueError(f"max_points must be at least {QUAD_MIN_POINTS}, got {max_points}")
-    m, offset, total, prev = QUAD_MIN_POINTS, 0.0, 0.0, math.inf
-    new = 2.0 * np.pi * np.arange(m) / m
-    while True:
-        vals, finite = _samples(g, new)
-        if finite:
-            total += float(vals.sum())
-        else:
-            offset = np.pi / m
-            vals, finite = _samples(g, 2.0 * np.pi * np.arange(m) / m + offset)
-            if not finite:
-                raise QuadratureError(
-                    f"integrand not finite on the {m}-point grid even after a half-step shift")
-            total = float(vals.sum())
-        cur = total / m
-        if abs(cur - prev) < tol:
-            return cur, m, True
-        if 2 * m > max_points:
-            return cur, m, False
-        prev, m = cur, 2 * m
-        new = offset + 2.0 * np.pi * np.arange(1, m, 2) / m
+    # a non-finite sample is refused, so numpy's divide/invalid warnings are noise
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.asarray(g(2.0 * np.pi * np.arange(m) / m), dtype=float)
+    if not np.isfinite(vals).all():
+        raise QuadratureError(f"integrand not finite on the {m}-point grid")
+    return float(vals.sum()) / m
 
 
 def re_F_khrushchev(seq: VerblunskySequence, n: int, theta: float | np.ndarray):
@@ -214,8 +172,9 @@ def _inside(points, what: str) -> list[complex]:
     return inside
 
 
-def _poles(den, seq: VerblunskySequence) -> tuple[list[complex], list[complex]]:
-    """The in-disk roots of ``den`` = Phi_L* (the poles) and all of its roots.
+def _poles(den, alphas, N: int) -> tuple[list[complex], list[complex]]:
+    """The in-disk roots of ``den`` = Phi_L* (the poles) and all of its roots,
+    for the coefficients ``alphas`` with ``VerblunskySequence.N`` = ``N``.
 
     Their number is at most the in-disk zero count of Phi_N*, which the
     zero-count rule gives exactly (the classical steps from N on add none),
@@ -225,8 +184,7 @@ def _poles(den, seq: VerblunskySequence) -> tuple[list[complex], list[complex]]:
         return [], []
     den_roots = poly_roots(den)
     inside = _cluster_poles(_inside(den_roots, "denominator roots"))
-    N = seq.N
-    bound = N - _disk_counts(seq.alphas, N)[N]
+    bound = N - _disk_counts(alphas, N)[N]
     if len(inside) > bound:
         raise CrossCheckError(
             f"{len(inside)} poles exceed the {bound} in-disk zeros of Phi_N*")
@@ -242,7 +200,7 @@ def pole_set(seq: VerblunskySequence) -> list[complex]:
     CrossCheckError if the count exceeds the in-disk zeros of Phi_N*, which
     the zero-count rule gives from the coefficients.
     """
-    return _poles(as_rational_F(seq).den, seq)[0]
+    return _poles(as_rational_F(seq).den, seq.alphas, seq.N)[0]
 
 
 def _refuse_overflow(logw: float, samples: np.ndarray) -> None:
@@ -276,12 +234,18 @@ def _trapezoid_points(roots) -> int:
     exactly (2/m) log|1 - rho_r^m|, as prod (r - z) over the m-th roots of
     unity is r^m - 1 (Trefethen and Weideman, SIAM Rev. 56, 2014).  Roots
     at least NEAR_ROOT_BAND off the circle add at most 2.6e-24 each at
-    m = 512, so up to 3e8 of them need no more points.
+    m = 512, so up to 3e8 of them need no more points.  An m above
+    QUAD_MAX_POINTS, which a root about 1e-6 off the circle asks for, raises
+    QuadratureError before any grid is built.
     """
     rhos = [a if a < 1.0 else 1.0 / a for a in map(abs, roots)]
     m = QUAD_MIN_POINTS
     while -2.0 / m * sum(math.log1p(-rho ** m) for rho in rhos) >= QUAD_ERROR_BOUND:
         m *= 2
+        if m > QUAD_MAX_POINTS:
+            raise QuadratureError(
+                f"the trapezoid rule needs more than {QUAD_MAX_POINTS} points: "
+                f"a root lies about {1.0 - max(rhos):.1e} off the circle")
     return m
 
 
@@ -359,7 +323,7 @@ def szego_verify(seq: VerblunskySequence) -> SzegoReport:
     """
     N, L = seq.N, len(seq)
     pairs = _szego_pairs(seq.alphas, (N, L))  # Phi_N, Phi_N* and Phi_L* from one run
-    poles, den_roots = _poles(pairs[L][1], seq)
+    poles, den_roots = _poles(pairs[L][1], seq.alphas, N)
     split = KhrushchevSplit(*pairs[N], tail_schur(seq, N), omega(seq, N - 1))
     sign, logw = omega_log_sign(seq, N - 1)
     logwt = math.fsum(math.log1p(-abs(a) ** 2) for a in seq.alphas[N:])
@@ -380,23 +344,29 @@ def szego_verify(seq: VerblunskySequence) -> SzegoReport:
 
 
 def boyd_integral(seq: VerblunskySequence, N: int) -> float:
-    """(1/2pi) * integral of log(1 - |f_N|^2) over the circle, by
-    ``circle_quadrature`` at its default tolerance and point cap; stopping
-    at the cap warns QuadratureWarning.
+    """(1/2pi) * integral of log(1 - |f_N|^2) over the circle, as the mean
+    of log(|B_t|^2 - |A_t|^2) - log|B_t|^2 by ``circle_quadrature`` on the
+    m = ``_trapezoid_points`` angles sized from the roots of B_t, which has
+    no zero in the closed disk: |B_t|^2 - |A_t|^2 is constant on the circle,
+    so the roots bound the whole error.
 
     For a classical tail this equals log prod_{j>=N} (1 - |alpha_j|^2).
+    The difference loses (|B_t|^2 + |A_t|^2) / (|B_t|^2 - |A_t|^2) to
+    cancellation; where eps times that exceeds CANCELLATION_TOL, as for six
+    coefficients at 0.99 or two at 0.9999, QuadratureError is raised, as it
+    is for a grid above QUAD_MAX_POINTS.
     """
     tail = tail_schur(seq, N)  # validates that the tail is classical
 
     def integrand(thetas: np.ndarray) -> np.ndarray:
         zs = np.exp(1j * thetas)
         bt2, at2 = np.abs(tail.den(zs)) ** 2, np.abs(tail.num(zs)) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(bt2 - at2) - np.log(bt2)
+        share = np.min((bt2 - at2) / (bt2 + at2))
+        if not share * CANCELLATION_TOL >= np.finfo(float).eps:
+            raise QuadratureError(f"|B_t|^2 - |A_t|^2 cancels to {share:.1e} of |B_t|^2 + |A_t|^2")
+        return np.log(bt2 - at2) - np.log(bt2)
 
-    value, _, converged = circle_quadrature(integrand)
-    _warn_at_cap(converged)
-    return value
+    return circle_quadrature(integrand, _trapezoid_points(poly_roots(tail.den)))
 
 
 def zero_count_trace(seq: VerblunskySequence, n_max: int) -> list[TraceRow]:
@@ -437,7 +407,7 @@ def zero_migration(seq: VerblunskySequence, n_values) -> list[MigrationRow]:
     of the recurrence."""
     n_values, L = list(n_values), len(seq)
     pairs = _szego_pairs(seq.alphas, [*n_values, L])
-    poles = _poles(pairs[L][1], seq)[0]
+    poles = _poles(pairs[L][1], seq.alphas, seq.N)[0]
     rows: list[MigrationRow] = []
     for n in n_values:
         phistar = pairs[n][1]
@@ -469,7 +439,7 @@ def moments(seq: VerblunskySequence, m: int, J: int) -> MomentReport:
         raise OverflowError(f"moments from c_{np.argmin(np.isfinite(cs)) + 1} on overflow float64")
     lo = max(1, J // 2)
     growth = max(abs(cs[j - 1]) ** (1.0 / j) for j in range(lo, J + 1))
-    poles = _poles(pairs[L][1], seq)[0]
+    poles = _poles(pairs[L][1], seq.alphas, seq.N)[0]
     predicted = 1.0 / min(abs(p) for p in poles) if poles else 1.0
     return MomentReport(moments=cs, growth_rate=growth, predicted_rate=predicted)
 
@@ -483,12 +453,12 @@ def log_split_check(seq: VerblunskySequence, n: int) -> float:
     with Re F taken from the rational form of F (an independent route), and
 
         exp( (1/2pi) int log|Phi_n* - z Phi_n f_n|^2 ) = prod |lambda_j|^{-2}
-    within 100 times the default quadrature tolerance.  As in
+    within LOG_SPLIT_TOL = 1e-9, else CrossCheckError.  As in
     ``szego_verify``, the third piece is log|D|^2 - log|B_t|^2 with D = F's
     denominator Phi_L*: the mean of log|D|^2 comes from
     ``_denominator_mean``, which samples the split a second time, and the
-    mean of log|B_t|^2 from ``circle_quadrature`` at its default tolerance
-    and point cap; stopping at the cap warns QuadratureWarning.  One run of
+    mean of log|B_t|^2 from ``circle_quadrature`` on the m =
+    ``_trapezoid_points`` angles sized from the roots of B_t.  One run of
     the recurrence gives the split's Phi_n, Phi_n* and F's denominator
     Phi_L*.  The pointwise values of the split and of F's Psi_L* and Phi_L*
     come from one FFT of their stacked coefficients
@@ -507,15 +477,14 @@ def log_split_check(seq: VerblunskySequence, n: int) -> float:
     direct = np.log(np.abs((num / den).real))
     pointwise = float(np.max(np.abs(direct - split)) / max(1.0, float(np.max(np.abs(direct)))))
 
-    poles, den_roots = _poles(F.den, seq)
+    poles, den_roots = _poles(F.den, seq.alphas, seq.N)
     neg_mean_d = _denominator_mean(at_n, logw, F.den, den_roots)[0]
-    mean_b, _, converged = circle_quadrature(
-        lambda t: np.log(np.abs(tail.den(np.exp(1j * t))) ** 2))
-    _warn_at_cap(converged)
+    mean_b = circle_quadrature(lambda t: np.log(np.abs(tail.den(np.exp(1j * t))) ** 2),
+                               _trapezoid_points(poly_roots(tail.den)))
     integral = -neg_mean_d - mean_b
     target = math.exp(-2.0 * sum(math.log(abs(p)) for p in poles))
     diff = abs(math.exp(integral) - target)
-    if diff > 100.0 * DEFAULT_QUAD_TOL * max(1.0, target):
+    if diff > LOG_SPLIT_TOL * max(1.0, target):
         raise CrossCheckError(
             f"third integral {math.exp(integral)!r} disagrees with pole product {target!r}")
     return max(pointwise, diff / max(1.0, target))

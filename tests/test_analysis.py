@@ -12,7 +12,6 @@ from opuc import (
     AmbiguousRootError,
     CrossCheckError,
     QuadratureError,
-    QuadratureWarning,
     VerblunskySequence,
     as_rational_F,
     boyd_integral,
@@ -48,98 +47,61 @@ from helpers import (
 
 
 def test_quadrature_constant():
-    # 64 points, then only the 64 midpoints of the 128-point grid
+    # one level: g is sampled once, at the m angles 2 pi k / m
     sampled = []
 
     def ones(t):
         sampled.append(t)
         return np.ones_like(t)
 
-    assert circle_quadrature(ones) == (1.0, 128, True)
-    assert [t.size for t in sampled] == [64, 64]
-    assert np.array_equal(np.sort(np.concatenate(sampled)), 2 * np.pi * np.arange(128) / 128)
+    assert circle_quadrature(ones, 64) == 1.0
+    assert len(sampled) == 1
+    assert np.array_equal(sampled[0], 2 * np.pi * np.arange(64) / 64)
 
 
 def test_quadrature_cosine():
-    value, _, _ = circle_quadrature(np.cos)
-    assert abs(value) < 1e-14
+    assert abs(circle_quadrature(np.cos, 64)) < 1e-15
 
 
 def test_quadrature_log_modulus_outside_root():
-    # oracle: mean of log|1 - 2 e^{i t}|^2 is 2 log 2 (the root 1/2 lies inside)
-    value, _, _ = circle_quadrature(lambda t: np.log(np.abs(1 - 2 * np.exp(1j * t)) ** 2))
-    assert abs(value - 2 * math.log(2)) < 1e-11
+    # oracle: mean of log|1 - 2 e^{i t}|^2 is 2 log 2 (the root 1/2 lies
+    # inside), on the grid the sizing rule gives for that root
+    m = opuc.analysis._trapezoid_points([0.5])
+    value = circle_quadrature(lambda t: np.log(np.abs(1 - 2 * np.exp(1j * t)) ** 2), m)
+    assert m == 64 and abs(value - 2 * math.log(2)) < 1e-14
 
 
 def test_quadrature_reports_the_point_cap(monkeypatch):
-    # the quadrature returns the miss and warns nothing; the callers at
-    # the default cap warn it themselves
-    near = 1 - 1e-6
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value, pts, converged = circle_quadrature(
-            lambda t: np.log(np.abs(1 - near * np.exp(1j * t)) ** 2),
-            tol=1e-14, max_points=512)
-    assert pts == 512 and not converged and caught == []
-    assert math.isfinite(value)
-
-    real = opuc.analysis.circle_quadrature
-    monkeypatch.setattr(opuc.analysis, "circle_quadrature",
-                        lambda g, *args: real(g, *args)[:2] + (False,))
-    note = "quadrature did not converge to 1.0e-11 within 1048576 points"
-    seq = VerblunskySequence([2.0, 0.5])
-    for run in (lambda: boyd_integral(seq, 1), lambda: log_split_check(seq, 1)):
-        with pytest.warns(QuadratureWarning, match=note):
-            run()
-
-
-def test_quadrature_shifts_off_singular_sample():
-    # log|1 - e^{it}| is -inf exactly at t = 0, a grid point; the half-step
-    # retry must produce a finite answer (true integral is 0).  The slow
-    # logarithmic convergence hits the point cap, which is only reported.
-    value, _, converged = circle_quadrature(
-        lambda t: np.log(np.abs(1 - np.exp(1j * t))), tol=1e-6, max_points=1 << 14)
-    assert math.isfinite(value) and not converged
+    # B_t's closest root lies 2e-6 off the circle: the sizing rule asks for
+    # more than 2^20 points and refuses before any grid is sampled
+    monkeypatch.setattr(opuc.analysis, "circle_quadrature", lambda g, m: pytest.fail("sampled"))
+    cap = "the trapezoid rule needs more than 1048576 points: a root lies about 2.0e-06 off"
+    with pytest.raises(QuadratureError, match=cap):
+        boyd_integral(VerblunskySequence([1 - 1e-6] * 2), 0)
+    with pytest.raises(QuadratureError, match=cap):
+        opuc.analysis._trapezoid_points([1 + 2e-6])
 
 
 def test_quadrature_error_when_never_finite():
-    with pytest.raises(QuadratureError):
-        circle_quadrature(lambda t: np.full_like(t, np.nan))
+    with pytest.raises(QuadratureError, match="integrand not finite on the 64-point grid"):
+        circle_quadrature(lambda t: np.full_like(t, np.nan), 64)
+
+
+def test_quadrature_refuses_a_singular_sample():
+    # log|1 - e^{it}| is -inf exactly at t = 0, a grid point: refused, with
+    # no half-step retry and no numpy warning (the suite turns warnings
+    # into errors)
+    with pytest.raises(QuadratureError, match="not finite on the 128-point grid"):
+        circle_quadrature(lambda t: np.log(np.abs(1 - np.exp(1j * t))), 128)
 
 
 @pytest.mark.parametrize("r", [0.9, 1.1])
 def test_quadrature_levels_equal_the_full_grid_mean(r):
-    # tol = 0 never converges, so each point cap returns that level's value
     def g(t):
         return np.log(np.abs(1 - r * np.exp(1j * t)) ** 2)
 
     for m in (64 << k for k in range(9)):
-        value, pts, _ = circle_quadrature(g, tol=0.0, max_points=m)
-        assert pts == m
-        assert abs(value - np.mean(g(2 * np.pi * np.arange(m) / m))) < 1e-15
-
-
-def test_quadrature_nests_in_the_shifted_grid():
-    # NaN only at t = 0: the first level shifts by half a step, and the
-    # next level samples only the midpoints of the shifted grid
-    sizes = []
-
-    def g(t):
-        sizes.append(t.size)
-        return np.where(t == 0.0, np.nan, np.cos(t) ** 2)
-
-    value, pts, _ = circle_quadrature(g)
-    assert pts == 128 and abs(value - 0.5) < 1e-15
-    assert sizes == [64, 64, 64]
-
-
-def test_quadrature_refuses_a_cap_below_its_first_level():
-    # the first level has 64 points: a cap of 63 was exceeded and reported
-    # as the cap in the note; a cap of 64 answers on that first level
-    with pytest.raises(ValueError, match="max_points must be at least 64, got 63"):
-        circle_quadrature(np.cos, max_points=63)
-    value, pts, converged = circle_quadrature(np.cos, max_points=64)
-    assert pts == 64 and abs(value) < 1e-15 and not converged
+        assert abs(circle_quadrature(g, m) - np.mean(g(2 * np.pi * np.arange(m) / m))) < 1e-15
 
 
 @pytest.mark.parametrize("roots, points", [
@@ -377,14 +339,14 @@ def test_verify_finds_roots_once(root_calls):
     assert root_calls == [4]
 
 
-@pytest.mark.parametrize("run", [
-    lambda seq: pole_set(seq),
-    lambda seq: log_split_check(seq, seq.N),
-    lambda seq: moments(seq, len(seq), 10),
+@pytest.mark.parametrize("run, degrees", [
+    (lambda seq: pole_set(seq), [3]),
+    (lambda seq: log_split_check(seq, seq.N), [3, 1]),  # and B_t, to size its grid
+    (lambda seq: moments(seq, len(seq), 10), [3]),
 ], ids=["pole_set", "log_split_check", "moments"])
-def test_poles_find_roots_once(root_calls, run):
+def test_poles_find_roots_once(root_calls, run, degrees):
     run(VerblunskySequence([2.0, 0.5j, -0.3]))
-    assert root_calls == [3]
+    assert root_calls == degrees
 
 
 def test_verify_refusal_builds_no_tail(tail_builds):
@@ -610,6 +572,34 @@ def test_boyd_matches_product_on_random_tails():
         assert abs(boyd_integral(seq, 0) - want) < 1e-9
 
 
+@pytest.mark.parametrize("seed, max_mod", [(5, 0.95), (6, 0.99)])
+def test_boyd_matches_product_on_draws_near_the_circle(seed, max_mod):
+    # six coefficients up to 0.99 lose at most a factor 1.5e5 to the
+    # cancellation in |B_t|^2 - |A_t|^2, well inside the refusal; the worst
+    # draw misses the product by 7.8e-13
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        seq = VerblunskySequence(draw_tail(rng, 6, max_mod))
+        want = math.fsum(math.log1p(-abs(a) ** 2) for a in seq.alphas)
+        assert abs(boyd_integral(seq, 0) - want) < 1e-12, seq.alphas
+
+
+@pytest.mark.parametrize("alphas", [[0.99] * 6, [0.999] * 4, [0.9999] * 2])
+def test_boyd_refuses_a_cancelling_difference(alphas):
+    # (|B_t|^2 + |A_t|^2) / (|B_t|^2 - |A_t|^2) reaches 3e13, 8e12 and 2e8:
+    # eps times that exceeds 1e-9 (the sums missed the product by 1.1e-3,
+    # 4.0e-5 and 2.5e-9, the last with no sign of it)
+    with pytest.raises(QuadratureError, match=r"\|B_t\|\^2 - \|A_t\|\^2 cancels to"):
+        boyd_integral(VerblunskySequence(alphas), 0)
+
+
+def test_boyd_keeps_a_difference_that_cancels_less():
+    # [0.999] * 2 loses a factor 2e6: eps times that is 4.4e-10, and the
+    # integral misses the product by 1.3e-11
+    want = 2 * math.log1p(-0.999 ** 2)
+    assert abs(boyd_integral(VerblunskySequence([0.999] * 2), 0) - want) < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # zero counts and migration
 
@@ -807,7 +797,7 @@ def test_log_split_subtracts_the_mean_of_log_B_t(monkeypatch):
     # the third piece is mean log|D|^2 - mean log|B_t|^2; the second mean is 0
     # on every tail (B_t(0) = 1, no zero in the closed disk), so only a
     # shifted value shows its sign: exp of the piece moves by exp(-0.5)
-    monkeypatch.setattr(opuc.analysis, "circle_quadrature", lambda g: (0.5, 64, True))
+    monkeypatch.setattr(opuc.analysis, "circle_quadrature", lambda g, m: 0.5)
     with pytest.raises(CrossCheckError) as refusal:
         log_split_check(VerblunskySequence([2.0, 0.5]), 2)
     third = float(re.search(r"third integral (\S+) disagrees", str(refusal.value)).group(1))
@@ -834,10 +824,12 @@ def test_log_split_overflow_is_the_verify_refusal():
 
 
 def test_log_split_jensen_piece_directly():
-    # exp of the mean of log|1 - z - 0.5 z^2|^2 equals 1/(sqrt(3)-1)^2
-    value, _, _ = circle_quadrature(
-        lambda t: np.log(np.abs(1 - np.exp(1j * t) - 0.5 * np.exp(2j * t)) ** 2))
-    assert abs(math.exp(value) - 1 / (math.sqrt(3) - 1) ** 2) < 1e-10
+    # exp of the mean of log|1 - z - 0.5 z^2|^2 equals 1/(sqrt(3)-1)^2, on
+    # the grid sized from the roots -1 +- sqrt(3)
+    m = opuc.analysis._trapezoid_points([math.sqrt(3) - 1, -1 - math.sqrt(3)])
+    value = circle_quadrature(
+        lambda t: np.log(np.abs(1 - np.exp(1j * t) - 0.5 * np.exp(2j * t)) ** 2), m)
+    assert abs(math.exp(value) - 1 / (math.sqrt(3) - 1) ** 2) < 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ API = {
     "MomentReport": ("moments", "growth_rate", "predicted_rate"),
     "PoleEvaluationError": None,
     "QuadratureError": None,
-    "QuadratureWarning": None,
     "RationalFn": ("num", "den"),
     "RecoveryResult": ("alphas", "termination"),
     "RootFindingError": ("message", "residuals"),
@@ -32,7 +31,7 @@ API = {
     "as_rational_F": ("seq",),
     "as_rational_f": ("seq",),
     "boyd_integral": ("seq", "N"),
-    "circle_quadrature": ("g", "tol", "max_points"),
+    "circle_quadrature": ("g", "m"),
     "from_roots": ("rts",),
     "inverse_schur_step": ("f",),
     "log_split_check": ("seq", "n"),
