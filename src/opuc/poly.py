@@ -9,6 +9,7 @@ kept.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Iterable, Sequence
 
@@ -17,20 +18,20 @@ import numpy as np
 DEFAULT_ROOT_TOL = 1e-12
 DEFAULT_DISK_GUARD = 1e-8
 
-_ABERTH_MAX_SWEEPS = 200
 # from this degree on, roots starts with Aberth sweeps, O(n^2) each, from the
 # Newton-polygon circles rather than the companion matrix's O(n^3)
 # eigenvalues: on the near-circle sweep's Phi_L* (median time per call, one
 # thread) they tie at degree 32 (0.64 vs 0.63 ms) and the sweeps are 1.6x
 # faster at 48 and 2.0x at 64
 _START_MIN_DEGREE = 40
-_START_MAX_SWEEPS = 50
+_MAX_SWEEPS = 50
 _EPS = np.finfo(float).eps
 
 
 class RootFindingError(RuntimeError):
     """No candidate root set met the bound: neither the Aberth start, the
-    companion-matrix roots nor an Aberth restart."""
+    companion-matrix roots nor an Aberth restart; or the coefficients are
+    not finite, or the leading one underflows beside the largest."""
 
     def __init__(self, message: str, residuals: Sequence[float] = ()) -> None:
         super().__init__(message)
@@ -192,24 +193,6 @@ def _powers(z: np.ndarray, n: int) -> np.ndarray:
     return v.cumprod(axis=1, out=v)
 
 
-def _scaled_residuals(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """|p(z)| / sum_k |c_k| |z|**k; where that sum overflows (|z| > 1), the
-    same ratio from the reversed coefficients at 1/z."""
-    vals = np.abs(_horner(c, z))
-    # real arithmetic: in complex arithmetic an overflow meets an imaginary 0
-    # and turns into inf * 0 = NaN, which hides it from the 1/z fallback
-    az = np.abs(z)
-    scale = np.full(z.shape, abs(c[-1]))
-    for ck in np.abs(c[-2::-1]):
-        scale *= az
-        scale += ck
-    resid = vals / np.maximum(scale, 1e-300)
-    if scale.max() == np.inf:
-        over = np.isinf(scale)
-        resid[over] = _scaled_residuals(c[::-1], 1.0 / z[over])
-    return resid
-
-
 def _newton_polygon_start(c: np.ndarray) -> np.ndarray:
     """For each edge (x0, x1) of the upper convex hull of the points
     (k, log|c_k|), x1 - x0 points on the circle of radius
@@ -235,37 +218,15 @@ def _newton_polygon_start(c: np.ndarray) -> np.ndarray:
                   + 1j * (2.0 * np.pi * (j / np.repeat(width, width) + x0 / n) + 0.39))
 
 
-def _aberth(c: np.ndarray, z: np.ndarray) -> np.ndarray | None:
-    """Simultaneous (Aberth-Ehrlich) iteration from the start points ``z``
-    to scaled residuals within DEFAULT_ROOT_TOL; None if not converged."""
-    n = len(c) - 1
-    dc = c[1:] * np.arange(1, n + 1)
-    for _ in range(_ABERTH_MAX_SWEEPS + 1):
-        if (_scaled_residuals(c, z) <= DEFAULT_ROOT_TOL).all():
-            return z
-        pv = _horner(c, z)
-        dpv = _horner(dc, z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = np.where(dpv != 0, pv / np.where(dpv != 0, dpv, 1.0), 1.0)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            repulsion = (1.0 / diff).sum(axis=1)
-            corr = newton / (1.0 - newton * repulsion)
-        corr = np.where(np.isfinite(corr), corr,
-                        np.where(np.isfinite(newton), newton, 0.3 + 0.2j))
-        z = z - corr
-    return None
-
-
 def _aberth_sweep(cols: np.ndarray, z: np.ndarray,
                   act: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One Aberth-Ehrlich sweep over the roots z[act], each against all of z:
     their new values z_i - corr_i, corr_i = p/p' / (1 - p/p' sum_{j != i}
     1/(z_i - z_j)), and which of them are still moving, i.e. whose
-    correction exceeds both 1e-10 max(1, |z_i|) and the rounding floor
+    correction exceeds both 1e-10 |z_i| and the rounding floor
     4 n eps S_i / |p'(z_i)|, S_i = sum_k |c_k| |z_i|**k.
 
-    ``cols`` holds, as four columns (``_aberth_start``), the coefficients c,
+    ``cols`` holds, as four columns (``_aberth``), the coefficients c,
     their derivative's, the reversed coefficients and those of
     u (n q - u q').  p and p' come from one matrix of powers of u, with
     u = z where |z| <= 1 and u = 1/z elsewhere, so no power exceeds 1 in
@@ -286,7 +247,7 @@ def _aberth_sweep(cols: np.ndarray, z: np.ndarray,
     diff[np.arange(len(act)), act] = np.inf
     corr = newton / (1.0 - newton * np.reciprocal(diff, out=diff).sum(axis=1))
     size = np.abs(corr)
-    moving = size > 1e-10 * np.maximum(1.0, az)
+    moving = size > 1e-10 * az
     rounding = size * np.abs(d)  # at the floor when at most 4 n eps s_i
     eps4n = 4 * n * _EPS
     near = (moving & (rounding <= eps4n * (n + 1))).nonzero()[0]
@@ -296,26 +257,30 @@ def _aberth_sweep(cols: np.ndarray, z: np.ndarray,
     return za - corr, moving
 
 
-def _aberth_start(c: np.ndarray) -> np.ndarray | None:
-    """Aberth sweeps from the Newton-polygon circles, each over the roots
-    still moving (``_aberth_sweep``): a root stops once its own correction
-    is at most 1e-10 max(1, |z_i|) or its rounding floor, so a sweep costs
-    O(moving n), and the start ends when every root has stopped.  None on a
-    correction that is not finite, or after _START_MAX_SWEEPS sweeps."""
+def _aberth(c: np.ndarray, z: np.ndarray) -> np.ndarray | None:
+    """Aberth sweeps from the start points ``z``, each over the roots still
+    moving (``_aberth_sweep``): a root stops once its own correction is at
+    most 1e-10 |z_i| or its rounding floor, so a sweep costs O(moving n).
+    Once every root has stopped, the roots after one ``_polish``, if every
+    residual meets DEFAULT_ROOT_TOL and Smith's inclusion discs are
+    pairwise disjoint (``_discs_disjoint``).  None if not, on a correction
+    that is not finite, or after _MAX_SWEEPS sweeps."""
     n = len(c) - 1
     dc = c[1:] * np.arange(1, n + 1)
     cols = np.zeros((n + 1, 4), dtype=complex)
     cols[:, 0], cols[:n, 1], cols[:, 2], cols[1:, 3] = c, dc, c[::-1], dc[::-1]
-    z = _newton_polygon_start(c)
+    z = z.copy()
     act = np.arange(n)
-    for _ in range(_START_MAX_SWEEPS):
+    for _ in range(_MAX_SWEEPS):
         swept, moving = _aberth_sweep(cols, z, act)
         if not np.isfinite(swept).all():
             return None
         z[act] = swept
         act = act[moving]
         if not len(act):
-            return z
+            z, absp, scale, resid = _polish(c, z)
+            ok = resid.max() <= DEFAULT_ROOT_TOL and _discs_disjoint(c, z, absp, scale)
+            return z if ok else None
     return None
 
 
@@ -341,7 +306,8 @@ def _polish(c: np.ndarray,
     resid = absp / np.maximum(scale, 1e-300)
     over = ~np.isfinite(scale) & np.isfinite(cand)
     if over.any():
-        resid[over] = _scaled_residuals(c[::-1], 1.0 / cand[over])
+        v = _powers(1.0 / cand[over], n)
+        resid[over] = np.abs(v @ c[::-1]) / np.maximum(np.abs(v) @ np.abs(c[::-1]), 1e-300)
     return cand, absp, scale, resid
 
 
@@ -375,33 +341,40 @@ def roots(p: ComplexPoly) -> list[complex]:
     """All complex roots of the trimmed polynomial, with multiplicity.
 
     Exact zero coefficients at the low end deflate exactly (roots at the
-    origin are reported as exactly 0).  Each returned root r satisfies
-    ``|p(r)| <= DEFAULT_ROOT_TOL * sum_k |c_k| |r|**k``.  The candidates are
-    tried in this order, on the max-normalised coefficients:
+    origin are reported as exactly 0).  The work is done on the
+    max-normalised coefficients c, and each returned root r satisfies
+    ``|p(r)| <= DEFAULT_ROOT_TOL * sum_k |c_k| |r|**k`` for them.  In that
+    scaling a coefficient below float64's range becomes 0, and a low block
+    of k such coefficients becomes k roots at 0, reported last; the roots
+    of the rest, c[k:], are found as follows:
 
-    * from degree 40 on, Aberth sweeps (``_aberth_start``) from the
-      Newton-polygon circles: p and p' from one matrix of powers of z, or
-      of 1/z with the reversed coefficients where |z| > 1, so no power
-      exceeds 1 in modulus.  Each sweep takes only the roots still moving:
-      a root stops once its own correction is at most 1e-10 max(1, |z_i|)
-      or its rounding floor 4 n eps S_i / |p'(z_i)|, with
-      S_i = sum_k |c_k| |z_i|**k, so one large root does not stop the
-      others early and a root the float64 coefficients fix only loosely
-      does not keep the sweeps going; they hand over on a correction that
-      is not finite or after 50 sweeps.  Accepted after the polish below
-      when every residual meets the bound and Smith's inclusion discs
-      (``_discs_disjoint``: radius n (|p(z_i)| + 4 n eps S_i) /
-      |c_n prod_{j != i} (z_i - z_j)|) are pairwise disjoint, so the
-      candidates are n distinct roots;
+    * from degree 40 on, Aberth sweeps (``_aberth``) from the
+      Newton-polygon circles;
     * the companion-matrix eigenvalues, accepted when every residual
       meets the bound;
-    * Aberth iteration (``_aberth``, evaluated by Horner, to the residual
-      bound) from the companion roots, accepted when the discs are disjoint;
-    * the same iteration from the Newton-polygon circles;
+    * on a miss, Aberth sweeps from the companion roots;
+    * then, below degree 40 (from 40 on the first route ran them),
+      Aberth sweeps from the Newton-polygon circles;
     * else RootFindingError, carrying the companion residuals.
 
-    Both the sweep candidates and the companion eigenvalues take one Newton
-    step and the residual from a matrix of powers (``_polish``).
+    There is one Aberth iteration, from three starts.  Each sweep takes p
+    and p' from one matrix of powers of z, or of 1/z with the reversed
+    coefficients where |z| > 1, so no power exceeds 1 in modulus, and it
+    takes only the roots still moving: a root stops once its own
+    correction is at most 1e-10 |z_i| or its rounding floor
+    4 n eps S_i / |p'(z_i)|, with S_i = sum_k |c_k| |z_i|**k, so a tiny
+    root is resolved to its own scale and a root the float64 coefficients
+    fix only loosely does not keep the sweeps going.  The iteration gives
+    up on a correction that is not finite or after 50 sweeps.
+
+    Every candidate set takes one Newton step and its residuals from a
+    matrix of powers (``_polish``).  An Aberth answer is accepted only when
+    every residual meets the bound and Smith's inclusion discs
+    (``_discs_disjoint``: radius n (|p(z_i)| + 4 n eps S_i) /
+    |c_n prod_{j != i} (z_i - z_j)|) are pairwise disjoint, so the
+    candidates are n distinct roots.  The companion answer is accepted on
+    its residuals alone, so a multiple root keeps its multiplicity as a
+    cluster whose discs overlap.
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has no well-defined root set")
@@ -413,7 +386,7 @@ def roots(p: ComplexPoly) -> list[complex]:
     n = len(cs) - 1
     if n == 0:
         return found
-    if n == 1:
+    if n == 1 and all(map(cmath.isfinite, cs)):
         found.append(-cs[0] / cs[1])
         return found
     c = np.asarray(cs, dtype=complex)
@@ -422,46 +395,37 @@ def roots(p: ComplexPoly) -> list[complex]:
         c = c / top
         if not math.isfinite(top) or c[-1] == 0:
             raise RootFindingError("coefficients not finite, or the leading one underflows")
-        # (a constant that underflowed in the scaling leaves the Newton
-        # polygon short of n start points)
-        if n >= _START_MIN_DEGREE and c[0] != 0:
-            cand = _aberth_start(c)
-            if cand is not None:
-                cand, absp, scale, resid = _polish(c, cand)
-                if resid.max() <= DEFAULT_ROOT_TOL and _discs_disjoint(c, cand, absp, scale):
-                    found.extend(cand.tolist())
-                    return found
-        # np.roots's companion matrix, without its wrapper: low coefficients
-        # that underflowed in the scaling are roots at 0 (all of them if m = 0)
-        m = n - int(np.flatnonzero(c)[0])
-        lead_first = c[::-1][:m + 1]
-        companion = np.eye(m, k=-1, dtype=complex)
-        companion[:1] = -lead_first[1:] / lead_first[0]
-        overflow = False
-        try:
-            cand = np.concatenate([np.linalg.eigvals(companion), np.zeros(n - m, dtype=complex)])
-        except np.linalg.LinAlgError:  # the companion matrix overflows: a miss
-            cand = np.full(n, np.nan, dtype=complex)
-            overflow = True
-        cand, _, _, resid = _polish(c, cand)
-        if not resid.max() <= DEFAULT_ROOT_TOL:  # a NaN residual is a miss
-            restart = _aberth(c, cand) if np.isfinite(cand).all() else None
-            if restart is not None:
-                v = _powers(restart, n)
-                if not _discs_disjoint(c, restart, np.abs(v @ c), np.abs(v) @ np.abs(c)):
-                    restart = None
-            if restart is None:
-                restart = _aberth(c, _newton_polygon_start(c))
-            if restart is None:
-                worst = np.nan_to_num(resid, nan=np.inf).max()
-                raise RootFindingError(
-                    "the polynomial has a root beyond float64 range (its companion matrix "
-                    "overflows)" if overflow else
-                    f"root residuals up to {worst:.3e} exceed tolerance {DEFAULT_ROOT_TOL:.1e}",
-                    residuals=resid.tolist(),
-                )
-            cand = restart
+        # the k low coefficients that underflowed in the scaling are roots at
+        # 0 (all of them if m = 0); the Aberth routes take the rest
+        k = int(np.flatnonzero(c)[0])
+        m, rest = n - k, c[k:]
+        cand = _aberth(rest, _newton_polygon_start(rest)) if m >= _START_MIN_DEGREE else None
+        if cand is None:
+            # np.roots's companion matrix, without its wrapper
+            companion = np.eye(m, k=-1, dtype=complex)
+            companion[:1] = -rest[-2::-1] / rest[-1]
+            overflow = False
+            try:
+                cand = np.linalg.eigvals(companion)
+            except np.linalg.LinAlgError:  # the companion matrix overflows: a miss
+                cand = np.full(m, np.nan, dtype=complex)
+                overflow = True
+            cand, _, _, resid = _polish(c, np.concatenate([cand, np.zeros(k, dtype=complex)]))
+            cand = cand[:m]
+            if not resid.max() <= DEFAULT_ROOT_TOL:  # a NaN residual is a miss
+                cand = _aberth(rest, cand)
+                if cand is None and m < _START_MIN_DEGREE:  # else the start ran this one
+                    cand = _aberth(rest, _newton_polygon_start(rest))
+                if cand is None:
+                    worst = np.nan_to_num(resid, nan=np.inf).max()
+                    raise RootFindingError(
+                        "the polynomial has a root beyond float64 range (its companion matrix "
+                        "overflows)" if overflow else
+                        f"root residuals up to {worst:.3e} exceed tolerance {DEFAULT_ROOT_TOL:.1e}",
+                        residuals=resid.tolist(),
+                    )
     found.extend(cand.tolist())
+    found.extend([0j] * k)
     return found
 
 

@@ -107,7 +107,8 @@ def spurious_root(monkeypatch):
 
 @pytest.fixture
 def aberth_runs(monkeypatch):
-    """Record the degree of the polynomial in each Aberth iteration."""
+    """Record the degree of the polynomial in each Aberth run: the start from
+    degree 40 and both restarts after a companion miss."""
     import opuc.poly
 
     calls: list[int] = []
@@ -123,8 +124,8 @@ def aberth_runs(monkeypatch):
 
 @pytest.fixture
 def start_sweeps(monkeypatch):
-    """Record (degree of the polynomial, roots swept) for each sweep of roots'
-    Aberth start."""
+    """Record (degree of the polynomial, roots swept) for each Aberth sweep
+    of roots, in the start or in a restart."""
     import opuc.poly
 
     calls: list[tuple[int, int]] = []

@@ -241,11 +241,14 @@ def draw_wide(rng: np.random.Generator) -> VerblunskySequence:
 # library's Newton step from the power matrix, and the residual by Horner with
 # the scale sum_k |c_k| |z|**k in complex arithmetic (the library builds the
 # same companion matrix itself and takes the residual from the power matrix,
-# the scale in real arithmetic; wherever this route accepts, the two agree bit
-# for bit).  On a miss, Aberth from the companion roots where its inclusion
-# discs are disjoint, then from the Newton-polygon circles.  From degree 40 on
-# the library tries its Aberth start first, which this route leaves out: there
-# it is the route the start hands over to
+# the scale in real arithmetic; wherever the companion roots meet the bound,
+# the two agree bit for bit).  On a miss, an Aberth iteration evaluated by
+# Horner and run to the residual bound, from the companion roots where its
+# inclusion discs are disjoint, then from the Newton-polygon circles; the
+# library restarts with its power-matrix sweeps instead, so there the two
+# differ in the last bits.  From degree 40 on the library tries its Aberth
+# start first, which this route leaves out: there it is the route the start
+# hands over to
 
 
 def reference_scaled_residuals(c: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -310,7 +310,7 @@ def test_roots_hand_over_from_the_aberth_start_to_the_companion_route(
     if reason == "correction not finite":
         monkeypatch.setattr(opuc.poly, "_newton_polygon_start", _coincident_start)
     if reason == "sweep cap":
-        monkeypatch.setattr(opuc.poly, "_START_MAX_SWEEPS", 3)
+        monkeypatch.setattr(opuc.poly, "_MAX_SWEEPS", 3)
     discs: list[bool] = []
     check = opuc.poly._discs_disjoint
 
@@ -367,7 +367,7 @@ def test_long_phi_L_star_hand_over_before_the_sweep_cap(L, draw, start_sweeps,
         warnings.simplefilter("error")
         got = roots(p)
     assert companion_eigvals == [L]
-    assert len(start_sweeps) < opuc.poly._START_MAX_SWEEPS
+    assert len(start_sweeps) < opuc.poly._MAX_SWEEPS
     assert len(got) == L
 
 
@@ -421,10 +421,9 @@ def test_roots_of_long_phi_L_star(L, companion_eigvals):
 
 
 def test_roots_answer_the_draws_the_companion_route_missed(aberth_runs):
-    # five draws of degree 26-39 whose companion roots miss the bound and
-    # whose Newton-polygon restart does not converge; Aberth from the
-    # companion roots does, with disjoint discs.  Oracle: mpmath's roots of
-    # the same coefficients at 50 digits
+    # five draws of degree 26-39 whose companion roots miss the bound;
+    # Aberth from the companion roots answers each, with disjoint discs.
+    # Oracle: mpmath's roots of the same coefficients at 50 digits
     rng = np.random.default_rng(0)
     draws = {}
     for i in range(2652):
@@ -449,7 +448,9 @@ def test_roots_answer_the_draws_the_companion_route_missed(aberth_runs):
 def test_roots_resolves_clusters_of_very_different_sizes():
     # z^3 + z^2 + 1.37e-266 has roots near -1 and +-1.17e-133 i: the
     # companion matrix resolves the small pair only to absolute accuracy,
-    # so Aberth restarts from the Newton-polygon circles
+    # so Aberth restarts from the Newton-polygon circles.  Its stop test is
+    # relative to each root: an absolute 1e-10 below |z| = 1 stopped the
+    # pair at its start points
     p = ComplexPoly([1.3748121654206392e-266, 0, 1, 1])
     got = sorted(roots(p), key=abs)
     assert abs(got[2] + 1) < 1e-15
@@ -500,6 +501,41 @@ def test_roots_meet_the_bound_or_refuse_on_wide_coefficients():
             assert max(_mp_scaled_residual(cs, r) for r in got) <= 1e-11
 
 
+def test_roots_keep_every_root_when_the_constant_underflows():
+    # the constant 3.8e-285 underflows to 0 in the max-normalisation, and the
+    # companion roots miss: the Aberth restart once started at the first
+    # nonzero coefficient, so it answered 3 roots, one of them (9.1e-218) no
+    # root, and lost the one near 2.4e72.  The flushed constant is a root at
+    # 0 (for the root near -c_0/c_1 = 9.4e-310, which 80-digit polyroots also
+    # gives as 0); the restart finds the other three.  Oracle: mpmath's roots
+    # of the same coefficients at 80 digits
+    cs = [3.8e-285, -3.9e24 - 1.1e24j, -8e69 + 5.9e69j, -2.2e128 - 1.2e128j, 9e55]
+    got = roots(ComplexPoly(cs))
+    assert len(got) == 4 and got[-1] == 0
+    with mpmath.workdps(80):
+        ref = mpmath.polyroots([mpmath.mpc(c.real, c.imag) for c in map(complex, reversed(cs))],
+                               maxsteps=500, extraprec=800)
+    for r in map(complex, ref):
+        assert min(abs(g - r) for g in got) <= 1e-12 * abs(r)
+
+
+def test_roots_answer_the_degree_or_refuse_when_the_constant_underflows():
+    # coefficient moduli 10^U(-200, 200), the constant 10^U(-320, -250) and
+    # the leading one 10^U(50, 300), so the constant underflows in the
+    # scaling: 3 of these 300 draws once came back short of the degree
+    rng = np.random.default_rng(1)
+    for _ in range(300):
+        deg = int(rng.integers(2, 12))
+        cs = 10.0 ** rng.uniform(-200, 200, deg + 1) * np.exp(2j * np.pi * rng.uniform(size=deg + 1))
+        cs[0] = 10.0 ** rng.uniform(-320, -250)
+        cs[-1] = 10.0 ** rng.uniform(50, 300)
+        p = ComplexPoly(cs)
+        try:
+            assert len(roots(p)) == p.degree
+        except RootFindingError:
+            pass
+
+
 def _bits(rts) -> np.ndarray:
     return np.asarray(rts, dtype=complex).view(np.uint64)
 
@@ -514,11 +550,16 @@ def test_roots_match_the_np_roots_reference_when_low_coefficients_underflow(cs):
     assert np.array_equal(_bits(roots(p)), _bits(reference_roots(p)))
 
 
-def test_roots_match_the_np_roots_reference_bit_for_bit():
-    # degree 2-39, a third of the draws with coefficient scales 10^U(-8, 8);
-    # where the reference refuses, every root found meets the bound
+def test_roots_match_the_np_roots_reference_bit_for_bit(aberth_runs):
+    # degree 2-39, a third of the draws with coefficient scales 10^U(-8, 8).
+    # Where the companion roots meet the bound, roots answers as the
+    # reference bit for bit.  Where they miss (draw 415), the library's
+    # Aberth restart and the reference's Horner iteration stop at different
+    # points, so that answer is checked against 50-digit roots instead (it
+    # is off by 1.5e-16, the reference by 1.3e-16); where the reference
+    # refuses, every root found meets the bound
     rng = np.random.default_rng(10)
-    answered = 0
+    answered = restarted = 0
     for _ in range(600):
         deg = int(rng.integers(2, 40))
         cs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
@@ -535,8 +576,19 @@ def test_roots_match_the_np_roots_reference_bit_for_bit():
             answered += 1
             assert max(_mp_scaled_residual(cs, r) for r in got) <= 1e-11
             continue
-        assert np.array_equal(_bits(roots(p)), _bits(ref))
+        aberth_runs.clear()
+        got = roots(p)
+        if aberth_runs:
+            restarted += 1
+            with mpmath.workdps(50):
+                mp = mpmath.polyroots([mpmath.mpc(c.real, c.imag) for c in reversed(cs)],
+                                      maxsteps=400, extraprec=200)
+            for r in map(complex, mp):
+                assert min(abs(g - r) for g in got) <= 1e-14 * abs(r)
+            continue
+        assert np.array_equal(_bits(got), _bits(ref))
     assert answered >= 1
+    assert restarted == 1
 
 
 HUGE_ROOT = -4e10 + 4.5e10j
@@ -565,18 +617,17 @@ def test_roots_of_a_polynomial_whose_scale_overflows_at_a_huge_root():
     _assert_huge_root_resolved(p, roots(p))
 
 
-def test_companion_roots_make_no_horner_loop_unless_the_scale_overflows(horner_calls):
+def test_roots_make_no_horner_call(horner_calls):
     # the Newton step and the residual come from one matrix of powers, a fixed
-    # number of numpy calls at every degree; only a row whose scale overflows
-    # is checked by Horner, through the reversed coefficients at 1/r
+    # number of numpy calls at every degree; a row whose scale overflows takes
+    # its residual from a matrix of powers of 1/r and the reversed coefficients
     rng = np.random.default_rng(3)
     assert len(roots(ComplexPoly(rng.normal(size=41) + 1j * rng.normal(size=41)))) == 40
-    assert horner_calls == []
     p = _huge_root_poly()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = roots(p)
-    assert horner_calls == [36]
+    assert horner_calls == []
     _assert_huge_root_resolved(p, got)
 
 
@@ -592,7 +643,11 @@ def test_pole_set_refuses_instead_of_miscounting_huge_roots():
     [1.0, math.nan, 1.0],
     [1e300, 1.0, 1e-30],                    # the leading coefficient underflows to 0
     [1.0, -2.0 + 2e-320, -1e-320],          # Phi_2* of [2.0, 1e-320]: the companion overflows
-], ids=["inf", "nan", "underflow", "subnormal-lead"])
+    [math.nan, 1.0],                        # not finite at degree 1
+    [1.0, math.inf],
+    [math.inf, 1.0],
+], ids=["inf", "nan", "underflow", "subnormal-lead", "nan-linear", "inf-lead-linear",
+        "inf-linear"])
 def test_roots_out_of_range_is_a_quiet_refusal(cs):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
