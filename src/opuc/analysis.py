@@ -265,13 +265,15 @@ def _denominator_mean(split: KhrushchevSplit, logw: float, phistar_L: ComplexPol
 
     Q and the split are sampled once, together, on those angles: the m-th
     roots of unity, where one FFT of their stacked coefficients gives every
-    value (``KhrushchevSplit.on_circle``); the points z themselves are built
-    only for the near roots' |z - r|.  There |D| must agree with
+    value (``KhrushchevSplit.on_circle``).  When there are near roots, the
+    same FFT also gives the points z themselves, as the values of the
+    polynomial z, for the near roots' |z - r|.  There |D| must agree with
     |Q| prod |z - r| within DEFLATION_TOL of the split's scale
     |Phi_n* B_t| + |z Phi_n A_t|, or CrossCheckError is raised.  An infinite
-    ``logw`` = log|omega_{n-1}| and samples that overflow float64 raise
-    QuadratureError.  Returns minus that mean, the number of points, the
-    roots divided out, and |B_t|^2 and |A_t|^2 on the angles.
+    ``logw`` = log|omega_{n-1}| and samples of log|Q|^2 or |D|^2 that
+    overflow float64 raise QuadratureError.  Returns minus that mean, the
+    number of points, the roots divided out, and |B_t|^2 and |A_t|^2 on the
+    angles.
     """
     near, far = [], []
     for r in den_roots:
@@ -280,23 +282,22 @@ def _denominator_mean(split: KhrushchevSplit, logw: float, phistar_L: ComplexPol
     # Wilkinson, 1971); ``near`` itself keeps the root finder's order
     quotient = _deflate(phistar_L.coeffs, sorted(near, key=abs))
     m = _trapezoid_points(far)
-    with np.errstate(over="ignore", divide="ignore"):
-        (bt2, at2, d2, scale), (q,) = split.on_circle(m, quotient)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rows = [quotient, (0j, 1.0)] if near else [quotient]  # (0, 1) is z, for |z - r|
+        (bt2, at2, d2, scale), (q, *z) = split.on_circle(m, *rows)
         product = np.abs(q)
         log_q2 = np.log(product * product)
-    _refuse_overflow(logw, log_q2)
-    _refuse_overflow(logw, d2)
-    if near:
-        zs = np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
-        for r in near:
-            product *= np.abs(zs - r)
+        # |log_q2| <= 745 where finite, so the sum is finite exactly when both are
+        _refuse_overflow(logw, log_q2 + d2)
+    for r in near:
+        product *= np.abs(z[0] - r)
     worst = float(np.max(np.abs(np.sqrt(d2) - product) / scale))
     if not worst <= DEFLATION_TOL:
         raise CrossCheckError(
             f"|D| and |Q| prod |z - r| differ by {worst:.1e} of the split's scale "
             f"after dividing out {len(near)} near-circle roots")
     jensen = 2.0 * sum(math.log(max(1.0, abs(r))) for r in near)
-    return -float(np.mean(log_q2)) - jensen, m, near, bt2, at2
+    return -float(log_q2.sum() / m) - jensen, m, near, bt2, at2
 
 
 def szego_verify(seq: VerblunskySequence) -> SzegoReport:

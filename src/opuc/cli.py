@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    QUAD_MAX_POINTS,
     AmbiguousRootError,
     MomentReport,
     QuadratureError,
@@ -161,8 +162,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
-    if args.points < 1:
-        raise ValueError(f"--points must be at least 1, got {args.points}")
+    if not 1 <= args.points <= QUAD_MAX_POINTS:
+        raise ValueError(f"--points must be between 1 and {QUAD_MAX_POINTS}, got {args.points}")
     case = load_case(args.input)
     thetas = 2.0 * np.pi * np.arange(args.points) / args.points
     with np.errstate(all="ignore"):  # out-of-range samples end in a refusal, not a warning

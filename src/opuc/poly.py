@@ -397,7 +397,7 @@ def roots(p: ComplexPoly) -> list[complex]:
             raise RootFindingError("coefficients not finite, or the leading one underflows")
         # the k low coefficients that underflowed in the scaling are roots at
         # 0 (all of them if m = 0); the Aberth routes take the rest
-        k = int(np.flatnonzero(c)[0])
+        k = 0 if c[0] else int(np.flatnonzero(c)[0])
         m, rest = n - k, c[k:]
         cand = _aberth(rest, _newton_polygon_start(rest)) if m >= _START_MIN_DEGREE else None
         if cand is None:
@@ -410,7 +410,9 @@ def roots(p: ComplexPoly) -> list[complex]:
             except np.linalg.LinAlgError:  # the companion matrix overflows: a miss
                 cand = np.full(m, np.nan, dtype=complex)
                 overflow = True
-            cand, _, _, resid = _polish(c, np.concatenate([cand, np.zeros(k, dtype=complex)]))
+            if k:
+                cand = np.concatenate([cand, np.zeros(k, dtype=complex)])
+            cand, _, _, resid = _polish(c, cand)
             cand = cand[:m]
             if not resid.max() <= DEFAULT_ROOT_TOL:  # a NaN residual is a miss
                 cand = _aberth(rest, cand)

@@ -479,6 +479,21 @@ def test_verify_makes_no_horner_loop(horner_calls, alphas):
     assert horner_calls == []
 
 
+def test_verify_takes_the_points_z_from_its_one_fft(monkeypatch):
+    # the near roots' |z - r| need z on the m angles: the FFT that samples
+    # the split gives it, so no np.exp runs on an m-point array
+    exp, sizes = np.exp, []
+
+    def recording_exp(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", recording_exp)
+    rep = szego_verify(VerblunskySequence(_CHECKED[0]))
+    assert len(rep.subtracted) == 3 and rep.quad_points == 512
+    assert rep.quad_points not in sizes
+
+
 def test_verify_answers_as_horner_at_the_same_angles(monkeypatch):
     rng = np.random.default_rng(29)
     cases = [random_nonclassical(rng, require_growth_window=False) for _ in range(40)]

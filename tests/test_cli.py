@@ -247,7 +247,7 @@ def test_grid_csv_file(tmp_path, capsys):
     assert abs(float(row[1]) - 3.0) < 1e-12
 
 
-@pytest.mark.parametrize("points", ["0", "-3"])
+@pytest.mark.parametrize("points", ["0", "-3", str(2**40)])
 def test_grid_rejects_points_below_one(tmp_path, capsys, points):
     case = write_case(tmp_path / "case.json", [2.0, 0.5])
     assert main(["grid", "--input", str(case), "--points", points]) == 1
