@@ -27,7 +27,7 @@ from .opuc_core import (
     second_kind_polys,
     szego_polys,
 )
-from .poly import ComplexPoly, roots as poly_roots, series_div, split_by_circle
+from .poly import ComplexPoly, _on_circle, roots as poly_roots, series_div, split_by_circle
 from .schur import KhrushchevSplit, RationalFn, as_rational_F, tail_schur
 
 QUAD_MIN_POINTS = 64     # the fewest points _trapezoid_points asks for
@@ -102,10 +102,17 @@ def circle_quadrature(g, m: int) -> float:
     polynomial with no zero on the circle, is bounded from Q's roots by
     ``_trapezoid_points``, which sizes m.  A non-finite sample raises
     QuadratureError.
+    ``circle_quadrature`` is the helper for a caller's own integrand; the
+    library samples polynomials on the grid by ``poly._on_circle`` instead.
     """
     # a non-finite sample is refused, so numpy's divide/invalid warnings are noise
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.asarray(g(2.0 * np.pi * np.arange(m) / m), dtype=float)
+        return _grid_mean(np.asarray(g(2.0 * np.pi * np.arange(m) / m), dtype=float), m)
+
+
+def _grid_mean(vals: np.ndarray, m: int) -> float:
+    """The mean of the samples ``vals`` on the m-point grid; a non-finite
+    sample raises QuadratureError."""
     if not np.isfinite(vals).all():
         raise QuadratureError(f"integrand not finite on the {m}-point grid")
     return float(vals.sum()) / m
@@ -250,7 +257,7 @@ def _trapezoid_points(roots) -> int:
 
 
 def _denominator_mean(split: KhrushchevSplit, logw: float, phistar_L: ComplexPoly,
-                      den_roots: list[complex]):
+                      den_roots: list[complex], floor: int = QUAD_MIN_POINTS, rows=()):
     """Minus the mean over the circle of log|D|^2, with D = Phi_n* B_t -
     z Phi_n A_t Khrushchev's denominator for ``split`` at n, which is Phi_L*.
 
@@ -259,21 +266,22 @@ def _denominator_mean(split: KhrushchevSplit, logw: float, phistar_L: ComplexPol
     Q (Q = Phi_L* when there are none).  Each puts a spike -log|z - r|^2
     into log|D|^2, which costs the trapezoid rule about 1/margin points, so
     the mean of log|Q|^2, which is smooth, is taken on the m angles
-    2 pi k / m, m sized from the other roots (``_trapezoid_points``), and
-    the spikes' mean over the circle, Jensen's 2 sum log max(1, |r|), is
-    added to it.
+    2 pi k / m, m sized from the other roots (``_trapezoid_points``) and at
+    least ``floor``, and the spikes' mean over the circle, Jensen's
+    2 sum log max(1, |r|), is added to it.
 
-    Q and the split are sampled once, together, on those angles: the m-th
-    roots of unity, where one FFT of their stacked coefficients gives every
-    value (``KhrushchevSplit.on_circle``).  When there are near roots, the
-    same FFT also gives the points z themselves, as the values of the
-    polynomial z, for the near roots' |z - r|.  There |D| must agree with
-    |Q| prod |z - r| within DEFLATION_TOL of the split's scale
-    |Phi_n* B_t| + |z Phi_n A_t|, or CrossCheckError is raised.  An infinite
-    ``logw`` = log|omega_{n-1}| and samples of log|Q|^2 or |D|^2 that
-    overflow float64 raise QuadratureError.  Returns minus that mean, the
-    number of points, the roots divided out, and |B_t|^2 and |A_t|^2 on the
-    angles.
+    Q, the split and the extra coefficient ``rows`` are sampled once,
+    together, on those angles: the m-th roots of unity, where one FFT of
+    their stacked coefficients gives every value
+    (``KhrushchevSplit.on_circle``).  When there are near roots, the same
+    FFT also gives the points z themselves, as the values of the polynomial
+    z, for the near roots' |z - r|.  There |D| must agree with |Q| prod
+    |z - r| within DEFLATION_TOL of the split's scale |Phi_n* B_t| +
+    |z Phi_n A_t|, or CrossCheckError is raised.  An infinite ``logw`` =
+    log|omega_{n-1}| and samples of log|Q|^2 or |D|^2 that overflow float64
+    raise QuadratureError.  Returns minus that mean, the number of points,
+    the roots divided out, |B_t|^2, |A_t|^2 and |D|^2 on the angles, and
+    the values of ``rows`` there.
     """
     near, far = [], []
     for r in den_roots:
@@ -281,23 +289,23 @@ def _denominator_mean(split: KhrushchevSplit, logw: float, phistar_L: ComplexPol
     # forward deflation is stable in ascending order of modulus (Peters and
     # Wilkinson, 1971); ``near`` itself keeps the root finder's order
     quotient = _deflate(phistar_L.coeffs, sorted(near, key=abs))
-    m = _trapezoid_points(far)
+    m = max(floor, _trapezoid_points(far))
+    z_row = [(0j, 1.0)] if near else []  # the polynomial z, for |z - r|
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        rows = [quotient, (0j, 1.0)] if near else [quotient]  # (0, 1) is z, for |z - r|
-        (bt2, at2, d2, scale), (q, *z) = split.on_circle(m, *rows)
+        (bt2, at2, d2, scale), (q, *values) = split.on_circle(m, quotient, *z_row, *rows)
         product = np.abs(q)
         log_q2 = np.log(product * product)
         # |log_q2| <= 745 where finite, so the sum is finite exactly when both are
         _refuse_overflow(logw, log_q2 + d2)
     for r in near:
-        product *= np.abs(z[0] - r)
+        product *= np.abs(values[0] - r)
     worst = float(np.max(np.abs(np.sqrt(d2) - product) / scale))
     if not worst <= DEFLATION_TOL:
         raise CrossCheckError(
             f"|D| and |Q| prod |z - r| differ by {worst:.1e} of the split's scale "
             f"after dividing out {len(near)} near-circle roots")
     jensen = 2.0 * sum(math.log(max(1.0, abs(r))) for r in near)
-    return -float(log_q2.sum() / m) - jensen, m, near, bt2, at2
+    return -float(log_q2.sum() / m) - jensen, m, near, bt2, at2, d2, values[len(z_row):]
 
 
 def szego_verify(seq: VerblunskySequence) -> SzegoReport:
@@ -328,7 +336,7 @@ def szego_verify(seq: VerblunskySequence) -> SzegoReport:
     split = KhrushchevSplit(*pairs[N], tail_schur(seq, N), omega(seq, N - 1))
     sign, logw = omega_log_sign(seq, N - 1)
     logwt = math.fsum(math.log1p(-abs(a) ** 2) for a in seq.alphas[N:])
-    neg_mean, pts, near, bt2, at2 = _denominator_mean(split, logw, pairs[L][1], den_roots)
+    neg_mean, pts, near, bt2, at2, *_ = _denominator_mean(split, logw, pairs[L][1], den_roots)
     gap = float(np.max(np.abs(bt2 - at2 - math.exp(logwt)) / (bt2 + at2)))
     if not gap <= DEFLATION_TOL:
         raise CrossCheckError(
@@ -346,28 +354,30 @@ def szego_verify(seq: VerblunskySequence) -> SzegoReport:
 
 def boyd_integral(seq: VerblunskySequence, N: int) -> float:
     """(1/2pi) * integral of log(1 - |f_N|^2) over the circle, as the mean
-    of log(|B_t|^2 - |A_t|^2) - log|B_t|^2 by ``circle_quadrature`` on the
-    m = ``_trapezoid_points`` angles sized from the roots of B_t, which has
-    no zero in the closed disk: |B_t|^2 - |A_t|^2 is constant on the circle,
-    so the roots bound the whole error.
+    of log(|B_t|^2 - |A_t|^2) - log|B_t|^2 on the m = ``_trapezoid_points``
+    angles sized from the roots of B_t, which has no zero in the closed
+    disk: |B_t|^2 - |A_t|^2 is constant on the circle, so the roots bound
+    the whole error.  A_t and B_t there come from one FFT (``_on_circle``),
+    run in np.clongdouble: the difference magnifies the sampler's rounding
+    as much as the coefficients', and a complex128 FFT of m = 512 points
+    rounds about twice as much as Horner at degree 6.
 
     For a classical tail this equals log prod_{j>=N} (1 - |alpha_j|^2).
     The difference loses (|B_t|^2 + |A_t|^2) / (|B_t|^2 - |A_t|^2) to
     cancellation; where eps times that exceeds CANCELLATION_TOL, as for six
     coefficients at 0.99 or two at 0.9999, QuadratureError is raised, as it
-    is for a grid above QUAD_MAX_POINTS.
+    is for a grid above QUAD_MAX_POINTS or a non-finite sample.
     """
     tail = tail_schur(seq, N)  # validates that the tail is classical
-
-    def integrand(thetas: np.ndarray) -> np.ndarray:
-        zs = np.exp(1j * thetas)
-        bt2, at2 = np.abs(tail.den(zs)) ** 2, np.abs(tail.num(zs)) ** 2
+    m = _trapezoid_points(poly_roots(tail.den))
+    tn, td = _on_circle([tail.num.coeffs, tail.den.coeffs], m, np.clongdouble)
+    bt2, at2 = np.abs(td) ** 2, np.abs(tn) ** 2
+    # a non-finite sample is refused, so numpy's divide/invalid warnings are noise
+    with np.errstate(divide="ignore", invalid="ignore"):
         share = np.min((bt2 - at2) / (bt2 + at2))
         if not share * CANCELLATION_TOL >= np.finfo(float).eps:
             raise QuadratureError(f"|B_t|^2 - |A_t|^2 cancels to {share:.1e} of |B_t|^2 + |A_t|^2")
-        return np.log(bt2 - at2) - np.log(bt2)
-
-    return circle_quadrature(integrand, _trapezoid_points(poly_roots(tail.den)))
+        return _grid_mean(np.log(bt2 - at2) - np.log(bt2), m)
 
 
 def zero_count_trace(seq: VerblunskySequence, n_max: int) -> list[TraceRow]:
@@ -456,32 +466,30 @@ def log_split_check(seq: VerblunskySequence, n: int) -> float:
         exp( (1/2pi) int log|Phi_n* - z Phi_n f_n|^2 ) = prod |lambda_j|^{-2}
     within LOG_SPLIT_TOL = 1e-9, else CrossCheckError.  As in
     ``szego_verify``, the third piece is log|D|^2 - log|B_t|^2 with D = F's
-    denominator Phi_L*: the mean of log|D|^2 comes from
-    ``_denominator_mean``, which samples the split a second time, and the
-    mean of log|B_t|^2 from ``circle_quadrature`` on the m =
-    ``_trapezoid_points`` angles sized from the roots of B_t.  One run of
-    the recurrence gives the split's Phi_n, Phi_n* and F's denominator
-    Phi_L*.  The pointwise values of the split and of F's Psi_L* and Phi_L*
-    come from one FFT of their stacked coefficients
-    (``KhrushchevSplit.on_circle``).  Overflow is refused as in
-    ``szego_verify``.
+    denominator Phi_L*.  One run of the recurrence gives the split's Phi_n,
+    Phi_n* and Phi_L*.  The split, the deflated Q of ``_denominator_mean``
+    and F's Psi_L* and Phi_L* are sampled once, together, on the 512th roots
+    of unity (512 is at least the m that Q's roots ask for, as they lie
+    NEAR_ROOT_BAND off the circle), which gives the pointwise check and the
+    mean of log|D|^2; the mean of log|B_t|^2 comes from one FFT of B_t on
+    the m = ``_trapezoid_points`` angles sized from the roots of B_t.
+    Overflow is refused as in ``szego_verify``.
     """
     tail, L = tail_schur(seq, n), len(seq)  # the tail validates n first
     pairs = _szego_pairs(seq.alphas, (n, L))
     at_n = KhrushchevSplit(*pairs[n], tail, omega(seq, n - 1))
     logw = omega_log_sign(seq, n - 1)[1]
     F = RationalFn(second_kind_polys(seq, L)[1], pairs[L][1])
-    with np.errstate(over="ignore"):
-        (bt2, at2, d2, _), (num, den) = at_n.on_circle(512, F.num.coeffs, F.den.coeffs)
-    _refuse_overflow(logw, d2)
+    poles, den_roots = _poles(F.den, seq.alphas, seq.N)
+    neg_mean_d, _, _, bt2, at2, d2, (num, den) = _denominator_mean(
+        at_n, logw, F.den, den_roots, 512, (F.num.coeffs, F.den.coeffs))
     split = logw + np.log(bt2 - at2) - np.log(d2)
     direct = np.log(np.abs((num / den).real))
     pointwise = float(np.max(np.abs(direct - split)) / max(1.0, float(np.max(np.abs(direct)))))
 
-    poles, den_roots = _poles(F.den, seq.alphas, seq.N)
-    neg_mean_d = _denominator_mean(at_n, logw, F.den, den_roots)[0]
-    mean_b = circle_quadrature(lambda t: np.log(np.abs(tail.den(np.exp(1j * t))) ** 2),
-                               _trapezoid_points(poly_roots(tail.den)))
+    m_b = _trapezoid_points(poly_roots(tail.den))
+    with np.errstate(divide="ignore"):  # a zero sample is refused
+        mean_b = _grid_mean(np.log(np.abs(_on_circle([tail.den.coeffs], m_b)[0]) ** 2), m_b)
     integral = -neg_mean_d - mean_b
     target = math.exp(-2.0 * sum(math.log(abs(p)) for p in poles))
     diff = abs(math.exp(integral) - target)

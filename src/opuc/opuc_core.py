@@ -196,6 +196,12 @@ def wall_polys(seq: VerblunskySequence, n: int) -> WallPair:
     residual beyond CROSS_CHECK_TOL relative to coefficient scale raises
     CrossCheckError.
     """
+    return _checked_wall(seq, n)[0]
+
+
+def _checked_wall(seq: VerblunskySequence, n: int):
+    """``wall_polys``' pair, with the Phi_{n+1}, Phi_{n+1}* it checked the
+    Pinter-Nevai identity against and that identity's deviation."""
     if n < 0:
         raise ValueError("index must be nonnegative")
     p11, p12 = ComplexPoly([1.0]), ComplexPoly([0.0])
@@ -228,7 +234,7 @@ def wall_polys(seq: VerblunskySequence, n: int) -> WallPair:
         raise CrossCheckError(f"B_n(0) = {B(0)!r} != 1")
     if A(0) != seq.alpha(0):
         raise CrossCheckError(f"A_n(0) = {A(0)!r} != alpha_0")
-    return WallPair(A=A, B=B, n=n)
+    return WallPair(A=A, B=B, n=n), phi, phistar, dev_pn
 
 
 def verify_identities(seq: VerblunskySequence, n: int, grid: int = 256) -> IdentityReport:
@@ -241,16 +247,10 @@ def verify_identities(seq: VerblunskySequence, n: int, grid: int = 256) -> Ident
     """
     if grid < 1:
         raise ValueError(f"grid must be at least 1, got {grid}")
-    wp = wall_polys(seq, n)
+    wp, phi, phistar, pn_dev = _checked_wall(seq, n)
     om = omega(seq, n)
     b, a = _on_circle([wp.B.coeffs, wp.A.coeffs], grid)
     wall_dev = float(np.max(np.abs(np.abs(b) ** 2 - np.abs(a) ** 2 - om)))
-
-    phi, phistar = szego_polys(seq, n + 1)
-    pn_dev = max(
-        _max_coeff_dev(phi, wp.B.reverse(n).shifted(1) - wp.A.reverse(n)),
-        _max_coeff_dev(phistar, wp.B - wp.A.shifted(1)),
-    )
 
     psi, psistar = second_kind_polys(seq, n + 1)
     target = ComplexPoly([0j] * (n + 1) + [2.0 * om])

@@ -74,7 +74,7 @@ def test_quadrature_log_modulus_outside_root():
 def test_quadrature_reports_the_point_cap(monkeypatch):
     # B_t's closest root lies 2e-6 off the circle: the sizing rule asks for
     # more than 2^20 points and refuses before any grid is sampled
-    monkeypatch.setattr(opuc.analysis, "circle_quadrature", lambda g, m: pytest.fail("sampled"))
+    monkeypatch.setattr(opuc.analysis, "_on_circle", lambda *args: pytest.fail("sampled"))
     cap = "the trapezoid rule needs more than 1048576 points: a root lies about 2.0e-06 off"
     with pytest.raises(QuadratureError, match=cap):
         boyd_integral(VerblunskySequence([1 - 1e-6] * 2), 0)
@@ -516,9 +516,42 @@ def test_verify_samples_the_split_once_on_its_quadrature_angles(split_samples, a
     assert split_samples == [rep.quad_points]
 
 
-def test_log_split_samples_the_split_on_its_grid_then_its_quadrature_angles(split_samples):
-    assert log_split_check(VerblunskySequence([2.0, 0.5]), 2) < 1e-9
-    assert split_samples == [512, 128]
+@pytest.mark.parametrize("alphas, n", [([2.0, 0.5], 2), (_CHECKED[0], 1), (_CHECKED[1], 2)])
+def test_log_split_samples_the_split_once(split_samples, alphas, n):
+    # the pointwise check and the mean of log|D|^2 share one grid of 512
+    # points, which no far root of Phi_L* asks to exceed
+    assert log_split_check(VerblunskySequence(alphas), n) < 1e-9
+    assert split_samples == [512]
+
+
+_CIRCLE_MEANS = [
+    lambda seq: boyd_integral(seq, seq.N),
+    lambda seq: boyd_integral(seq, min(seq.N + 1, len(seq))),
+    lambda seq: log_split_check(seq, seq.N),
+    lambda seq: log_split_check(seq, min(seq.N + 1, len(seq))),
+]
+_CIRCLE_MEAN_IDS = ["boyd_at_N", "boyd_after_N", "log_split_at_N", "log_split_after_N"]
+
+
+@pytest.mark.parametrize("alphas", [*_CHECKED, [0.5, 0.3], [2.0, 0.5]])
+@pytest.mark.parametrize("run", _CIRCLE_MEANS, ids=_CIRCLE_MEAN_IDS)
+def test_circle_means_make_no_horner_loop(horner_calls, run, alphas):
+    # every polynomial value on a uniform grid comes from one FFT per grid
+    run(VerblunskySequence(alphas))
+    assert horner_calls == []
+
+
+@pytest.mark.parametrize("run", _CIRCLE_MEANS, ids=_CIRCLE_MEAN_IDS)
+def test_circle_means_answer_as_horner_at_the_same_angles(monkeypatch, run):
+    rng = np.random.default_rng(31)
+    cases = [random_nonclassical(rng, require_growth_window=False) for _ in range(15)]
+    cases += [VerblunskySequence(alphas) for alphas in _CHECKED]
+    values = [run(seq) for seq in cases]
+    monkeypatch.setattr(opuc.analysis, "_on_circle", horner_on_circle)
+    monkeypatch.setattr(opuc.schur, "_on_circle", horner_on_circle)
+    for seq, value in zip(cases, values):
+        ref = run(seq)
+        assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref)), seq.alphas
 
 
 @pytest.mark.parametrize("alphas", [[2.0, 0.5j, -0.3], [0.5, 2.0], []])
@@ -811,8 +844,10 @@ def test_log_split_subtracts_near_circle_roots():
 def test_log_split_subtracts_the_mean_of_log_B_t(monkeypatch):
     # the third piece is mean log|D|^2 - mean log|B_t|^2; the second mean is 0
     # on every tail (B_t(0) = 1, no zero in the closed disk), so only a
-    # shifted value shows its sign: exp of the piece moves by exp(-0.5)
-    monkeypatch.setattr(opuc.analysis, "circle_quadrature", lambda g, m: 0.5)
+    # shifted value shows its sign: exp of the piece moves by exp(-0.5), here
+    # from samples of B_t with |B_t|^2 = exp(0.5) everywhere
+    monkeypatch.setattr(opuc.analysis, "_on_circle",
+                        lambda rows, m: np.full((len(rows), m), math.exp(0.25), dtype=complex))
     with pytest.raises(CrossCheckError) as refusal:
         log_split_check(VerblunskySequence([2.0, 0.5]), 2)
     third = float(re.search(r"third integral (\S+) disagrees", str(refusal.value)).group(1))

@@ -292,6 +292,38 @@ def test_grid_builds_tail_once(tmp_path, capsys, tail_builds):
     assert [float(line.split(",")[2]) for line in lines[1:]] == want.tolist()
 
 
+@pytest.mark.parametrize("alphas", [[2.0, 0.5j, -0.3], [2.0, 0.95, -0.95j, 0.9],
+                                    NEAR_COMMON_ROOT_ALPHAS])
+def test_grid_direct_column_makes_no_horner_loop(tmp_path, capsys, horner_calls, alphas):
+    # Re(Psi_L*/Phi_L*) comes from one FFT on the grid: every Horner call the
+    # command makes is one of its formula column's
+    seq = VerblunskySequence(alphas)
+    re_F_khrushchev(seq, seq.N, 2.0 * np.pi * np.arange(64) / 64)
+    formula_calls = list(horner_calls)
+    horner_calls.clear()
+    assert main(["grid", "--input", str(write_case(tmp_path / "case.json", alphas)),
+                 "--points", "64"]) == 0
+    assert horner_calls == formula_calls
+
+
+@pytest.mark.parametrize("points", [1, 7, 64, 1024])
+def test_grid_direct_column_answers_as_horner_at_the_same_angles(tmp_path, capsys, points):
+    rng = np.random.default_rng(37)
+    cases = [[complex(*rng.normal(size=2)) for _ in range(int(rng.integers(1, 7)))]
+             for _ in range(10)]
+    for j, alphas in enumerate([*cases, NEAR_COMMON_ROOT_ALPHAS]):
+        assert main(["grid", "--input", str(write_case(tmp_path / f"{j}.json", alphas)),
+                     "--points", str(points)]) == 0
+        direct = np.array([float(line.split(",")[1])
+                           for line in capsys.readouterr().out.splitlines()[1:]])
+        F = opuc.as_rational_F(VerblunskySequence(alphas))
+        zs = np.exp(2j * np.pi * np.arange(points) / points)
+        want = F.num(zs) / F.den(zs)
+        # Re F rounds on the scale of |F|: both samplers miss 40-digit values
+        # of Re F by up to 4e-12 where |F| is 150
+        assert np.max(np.abs(direct - want.real) / np.maximum(1.0, np.abs(want))) <= 1e-13, alphas
+
+
 def test_grid_builds_no_wall_product(tmp_path, capsys, wall_builds):
     case = write_case(tmp_path / "case.json", [2.0, 0.5j, -0.3])
     assert main(["grid", "--input", str(case), "--points", "64"]) == 0
@@ -454,6 +486,38 @@ def test_bad_argument_is_one_error_line(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["trace", "--n-max"],
+    ["polys", "--n"],
+    ["moments", "--order"],
+    ["moments", "--m"],
+    ["recover", "--num", "1,0.5", "--den", "1,-0.3", "--max-n"],
+])
+def test_index_above_the_bound_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    # each flag sizes a Python loop or list: 2**40 is refused before the case
+    # file or the coefficients are read
+    monkeypatch.setattr(opuc.cli, "load_case", lambda path: pytest.fail("read"))
+    monkeypatch.setattr(opuc.cli, "_parse_complex_list", lambda text, flag: pytest.fail("read"))
+    if argv[0] != "recover":
+        argv = [argv[0], "--input", str(tmp_path / "case.json"), *argv[1:]]
+    assert main([*argv, str(2 ** 40)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {argv[-1]} must be at most {opuc.cli.MAX_INDEX}, "
+                            f"got {2 ** 40}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--input", "case.json", "--order"],
+    ["recover", "--num", "1,0.5", "--den", "1,-0.3", "--max-n"],
+])
+def test_index_at_the_bound_is_answered(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write_case(tmp_path / "case.json", [0.5, 0.25j])
+    assert main([*argv, str(opuc.cli.MAX_INDEX)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_trace_json(tmp_path, capsys):
     case = write_case(tmp_path / "case.json", [2.0, 0.5])
     assert main(["trace", "--input", str(case)]) == 0
@@ -531,6 +595,27 @@ def test_batch_writes_strict_json(tmp_path, capsys, monkeypatch):
     assert summary["fail"] == 1 and summary["worst_rel_error"] is None
     assert summary["cases"][0]["error_type"] == "ValueError"
     assert not (out_dir / "a.report.json").exists()
+
+
+def test_batch_writes_its_summary_past_an_unwritable_report(tmp_path, capsys):
+    # a directory where one report belongs: that case fails with its error,
+    # the other passes, and the summary is written
+    cases = tmp_path / "cases"
+    cases.mkdir()
+    write_case(cases / "case000.json", [2.0, 0.5])
+    write_case(cases / "case001.json", [0.5])
+    out_dir = tmp_path / "results"
+    (out_dir / "case000.report.json").mkdir(parents=True)
+    assert main(["batch", "--dir", str(cases), "--out", str(out_dir)]) == 0
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert json.loads(capsys.readouterr().out) == summary
+    assert summary["pass"] == 1 and summary["fail"] == 1
+    failed, passed = summary["cases"]
+    assert failed["file"] == "case000.json" and failed["status"] == "fail"
+    assert "case000.report.json" in failed["error"]  # IsADirectoryError on Linux
+    assert "rel_error" not in failed
+    assert passed["status"] == "pass" and (out_dir / "case001.report.json").is_file()
+    assert summary["worst_rel_error"] == passed["rel_error"]
 
 
 def test_batch_empty_dir(tmp_path, capsys):

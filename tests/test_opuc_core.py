@@ -205,6 +205,14 @@ def test_identities_small_case():
     assert rep.liouville < 1e-12
 
 
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_identities_run_each_recurrence_once(szego_runs, n):
+    # Phi_{n+1}, Phi_{n+1}* for the Wall pair's Pinter-Nevai check and the
+    # Liouville identity from one run; Psi_{n+1}, Psi_{n+1}* from one more
+    verify_identities(VerblunskySequence([2, 0.5j, -0.3]), n, grid=16)
+    assert szego_runs == [n + 1, n + 1]
+
+
 @pytest.mark.parametrize("grid", [0, -3])
 def test_identities_refuse_an_empty_grid(grid):
     with pytest.raises(ValueError, match="grid must be at least 1"):
