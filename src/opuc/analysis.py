@@ -34,8 +34,6 @@ QUAD_MIN_POINTS = 64     # the fewest points _trapezoid_points asks for
 QUAD_MAX_POINTS = 1 << 20  # the most: a grid above it is refused, not built
 QUAD_ERROR_BOUND = 1e-15  # the bound on each trapezoid error: below the rounding
                           # of the m-point sum, so more points gain nothing
-CANCELLATION_TOL = 1e-9  # eps (|B_t|^2 + |A_t|^2) / (|B_t|^2 - |A_t|^2) above this
-                         # leaves boyd_integral too few digits: refused
 LOG_SPLIT_TOL = 1e-9     # log_split_check's bound on the third integral's miss
 POLE_CLUSTER_TOL = 1e-7
 NEAR_ROOT_BAND = 0.1     # roots of Phi_L* with ||r| - 1| below this are subtracted
@@ -45,8 +43,7 @@ DEFLATION_TOL = 1e-6     # |D| against |Q| prod |z - r|, and |B_t|^2 - |A_t|^2 a
 
 class QuadratureError(RuntimeError):
     """A circle mean that cannot be taken: non-finite samples, samples that
-    overflow float64, a grid above QUAD_MAX_POINTS, or a difference that
-    cancels to too few digits."""
+    overflow float64, or a grid above QUAD_MAX_POINTS."""
 
 
 class AmbiguousRootError(RuntimeError):
@@ -111,11 +108,31 @@ def circle_quadrature(g, m: int) -> float:
 
 
 def _grid_mean(vals: np.ndarray, m: int) -> float:
-    """The mean of the samples ``vals`` on the m-point grid; a non-finite
-    sample raises QuadratureError."""
+    """The mean of the samples ``vals`` on the m-point grid, summed exactly
+    (``math.fsum``), so that it keeps only the samples' own rounding; a
+    non-finite sample raises QuadratureError."""
     if not np.isfinite(vals).all():
         raise QuadratureError(f"integrand not finite on the {m}-point grid")
-    return float(vals.sum()) / m
+    return math.fsum(vals.tolist()) / m
+
+
+def _log_defect(alphas, z: np.ndarray) -> np.ndarray:
+    """log(1 - |f|^2) at the points ``z`` of the circle, f the Schur function
+    of the classical ``alphas`` (zero beyond them).  There the Schur step
+    f_j = (a_j + z f_{j+1}) / (1 + conj(a_j) z f_{j+1}) gives
+
+        1 - |f_j|^2 = (1 - |a_j|^2) (1 - |f_{j+1}|^2) / |1 + conj(a_j) z f_{j+1}|^2,
+
+    so, run from f = 0 past the last coefficient, the logarithm is the fsum
+    of log1p(-|a_j|^2) less the sum of log|1 + conj(a_j) z f_{j+1}|^2.  No
+    term cancels, as |1 + conj(a_j) z f_{j+1}| >= 1 - |a_j| > 0."""
+    f, logs = np.zeros_like(z), np.zeros(len(z))
+    for a in reversed(alphas):
+        zf = z * f
+        d = 1.0 + a.conjugate() * zf
+        logs += np.log(np.abs(d) ** 2)
+        f = (a + zf) / d
+    return math.fsum(math.log1p(-abs(a) ** 2) for a in alphas) - logs
 
 
 def re_F_khrushchev(seq: VerblunskySequence, n: int, theta: float | np.ndarray):
@@ -183,18 +200,20 @@ def _poles(den, alphas, N: int) -> tuple[list[complex], list[complex]]:
     """The in-disk roots of ``den`` = Phi_L* (the poles) and all of its roots,
     for the coefficients ``alphas`` with ``VerblunskySequence.N`` = ``N``.
 
-    Their number is at most the in-disk zero count of Phi_N*, which the
-    zero-count rule gives exactly (the classical steps from N on add none),
-    so the roots are found once, for Phi_L* alone.
+    Their number is the in-disk zero count of Phi_N*, which the zero-count
+    rule gives exactly: on the circle |alpha_k z Phi_k| < |Phi_k*| for each
+    classical step from N on, so by Rouche's theorem none changes the
+    count.  The roots are found once, for Phi_L* alone, and any other
+    number of poles raises CrossCheckError.
     """
     if den.degree < 1:
         return [], []
     den_roots = poly_roots(den)
     inside = _cluster_poles(_inside(den_roots, "denominator roots"))
-    bound = N - _disk_counts(alphas, N)[N]
-    if len(inside) > bound:
-        raise CrossCheckError(
-            f"{len(inside)} poles exceed the {bound} in-disk zeros of Phi_N*")
+    count = N - _disk_counts(alphas, N)[N]
+    if len(inside) != count:
+        verb = "exceed" if len(inside) > count else "fall short of"
+        raise CrossCheckError(f"{len(inside)} poles {verb} the {count} in-disk zeros of Phi_N*")
     return inside, den_roots
 
 
@@ -204,8 +223,8 @@ def pole_set(seq: VerblunskySequence) -> list[complex]:
     root-finding on Phi_L*.
 
     Raises AmbiguousRootError when a root lies in the circle guard band and
-    CrossCheckError if the count exceeds the in-disk zeros of Phi_N*, which
-    the zero-count rule gives from the coefficients.
+    CrossCheckError if the count differs from the in-disk zeros of Phi_N*,
+    which the zero-count rule gives from the coefficients.
     """
     return _poles(as_rational_F(seq).den, seq.alphas, seq.N)[0]
 
@@ -328,7 +347,8 @@ def szego_verify(seq: VerblunskySequence) -> SzegoReport:
 
     The roots of Phi_L* are found once, before anything else is built, so
     a refusal (a root in the circle guard band, roots that cannot be
-    resolved, more poles than the zero-count rule allows) builds no tail.
+    resolved, another number of poles than the zero-count rule gives)
+    builds no tail.
     """
     N, L = seq.N, len(seq)
     pairs = _szego_pairs(seq.alphas, (N, L))  # Phi_N, Phi_N* and Phi_L* from one run
@@ -353,40 +373,31 @@ def szego_verify(seq: VerblunskySequence) -> SzegoReport:
 
 
 def boyd_integral(seq: VerblunskySequence, N: int) -> float:
-    """(1/2pi) * integral of log(1 - |f_N|^2) over the circle, as the mean
-    of log(|B_t|^2 - |A_t|^2) - log|B_t|^2 on the m = ``_trapezoid_points``
-    angles sized from the roots of B_t, which has no zero in the closed
-    disk: |B_t|^2 - |A_t|^2 is constant on the circle, so the roots bound
-    the whole error.  A_t and B_t there come from one FFT (``_on_circle``),
-    run in np.clongdouble: the difference magnifies the sampler's rounding
-    as much as the coefficients', and a complex128 FFT of m = 512 points
-    rounds about twice as much as Horner at degree 6.
+    """(1/2pi) * integral of log(1 - |f_N|^2) over the circle, as the mean of
+    ``_log_defect`` of the tail on the m = ``_trapezoid_points`` angles
+    sized from the roots of B_t, whose points come from one FFT
+    (``_on_circle``) of the polynomial z.  By the Schur step in product form
+    no term cancels, however near the circle the tail's coefficients lie.
 
-    For a classical tail this equals log prod_{j>=N} (1 - |alpha_j|^2).
-    The difference loses (|B_t|^2 + |A_t|^2) / (|B_t|^2 - |A_t|^2) to
-    cancellation; where eps times that exceeds CANCELLATION_TOL, as for six
-    coefficients at 0.99 or two at 0.9999, QuadratureError is raised, as it
-    is for a grid above QUAD_MAX_POINTS or a non-finite sample.
+    For a classical tail this equals log prod_{j>=N} (1 - |alpha_j|^2): the
+    sampled part telescopes to minus the mean of log|B_t|^2, which is 0 as
+    B_t(0) = 1 and B_t has no zero in the closed disk, so B_t's roots bound
+    the whole error.  A grid above QUAD_MAX_POINTS, which a root about 1e-6
+    off the circle asks for, raises QuadratureError before any sampling, as
+    does a non-finite sample.
     """
     tail = tail_schur(seq, N)  # validates that the tail is classical
     m = _trapezoid_points(poly_roots(tail.den))
-    tn, td = _on_circle([tail.num.coeffs, tail.den.coeffs], m, np.clongdouble)
-    bt2, at2 = np.abs(td) ** 2, np.abs(tn) ** 2
-    # a non-finite sample is refused, so numpy's divide/invalid warnings are noise
-    with np.errstate(divide="ignore", invalid="ignore"):
-        share = np.min((bt2 - at2) / (bt2 + at2))
-        if not share * CANCELLATION_TOL >= np.finfo(float).eps:
-            raise QuadratureError(f"|B_t|^2 - |A_t|^2 cancels to {share:.1e} of |B_t|^2 + |A_t|^2")
-        return _grid_mean(np.log(bt2 - at2) - np.log(bt2), m)
+    return _grid_mean(_log_defect(seq.alphas[N:], _on_circle([(0j, 1.0)], m)[0]), m)
 
 
 def zero_count_trace(seq: VerblunskySequence, n_max: int) -> list[TraceRow]:
     """Predicted vs actual in-disk zero counts of Phi_k and Phi_k*, k <= n_max.
 
     The prediction is the zero-count rule (``_disk_counts``, which also
-    bounds the poles): the chain starts at zero, |alpha_{k-1}| < 1 adds one
-    zero and |alpha_{k-1}| > 1 reflects, giving (k-1) minus the previous
-    count.  Star counts are the complements.
+    gives the number of poles): the chain starts at zero, |alpha_{k-1}| < 1
+    adds one zero and |alpha_{k-1}| > 1 reflects, giving (k-1) minus the
+    previous count.  Star counts are the complements.
 
     The roots of each Phi_k are found once.  Phi_k* = z^k conj Phi_k(1/conj z)
     (the recurrence builds it as that exact conjugate reversal) has as its
@@ -461,17 +472,19 @@ def log_split_check(seq: VerblunskySequence, n: int) -> float:
 
     Pointwise on the 512th roots of unity:
         log|Re F| = log|omega_{n-1}| + log(1 - |f_n|^2) - log|Phi_n* - z Phi_n f_n|^2
-    with Re F taken from the rational form of F (an independent route), and
+    with Re F taken from the rational form of F (an independent route),
+    log(1 - |f_n|^2) from the Schur step in product form (``_log_defect``),
+    which cancels nowhere, and the last term as log|D|^2 - log|B_t|^2; and
 
         exp( (1/2pi) int log|Phi_n* - z Phi_n f_n|^2 ) = prod |lambda_j|^{-2}
     within LOG_SPLIT_TOL = 1e-9, else CrossCheckError.  As in
     ``szego_verify``, the third piece is log|D|^2 - log|B_t|^2 with D = F's
     denominator Phi_L*.  One run of the recurrence gives the split's Phi_n,
-    Phi_n* and Phi_L*.  The split, the deflated Q of ``_denominator_mean``
-    and F's Psi_L* and Phi_L* are sampled once, together, on the 512th roots
-    of unity (512 is at least the m that Q's roots ask for, as they lie
-    NEAR_ROOT_BAND off the circle), which gives the pointwise check and the
-    mean of log|D|^2; the mean of log|B_t|^2 comes from one FFT of B_t on
+    Phi_n* and Phi_L*.  The split, the deflated Q of ``_denominator_mean``,
+    F's Psi_L* and Phi_L* and the points z themselves (the polynomial z)
+    are sampled once, together, on the 512th roots of unity (512 is at
+    least the m that Q's roots ask for, as they lie NEAR_ROOT_BAND off the
+    circle), which gives the pointwise check and the mean of log|D|^2; the mean of log|B_t|^2 comes from one FFT of B_t on
     the m = ``_trapezoid_points`` angles sized from the roots of B_t.
     Overflow is refused as in ``szego_verify``.
     """
@@ -481,9 +494,9 @@ def log_split_check(seq: VerblunskySequence, n: int) -> float:
     logw = omega_log_sign(seq, n - 1)[1]
     F = RationalFn(second_kind_polys(seq, L)[1], pairs[L][1])
     poles, den_roots = _poles(F.den, seq.alphas, seq.N)
-    neg_mean_d, _, _, bt2, at2, d2, (num, den) = _denominator_mean(
-        at_n, logw, F.den, den_roots, 512, (F.num.coeffs, F.den.coeffs))
-    split = logw + np.log(bt2 - at2) - np.log(d2)
+    neg_mean_d, _, _, bt2, _, d2, (num, den, z) = _denominator_mean(
+        at_n, logw, F.den, den_roots, 512, (F.num.coeffs, F.den.coeffs, (0j, 1.0)))
+    split = logw + _log_defect(seq.alphas[n:], z) + np.log(bt2) - np.log(d2)
     direct = np.log(np.abs((num / den).real))
     pointwise = float(np.max(np.abs(direct - split)) / max(1.0, float(np.max(np.abs(direct)))))
 

@@ -169,16 +169,14 @@ def _horner(c: Sequence[complex], z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _on_circle(rows: Sequence[Sequence[complex]], m: int, dtype=complex) -> np.ndarray:
+def _on_circle(rows: Sequence[Sequence[complex]], m: int) -> np.ndarray:
     """Values of each coefficient row (constant first) at the m-th roots of
     unity exp(2 pi i j / m), j = 0..m-1: row i of the result is the inverse
     DFT, unscaled, of row i, from one FFT of the stacked rows.  Rows of more
     than m coefficients are folded first, c_k added into c_{k mod m}, as
-    z^m = 1 there.  The FFT runs in ``dtype``; np.clongdouble, where it is
-    wider than complex128, leaves the values with the coefficients'
-    rounding alone."""
+    z^m = 1 there."""
     k = max(map(len, rows))
-    stacked = np.zeros((len(rows), k), dtype=dtype)
+    stacked = np.zeros((len(rows), k), dtype=complex)
     for i, row in enumerate(rows):
         stacked[i, :len(row)] = row
     if k > m:

@@ -54,13 +54,6 @@ class RationalFn:
     def __call__(self, z):
         return self.num(z) / self.den(z)
 
-    def value(self, z: complex) -> complex:
-        """Evaluate with a pole guard on the denominator."""
-        d = self.den(z)
-        if abs(d) <= _POLE_GUARD * max(self.den.magnitude_bound(z), 1e-300):
-            raise PoleEvaluationError(f"denominator vanishes at z = {z!r}")
-        return self.num(z) / d
-
 
 @dataclasses.dataclass(frozen=True)
 class SchurStep:

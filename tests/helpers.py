@@ -173,10 +173,9 @@ def random_nonclassical(rng: np.random.Generator, head_max: int = 5,
         return seq
 
 
-def horner_on_circle(rows, m: int, dtype=complex) -> np.ndarray:
+def horner_on_circle(rows, m: int) -> np.ndarray:
     """The reference for ``poly._on_circle``: each coefficient row by Horner
-    at the angles 2 pi j / m, j = 0..m-1, unfolded, in complex128 whatever
-    the ``dtype``."""
+    at the angles 2 pi j / m, j = 0..m-1, unfolded."""
     zs = np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
     return np.array([_horner(row, zs) for row in rows])
 

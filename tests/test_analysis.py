@@ -365,6 +365,17 @@ def test_a_spurious_pole_exceeds_the_zero_count_rule(spurious_root, run):
         run(VerblunskySequence([-2.0, 0.5j, -0.3, 0.2]))
 
 
+@pytest.mark.parametrize("run", [szego_verify, pole_set], ids=["szego_verify", "pole_set"])
+def test_a_missing_pole_falls_short_of_the_zero_count_rule(monkeypatch, run):
+    # alpha_0 = 2 reflects, so Phi_1* = 1 - 2z has its zero 1/2 in the disk;
+    # a root finder that drops it leaves one pole too few
+    find = opuc.analysis.poly_roots
+    monkeypatch.setattr(opuc.analysis, "poly_roots",
+                        lambda p: [r for r in find(p) if abs(r) >= 1.0])
+    with pytest.raises(CrossCheckError, match="0 poles fall short of the 1 in-disk zeros of Phi_N"):
+        run(VerblunskySequence([2.0]))
+
+
 def test_verify_subtracts_a_root_next_to_the_circle():
     # L = 24 with a root of Phi_L* 7.2e-8 off the circle: unsubtracted, the
     # trapezoid rule needs about 1/margin points
@@ -622,30 +633,30 @@ def test_boyd_matches_product_on_random_tails():
 
 @pytest.mark.parametrize("seed, max_mod", [(5, 0.95), (6, 0.99)])
 def test_boyd_matches_product_on_draws_near_the_circle(seed, max_mod):
-    # six coefficients up to 0.99 lose at most a factor 1.5e5 to the
-    # cancellation in |B_t|^2 - |A_t|^2, well inside the refusal; the worst
-    # draw misses the product by 7.8e-13
+    # |B_t|^2 - |A_t|^2 would lose up to a factor 1.5e5 on these draws;
+    # 1 - |f_0|^2 from the Schur step in product form cancels nowhere, and
+    # the worst draw misses the product by 4.4e-16
     rng = np.random.default_rng(seed)
     for _ in range(40):
         seq = VerblunskySequence(draw_tail(rng, 6, max_mod))
         want = math.fsum(math.log1p(-abs(a) ** 2) for a in seq.alphas)
-        assert abs(boyd_integral(seq, 0) - want) < 1e-12, seq.alphas
+        assert abs(boyd_integral(seq, 0) - want) < 1e-15, seq.alphas
 
 
-@pytest.mark.parametrize("alphas", [[0.99] * 6, [0.999] * 4, [0.9999] * 2])
-def test_boyd_refuses_a_cancelling_difference(alphas):
-    # (|B_t|^2 + |A_t|^2) / (|B_t|^2 - |A_t|^2) reaches 3e13, 8e12 and 2e8:
-    # eps times that exceeds 1e-9 (the sums missed the product by 1.1e-3,
-    # 4.0e-5 and 2.5e-9, the last with no sign of it)
-    with pytest.raises(QuadratureError, match=r"\|B_t\|\^2 - \|A_t\|\^2 cancels to"):
-        boyd_integral(VerblunskySequence(alphas), 0)
+@pytest.mark.parametrize("alphas", [[0.99] * 6, [0.999] * 4, [0.9999] * 2, [0.999] * 8])
+def test_boyd_answers_a_cancelling_difference(alphas):
+    # (|B_t|^2 + |A_t|^2) / (|B_t|^2 - |A_t|^2) reaches 3e13, 8e12, 2e8 and
+    # more than 1 / eps: the difference would keep too few digits or none,
+    # and the product form has no difference (m = 16,384 to 524,288 points)
+    want = math.fsum(math.log1p(-abs(a) ** 2) for a in alphas)
+    assert abs(boyd_integral(VerblunskySequence(alphas), 0) - want) < 1e-15
 
 
 def test_boyd_keeps_a_difference_that_cancels_less():
-    # [0.999] * 2 loses a factor 2e6: eps times that is 4.4e-10, and the
-    # integral misses the product by 1.3e-11
+    # [0.999] * 2 would lose a factor 2e6 to |B_t|^2 - |A_t|^2; the product
+    # form answers it exactly
     want = 2 * math.log1p(-0.999 ** 2)
-    assert abs(boyd_integral(VerblunskySequence([0.999] * 2), 0) - want) < 1e-10
+    assert abs(boyd_integral(VerblunskySequence([0.999] * 2), 0) - want) < 1e-15
 
 
 # ---------------------------------------------------------------------------
