@@ -27,7 +27,7 @@ from .opuc_core import (
     second_kind_polys,
     szego_polys,
 )
-from .poly import ComplexPoly, _on_circle, roots as poly_roots, series_div, split_by_circle
+from .poly import ComplexPoly, roots as poly_roots, series_div, split_by_circle
 from .schur import KhrushchevSplit, RationalFn, as_rational_F, tail_schur
 
 QUAD_MIN_POINTS = 64     # the fewest points _trapezoid_points asks for
@@ -93,24 +93,21 @@ class MigrationRow:
 
 def circle_quadrature(g, m: int) -> float:
     """(1/2pi) * integral of g over [0, 2pi) by the m-point periodic
-    trapezoid rule: the mean of g at the angles 2 pi k / m.
+    trapezoid rule: the mean of g at the angles 2 pi k / m, summed exactly
+    (``math.fsum``), so that it keeps only the samples' own rounding.
 
     ``g`` must accept an ndarray of angles.  Its error for log|Q|^2, Q a
     polynomial with no zero on the circle, is bounded from Q's roots by
-    ``_trapezoid_points``, which sizes m.  A non-finite sample raises
-    QuadratureError.
+    ``_trapezoid_points``, which sizes m.  An m below 1 is a ValueError and
+    a non-finite sample raises QuadratureError.
     ``circle_quadrature`` is the helper for a caller's own integrand; the
     library samples polynomials on the grid by ``poly._on_circle`` instead.
     """
+    if m < 1:
+        raise ValueError(f"the trapezoid rule needs m >= 1 points, got m = {m}")
     # a non-finite sample is refused, so numpy's divide/invalid warnings are noise
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _grid_mean(np.asarray(g(2.0 * np.pi * np.arange(m) / m), dtype=float), m)
-
-
-def _grid_mean(vals: np.ndarray, m: int) -> float:
-    """The mean of the samples ``vals`` on the m-point grid, summed exactly
-    (``math.fsum``), so that it keeps only the samples' own rounding; a
-    non-finite sample raises QuadratureError."""
+        vals = np.asarray(g(2.0 * np.pi * np.arange(m) / m), dtype=float)
     if not np.isfinite(vals).all():
         raise QuadratureError(f"integrand not finite on the {m}-point grid")
     return math.fsum(vals.tolist()) / m
@@ -373,22 +370,20 @@ def szego_verify(seq: VerblunskySequence) -> SzegoReport:
 
 
 def boyd_integral(seq: VerblunskySequence, N: int) -> float:
-    """(1/2pi) * integral of log(1 - |f_N|^2) over the circle, as the mean of
-    ``_log_defect`` of the tail on the m = ``_trapezoid_points`` angles
-    sized from the roots of B_t, whose points come from one FFT
-    (``_on_circle``) of the polynomial z.  By the Schur step in product form
-    no term cancels, however near the circle the tail's coefficients lie.
+    """(1/2pi) * integral of log(1 - |f_N|^2) over the circle, for the
+    classical tail from index N: exactly log prod_{j>=N} (1 - |alpha_j|^2),
+    returned as the fsum of log1p(-|alpha_j|^2).
 
-    For a classical tail this equals log prod_{j>=N} (1 - |alpha_j|^2): the
-    sampled part telescopes to minus the mean of log|B_t|^2, which is 0 as
-    B_t(0) = 1 and B_t has no zero in the closed disk, so B_t's roots bound
-    the whole error.  A grid above QUAD_MAX_POINTS, which a root about 1e-6
-    off the circle asks for, raises QuadratureError before any sampling, as
-    does a non-finite sample.
+    On the circle 1 - |f_N|^2 = omega_t / |B_t|^2, with omega_t that
+    product (the Schur step in product form, ``_log_defect``), and the mean
+    of log|B_t|^2 is 0 by Jensen's formula, as B_t(0) = 1 and B_t has no
+    zero in the closed disk.  So no root is found and no grid is sampled,
+    however near the circle the tail's coefficients lie.  The tail is built
+    first, so an N whose tail is not classical is refused as by
+    ``tail_schur``.
     """
-    tail = tail_schur(seq, N)  # validates that the tail is classical
-    m = _trapezoid_points(poly_roots(tail.den))
-    return _grid_mean(_log_defect(seq.alphas[N:], _on_circle([(0j, 1.0)], m)[0]), m)
+    tail_schur(seq, N)  # validates that the tail is classical
+    return math.fsum(math.log1p(-abs(a) ** 2) for a in seq.alphas[N:])
 
 
 def zero_count_trace(seq: VerblunskySequence, n_max: int) -> list[TraceRow]:
@@ -479,14 +474,16 @@ def log_split_check(seq: VerblunskySequence, n: int) -> float:
         exp( (1/2pi) int log|Phi_n* - z Phi_n f_n|^2 ) = prod |lambda_j|^{-2}
     within LOG_SPLIT_TOL = 1e-9, else CrossCheckError.  As in
     ``szego_verify``, the third piece is log|D|^2 - log|B_t|^2 with D = F's
-    denominator Phi_L*.  One run of the recurrence gives the split's Phi_n,
-    Phi_n* and Phi_L*.  The split, the deflated Q of ``_denominator_mean``,
-    F's Psi_L* and Phi_L* and the points z themselves (the polynomial z)
-    are sampled once, together, on the 512th roots of unity (512 is at
-    least the m that Q's roots ask for, as they lie NEAR_ROOT_BAND off the
-    circle), which gives the pointwise check and the mean of log|D|^2; the mean of log|B_t|^2 comes from one FFT of B_t on
-    the m = ``_trapezoid_points`` angles sized from the roots of B_t.
-    Overflow is refused as in ``szego_verify``.
+    denominator Phi_L*, and its mean is the mean of log|D|^2 alone: that of
+    log|B_t|^2 is 0 by Jensen's formula, as B_t(0) = 1 and B_t has no zero
+    in the closed disk.  One run of the recurrence gives the split's Phi_n,
+    Phi_n* and Phi_L*, and Phi_L*'s roots are the only ones found.  The
+    split, the deflated Q of ``_denominator_mean``, F's Psi_L* and Phi_L*
+    and the points z themselves (the polynomial z) are sampled once,
+    together, on the 512th roots of unity (512 is at least the m that Q's
+    roots ask for, as they lie NEAR_ROOT_BAND off the circle), which gives
+    the pointwise check and the mean of log|D|^2.  Overflow is refused as
+    in ``szego_verify``.
     """
     tail, L = tail_schur(seq, n), len(seq)  # the tail validates n first
     pairs = _szego_pairs(seq.alphas, (n, L))
@@ -500,13 +497,9 @@ def log_split_check(seq: VerblunskySequence, n: int) -> float:
     direct = np.log(np.abs((num / den).real))
     pointwise = float(np.max(np.abs(direct - split)) / max(1.0, float(np.max(np.abs(direct)))))
 
-    m_b = _trapezoid_points(poly_roots(tail.den))
-    with np.errstate(divide="ignore"):  # a zero sample is refused
-        mean_b = _grid_mean(np.log(np.abs(_on_circle([tail.den.coeffs], m_b)[0]) ** 2), m_b)
-    integral = -neg_mean_d - mean_b
+    third = math.exp(-neg_mean_d)  # the mean of log|B_t|^2 is 0 by Jensen's formula
     target = math.exp(-2.0 * sum(math.log(abs(p)) for p in poles))
-    diff = abs(math.exp(integral) - target)
+    diff = abs(third - target)
     if diff > LOG_SPLIT_TOL * max(1.0, target):
-        raise CrossCheckError(
-            f"third integral {math.exp(integral)!r} disagrees with pole product {target!r}")
+        raise CrossCheckError(f"third integral {third!r} disagrees with pole product {target!r}")
     return max(pointwise, diff / max(1.0, target))

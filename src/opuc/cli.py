@@ -51,8 +51,10 @@ from .schur import (
 from .poly import ComplexPoly, RootFindingError, _on_circle
 
 DEFAULT_VERIFY_TOL = 1e-8
-MAX_INDEX = 1 << 11  # the largest --n, --n-max, --m, --order and --max-n: at it,
-                     # trace on a two-coefficient case takes about 2 s, the others under 1 s
+MAX_INDEX = 1 << 11  # the largest --n, --n-max, --m, --order and --max-n: at it, trace
+                     # on a two-coefficient case takes about 2 s, the others under 1 s;
+                     # and the most coefficients in a case file, --num or --den: a case
+                     # of 2048 costs verify, poles or moments about 13 s and 300 MB
 
 
 class CaseError(ValueError):
@@ -91,6 +93,8 @@ def load_case(path: Path) -> CaseFile:
         raise CaseError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(raw, dict) or not isinstance(raw.get("alphas"), list):
         raise CaseError(f"{path}: case file must be an object with an 'alphas' list")
+    if len(raw["alphas"]) > MAX_INDEX:  # refused before any coefficient is read
+        raise CaseError(f"{path}: at most {MAX_INDEX} alphas, got {len(raw['alphas'])}")
     alphas = [_complex_from_obj(a, f"alphas[{j}]") for j, a in enumerate(raw["alphas"])]
     try:
         guard = _number(raw.get("guard_unit", DEFAULT_GUARD_UNIT))
@@ -136,8 +140,9 @@ def _emit(payload: dict) -> None:
 
 
 def _parse_complex_list(text: str, flag: str) -> list[complex]:
-    out = []
-    for k, part in enumerate(text.split(",")):
+    parts, out = text.split(","), []
+    _require_bounded(f"the number of {flag} coefficients", len(parts))
+    for k, part in enumerate(parts):
         try:
             z = complex(part.strip().replace(" ", ""))
         except ValueError as exc:
@@ -156,7 +161,8 @@ def _require_positive(flag: str, value: float) -> None:
 
 def _require_bounded(flag: str, value: int | None) -> None:
     """Refuse an index, order or count above MAX_INDEX before any work, as
-    each sizes a Python loop or list."""
+    each sizes a Python loop or list (a polynomial of n coefficients costs
+    the root finder n x n matrices)."""
     if value is not None and value > MAX_INDEX:
         raise ValueError(f"{flag} must be at most {MAX_INDEX}, got {value}")
 

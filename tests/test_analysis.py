@@ -1,5 +1,4 @@
 import math
-import re
 import warnings
 
 import mpmath
@@ -71,15 +70,17 @@ def test_quadrature_log_modulus_outside_root():
     assert m == 64 and abs(value - 2 * math.log(2)) < 1e-14
 
 
-def test_quadrature_reports_the_point_cap(monkeypatch):
-    # B_t's closest root lies 2e-6 off the circle: the sizing rule asks for
-    # more than 2^20 points and refuses before any grid is sampled
-    monkeypatch.setattr(opuc.analysis, "_on_circle", lambda *args: pytest.fail("sampled"))
+def test_quadrature_reports_the_point_cap():
+    # a root 2e-6 off the circle asks for more than 2^20 points: refused
     cap = "the trapezoid rule needs more than 1048576 points: a root lies about 2.0e-06 off"
     with pytest.raises(QuadratureError, match=cap):
-        boyd_integral(VerblunskySequence([1 - 1e-6] * 2), 0)
-    with pytest.raises(QuadratureError, match=cap):
         opuc.analysis._trapezoid_points([1 + 2e-6])
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_quadrature_refuses_a_grid_of_no_points(m):
+    with pytest.raises(ValueError, match=f"got m = {m}$"):
+        circle_quadrature(np.cos, m)
 
 
 def test_quadrature_error_when_never_finite():
@@ -341,7 +342,7 @@ def test_verify_finds_roots_once(root_calls):
 
 @pytest.mark.parametrize("run, degrees", [
     (lambda seq: pole_set(seq), [3]),
-    (lambda seq: log_split_check(seq, seq.N), [3, 1]),  # and B_t, to size its grid
+    (lambda seq: log_split_check(seq, seq.N), [3]),
     (lambda seq: moments(seq, len(seq), 10), [3]),
 ], ids=["pole_set", "log_split_check", "moments"])
 def test_poles_find_roots_once(root_calls, run, degrees):
@@ -558,7 +559,6 @@ def test_circle_means_answer_as_horner_at_the_same_angles(monkeypatch, run):
     cases = [random_nonclassical(rng, require_growth_window=False) for _ in range(15)]
     cases += [VerblunskySequence(alphas) for alphas in _CHECKED]
     values = [run(seq) for seq in cases]
-    monkeypatch.setattr(opuc.analysis, "_on_circle", horner_on_circle)
     monkeypatch.setattr(opuc.schur, "_on_circle", horner_on_circle)
     for seq, value in zip(cases, values):
         ref = run(seq)
@@ -618,9 +618,11 @@ def test_boyd_is_quiet_on_an_overflowing_head():
     assert abs(value - math.log(0.75)) < 1e-12
 
 
-def test_boyd_builds_only_the_tail(szego_runs, tail_builds):
+def test_boyd_builds_only_the_tail(szego_runs, tail_builds, root_calls):
+    # the tail validates N; the mean of log|B_t|^2 is 0 by Jensen's formula,
+    # so no roots size a grid
     boyd_integral(VerblunskySequence([2.0, 0.5, 0.3]), 1)
-    assert szego_runs == [] and tail_builds == [1]
+    assert szego_runs == [] and tail_builds == [1] and root_calls == []
 
 
 def test_boyd_matches_product_on_random_tails():
@@ -633,30 +635,58 @@ def test_boyd_matches_product_on_random_tails():
 
 @pytest.mark.parametrize("seed, max_mod", [(5, 0.95), (6, 0.99)])
 def test_boyd_matches_product_on_draws_near_the_circle(seed, max_mod):
-    # |B_t|^2 - |A_t|^2 would lose up to a factor 1.5e5 on these draws;
-    # 1 - |f_0|^2 from the Schur step in product form cancels nowhere, and
-    # the worst draw misses the product by 4.4e-16
+    # |B_t|^2 - |A_t|^2 would lose up to a factor 1.5e5 on these draws; the
+    # integral is the product's logarithm exactly, with nothing sampled
     rng = np.random.default_rng(seed)
     for _ in range(40):
         seq = VerblunskySequence(draw_tail(rng, 6, max_mod))
         want = math.fsum(math.log1p(-abs(a) ** 2) for a in seq.alphas)
-        assert abs(boyd_integral(seq, 0) - want) < 1e-15, seq.alphas
+        assert boyd_integral(seq, 0) == want, seq.alphas
 
 
-@pytest.mark.parametrize("alphas", [[0.99] * 6, [0.999] * 4, [0.9999] * 2, [0.999] * 8])
+@pytest.mark.parametrize("alphas", [
+    [0.99] * 6, [0.999] * 4, [0.9999] * 2, [0.999] * 8, [1 - 1e-6] * 2])
 def test_boyd_answers_a_cancelling_difference(alphas):
     # (|B_t|^2 + |A_t|^2) / (|B_t|^2 - |A_t|^2) reaches 3e13, 8e12, 2e8 and
-    # more than 1 / eps: the difference would keep too few digits or none,
-    # and the product form has no difference (m = 16,384 to 524,288 points)
+    # more than 1 / eps: the difference would keep too few digits or none.
+    # A trapezoid mean of the product form would need 16,384 to 524,288
+    # points, and more than 2^20 for [1 - 1e-6] * 2, whose B_t has a root
+    # 2e-6 off the circle; the fsum needs none
     want = math.fsum(math.log1p(-abs(a) ** 2) for a in alphas)
-    assert abs(boyd_integral(VerblunskySequence(alphas), 0) - want) < 1e-15
+    assert boyd_integral(VerblunskySequence(alphas), 0) == want
 
 
 def test_boyd_keeps_a_difference_that_cancels_less():
-    # [0.999] * 2 would lose a factor 2e6 to |B_t|^2 - |A_t|^2; the product
-    # form answers it exactly
+    # [0.999] * 2 would lose a factor 2e6 to |B_t|^2 - |A_t|^2
     want = 2 * math.log1p(-0.999 ** 2)
-    assert abs(boyd_integral(VerblunskySequence([0.999] * 2), 0) - want) < 1e-15
+    assert boyd_integral(VerblunskySequence([0.999] * 2), 0) == want
+
+
+def _mp_boyd(alphas, pieces: int) -> mpmath.mpf:
+    """(1/2pi) * integral of log(1 - |A_t/B_t|^2) over the circle for the
+    real tail ``alphas``, by 40-digit mpmath.quad on ``pieces`` pieces of
+    [0, pi] (for real alphas the integrand is even in theta); A_t/B_t comes
+    from the backward Schur step on the coefficients as given."""
+    with mpmath.workdps(40):
+        al = [mpmath.mpf(a) for a in alphas]
+
+        def g(t):
+            z, num, den = mpmath.expj(t), mpmath.mpc(0), mpmath.mpc(1)
+            for a in reversed(al):
+                num, den = a * den + z * num, den + a * z * num
+            return mpmath.log(1 - abs(num / den) ** 2)
+
+        return mpmath.quad(g, mpmath.linspace(0, mpmath.pi, pieces + 1)) / mpmath.pi
+
+
+@pytest.mark.parametrize("alphas, pieces", [([0.5, 0.3], 1), ([0.9] * 3, 1), ([0.99] * 6, 32)])
+def test_boyd_matches_a_40_digit_quadrature(alphas, pieces):
+    # B_t's roots for [0.99] * 6 lie 1.7e-3 to 6.7e-3 off the circle, so the
+    # quadrature needs pieces; the fsum misses the integral by at most the
+    # rounding of its log1p terms (6.5e-15 there, on a value of -23.5)
+    ref = _mp_boyd(alphas, pieces)
+    value = boyd_integral(VerblunskySequence(alphas), 0)
+    assert abs(value - ref) <= 1e-15 * max(1.0, abs(ref))
 
 
 # ---------------------------------------------------------------------------
@@ -850,20 +880,6 @@ def test_log_split_subtracts_near_circle_roots():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert log_split_check(seq, seq.N) < 1e-7
-
-
-def test_log_split_subtracts_the_mean_of_log_B_t(monkeypatch):
-    # the third piece is mean log|D|^2 - mean log|B_t|^2; the second mean is 0
-    # on every tail (B_t(0) = 1, no zero in the closed disk), so only a
-    # shifted value shows its sign: exp of the piece moves by exp(-0.5), here
-    # from samples of B_t with |B_t|^2 = exp(0.5) everywhere
-    monkeypatch.setattr(opuc.analysis, "_on_circle",
-                        lambda rows, m: np.full((len(rows), m), math.exp(0.25), dtype=complex))
-    with pytest.raises(CrossCheckError) as refusal:
-        log_split_check(VerblunskySequence([2.0, 0.5]), 2)
-    third = float(re.search(r"third integral (\S+) disagrees", str(refusal.value)).group(1))
-    pole_product = 1 / (math.sqrt(3) - 1) ** 2
-    assert abs(third - pole_product * math.exp(-0.5)) < 1e-12
 
 
 def test_log_split_refuses_a_quotient_that_misses_the_denominator(monkeypatch):

@@ -518,6 +518,45 @@ def test_index_at_the_bound_is_answered(tmp_path, capsys, monkeypatch, argv):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify"], ["grid"], ["poles"], ["polys", "--n", "1"], ["moments"], ["trace"],
+])
+def test_case_above_the_bound_is_refused_before_any_recurrence(tmp_path, capsys, szego_runs,
+                                                               argv):
+    # a polynomial of n coefficients costs the root finder n x n matrices
+    case = write_case(tmp_path / "case.json", [0.5] * (opuc.cli.MAX_INDEX + 1))
+    assert main([argv[0], "--input", str(case), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {case}: at most {opuc.cli.MAX_INDEX} alphas, "
+                            f"got {opuc.cli.MAX_INDEX + 1}\n")
+    assert szego_runs == []
+
+
+def test_batch_records_a_case_above_the_bound(tmp_path, capsys, szego_runs):
+    write_case(tmp_path / "long.json", [0.5] * (opuc.cli.MAX_INDEX + 1))
+    assert main(["batch", "--dir", str(tmp_path), "--out", str(tmp_path / "out")]) == 0
+    (entry,) = json.loads((tmp_path / "out" / "summary.json").read_text())["cases"]
+    assert entry["status"] == "fail" and entry["error_type"] == "CaseError"
+    assert szego_runs == []
+
+
+def test_case_at_the_bound_is_read(tmp_path):
+    case = write_case(tmp_path / "case.json", [0.5] * opuc.cli.MAX_INDEX)
+    assert len(load_case(case).seq) == opuc.cli.MAX_INDEX
+
+
+@pytest.mark.parametrize("flag", ["--num", "--den"])
+def test_recover_list_above_the_bound_is_refused_before_it_is_read(capsys, flag):
+    # no entry is parsed: each would be an error of its own
+    lists = {"--num": "1,0.5", "--den": "1,-0.3", flag: ",".join(["x"] * (opuc.cli.MAX_INDEX + 1))}
+    assert main(["recover", *(a for item in lists.items() for a in item), "--max-n", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: the number of {flag} coefficients must be at most "
+                            f"{opuc.cli.MAX_INDEX}, got {opuc.cli.MAX_INDEX + 1}\n")
+
+
 def test_trace_json(tmp_path, capsys):
     case = write_case(tmp_path / "case.json", [2.0, 0.5])
     assert main(["trace", "--input", str(case)]) == 0
