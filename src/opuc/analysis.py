@@ -28,7 +28,7 @@ from .opuc_core import (
     szego_polys,
 )
 from .poly import ComplexPoly, roots as poly_roots, series_div, split_by_circle
-from .schur import KhrushchevSplit, RationalFn, as_rational_F, tail_schur
+from .schur import KhrushchevSplit, RationalFn, _classical_tail, as_rational_F, tail_schur
 
 QUAD_MIN_POINTS = 64     # the fewest points _trapezoid_points asks for
 QUAD_MAX_POINTS = 1 << 20  # the most: a grid above it is refused, not built
@@ -37,8 +37,8 @@ QUAD_ERROR_BOUND = 1e-15  # the bound on each trapezoid error: below the roundin
 LOG_SPLIT_TOL = 1e-9     # log_split_check's bound on the third integral's miss
 POLE_CLUSTER_TOL = 1e-7
 NEAR_ROOT_BAND = 0.1     # roots of Phi_L* with ||r| - 1| below this are subtracted
-DEFLATION_TOL = 1e-6     # |D| against |Q| prod |z - r|, and |B_t|^2 - |A_t|^2 against
-                         # omega_t, relative to the scale of each difference
+SPLIT_CHECK_TOL = 1e-6   # |D| from the split against |Phi_L*|, and |B_t|^2 - |A_t|^2
+                         # against omega_t, relative to the scale of each difference
 
 
 class QuadratureError(RuntimeError):
@@ -235,20 +235,6 @@ def _refuse_overflow(logw: float, samples: np.ndarray) -> None:
             "|Phi_n* - z Phi_n f_n|^2 exceeds the largest double")
 
 
-def _deflate(c, rts: list[complex]) -> list[complex]:
-    """Coefficients (constant first) of the quotient of ``c`` by prod (z - r)
-    over ``rts``, by synthetic division from the leading coefficient; each
-    remainder, rounding-sized for a root of ``c``, is dropped."""
-    c = list(c)
-    for r in rts:
-        q, acc = [], 0j
-        for ck in c[:0:-1]:
-            acc = acc * r + ck
-            q.append(acc)
-        c = q[::-1]
-    return c
-
-
 def _trapezoid_points(roots) -> int:
     """The smallest m = QUAD_MIN_POINTS * 2^k at which sum -(2/m) log(1 -
     |rho_r|^m) falls below QUAD_ERROR_BOUND, rho_r = r inside the disk and
@@ -277,51 +263,46 @@ def _denominator_mean(split: KhrushchevSplit, logw: float, phistar_L: ComplexPol
     """Minus the mean over the circle of log|D|^2, with D = Phi_n* B_t -
     z Phi_n A_t Khrushchev's denominator for ``split`` at n, which is Phi_L*.
 
-    The roots r of Phi_L* (``den_roots``) within NEAR_ROOT_BAND of the
-    circle are divided out of Phi_L* once, smallest modulus first, leaving
-    Q (Q = Phi_L* when there are none).  Each puts a spike -log|z - r|^2
-    into log|D|^2, which costs the trapezoid rule about 1/margin points, so
-    the mean of log|Q|^2, which is smooth, is taken on the m angles
-    2 pi k / m, m sized from the other roots (``_trapezoid_points``) and at
-    least ``floor``, and the spikes' mean over the circle, Jensen's
-    2 sum log max(1, |r|), is added to it.
+    Each root r of Phi_L* (``den_roots``) within NEAR_ROOT_BAND of the
+    circle puts a spike -log|z - r|^2 into log|D|^2, which costs the
+    trapezoid rule about 1/margin points.  So the mean is taken of the
+    smooth log|Q|^2 = log|Phi_L*|^2 - sum log|z - r|^2 over those roots, a
+    sum of logarithms at each point (Q = Phi_L* when there are none), on the
+    m angles 2 pi k / m, m sized from the other roots
+    (``_trapezoid_points``) and at least ``floor``; the spikes' mean over
+    the circle, Jensen's 2 sum log max(1, |r|), is added to it.
 
-    Q, the split and the extra coefficient ``rows`` are sampled once,
-    together, on those angles: the m-th roots of unity, where one FFT of
-    their stacked coefficients gives every value
-    (``KhrushchevSplit.on_circle``).  When there are near roots, the same
-    FFT also gives the points z themselves, as the values of the polynomial
-    z, for the near roots' |z - r|.  There |D| must agree with |Q| prod
-    |z - r| within DEFLATION_TOL of the split's scale |Phi_n* B_t| +
-    |z Phi_n A_t|, or CrossCheckError is raised.  An infinite ``logw`` =
-    log|omega_{n-1}| and samples of log|Q|^2 or |D|^2 that overflow float64
-    raise QuadratureError.  Returns minus that mean, the number of points,
-    the roots divided out, |B_t|^2, |A_t|^2 and |D|^2 on the angles, and
-    the values of ``rows`` there.
+    Phi_L*, the polynomial z, the split and the extra coefficient ``rows``
+    are sampled once, together, on those angles: the m-th roots of unity,
+    where one FFT of their stacked coefficients gives every value
+    (``KhrushchevSplit.on_circle``), the points z themselves included.
+    There |D|, from the recurrence to n and the tail's backward Schur steps,
+    must agree with |Phi_L*|, from the recurrence to L, within
+    SPLIT_CHECK_TOL of the split's scale |Phi_n* B_t| + |z Phi_n A_t|, or
+    CrossCheckError is raised.  An infinite ``logw`` = log|omega_{n-1}| and
+    samples of log|Q|^2 or |D|^2 that overflow float64 raise
+    QuadratureError.  Returns minus that mean, the number of points, the
+    near roots, |B_t|^2, |A_t|^2 and |D|^2 on the angles, and the values
+    there of Phi_L*, of z and of each of ``rows``.
     """
     near, far = [], []
     for r in den_roots:
         (near if abs(abs(r) - 1.0) < NEAR_ROOT_BAND else far).append(r)
-    # forward deflation is stable in ascending order of modulus (Peters and
-    # Wilkinson, 1971); ``near`` itself keeps the root finder's order
-    quotient = _deflate(phistar_L.coeffs, sorted(near, key=abs))
     m = max(floor, _trapezoid_points(far))
-    z_row = [(0j, 1.0)] if near else []  # the polynomial z, for |z - r|
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        (bt2, at2, d2, scale), (q, *values) = split.on_circle(m, quotient, *z_row, *rows)
-        product = np.abs(q)
-        log_q2 = np.log(product * product)
-        # |log_q2| <= 745 where finite, so the sum is finite exactly when both are
+        (bt2, at2, d2, scale), values = split.on_circle(m, phistar_L.coeffs, (0j, 1.0), *rows)
+        den, z = values[:2]
+        log_q2 = 2.0 * (np.log(np.abs(den)) - sum(np.log(np.abs(z - r)) for r in near))
+        # log_q2 is far inside float64's range where finite, so the sum is
+        # finite exactly when both are
         _refuse_overflow(logw, log_q2 + d2)
-    for r in near:
-        product *= np.abs(values[0] - r)
-    worst = float(np.max(np.abs(np.sqrt(d2) - product) / scale))
-    if not worst <= DEFLATION_TOL:
+    worst = float(np.max(np.abs(np.sqrt(d2) - np.abs(den)) / scale))
+    if not worst <= SPLIT_CHECK_TOL:
         raise CrossCheckError(
-            f"|D| and |Q| prod |z - r| differ by {worst:.1e} of the split's scale "
-            f"after dividing out {len(near)} near-circle roots")
+            f"|D| from the split and |Phi_L*| from the recurrence differ by {worst:.1e} "
+            "of the split's scale")
     jensen = 2.0 * sum(math.log(max(1.0, abs(r))) for r in near)
-    return -float(log_q2.sum() / m) - jensen, m, near, bt2, at2, d2, values[len(z_row):]
+    return -float(log_q2.sum() / m) - jensen, m, near, bt2, at2, d2, values
 
 
 def szego_verify(seq: VerblunskySequence) -> SzegoReport:
@@ -334,11 +315,12 @@ def szego_verify(seq: VerblunskySequence) -> SzegoReport:
 
     The integral is the constant log|omega_{N-1}| + log omega_t less the
     mean of log|D|^2, D = Phi_L* (``_denominator_mean``, which takes that
-    mean by one trapezoid level sized from the roots of Phi_L*, with those
-    near the circle divided out of D, and samples the split on the same
-    angles).  omega_t = prod_{j >= N} (1 - |alpha_j|^2) is |B_t|^2 - |A_t|^2
-    on the circle (each backward Schur step multiplies |den|^2 - |num|^2
-    there by 1 - |alpha_j|^2); sampled, that difference loses
+    mean by one trapezoid level sized from the roots of Phi_L*, with
+    log|z - r|^2 of those near the circle subtracted at each point, and
+    checks |D| from the split against |Phi_L*| on the same angles).
+    omega_t = prod_{j >= N} (1 - |alpha_j|^2) is |B_t|^2 - |A_t|^2 on the
+    circle (each backward Schur step multiplies |den|^2 - |num|^2 there by
+    1 - |alpha_j|^2); sampled, that difference loses
     |B_t|^2 / omega_t, up to 3e8, to cancellation, so it is not integrated:
     the samples of |B_t|^2 and |A_t|^2 are checked against omega_t instead.
 
@@ -355,7 +337,7 @@ def szego_verify(seq: VerblunskySequence) -> SzegoReport:
     logwt = math.fsum(math.log1p(-abs(a) ** 2) for a in seq.alphas[N:])
     neg_mean, pts, near, bt2, at2, *_ = _denominator_mean(split, logw, pairs[L][1], den_roots)
     gap = float(np.max(np.abs(bt2 - at2 - math.exp(logwt)) / (bt2 + at2)))
-    if not gap <= DEFLATION_TOL:
+    if not gap <= SPLIT_CHECK_TOL:
         raise CrossCheckError(
             f"|B_t|^2 - |A_t|^2 and prod (1 - |alpha_j|^2) over the tail differ "
             f"by {gap:.1e} of |B_t|^2 + |A_t|^2")
@@ -377,13 +359,12 @@ def boyd_integral(seq: VerblunskySequence, N: int) -> float:
     On the circle 1 - |f_N|^2 = omega_t / |B_t|^2, with omega_t that
     product (the Schur step in product form, ``_log_defect``), and the mean
     of log|B_t|^2 is 0 by Jensen's formula, as B_t(0) = 1 and B_t has no
-    zero in the closed disk.  So no root is found and no grid is sampled,
-    however near the circle the tail's coefficients lie.  The tail is built
-    first, so an N whose tail is not classical is refused as by
-    ``tail_schur``.
+    zero in the closed disk.  So no root is found, no grid is sampled and
+    no tail is built, however near the circle the tail's coefficients lie.
+    An N whose tail is not classical is refused as by ``tail_schur``, with
+    the same check (``_classical_tail``).
     """
-    tail_schur(seq, N)  # validates that the tail is classical
-    return math.fsum(math.log1p(-abs(a) ** 2) for a in seq.alphas[N:])
+    return math.fsum(math.log1p(-abs(a) ** 2) for a in _classical_tail(seq, N))
 
 
 def zero_count_trace(seq: VerblunskySequence, n_max: int) -> list[TraceRow]:
@@ -478,12 +459,12 @@ def log_split_check(seq: VerblunskySequence, n: int) -> float:
     log|B_t|^2 is 0 by Jensen's formula, as B_t(0) = 1 and B_t has no zero
     in the closed disk.  One run of the recurrence gives the split's Phi_n,
     Phi_n* and Phi_L*, and Phi_L*'s roots are the only ones found.  The
-    split, the deflated Q of ``_denominator_mean``, F's Psi_L* and Phi_L*
-    and the points z themselves (the polynomial z) are sampled once,
-    together, on the 512th roots of unity (512 is at least the m that Q's
-    roots ask for, as they lie NEAR_ROOT_BAND off the circle), which gives
-    the pointwise check and the mean of log|D|^2.  Overflow is refused as
-    in ``szego_verify``.
+    split, F's denominator Phi_L* and the points z themselves, which
+    ``_denominator_mean`` samples, and F's numerator Psi_L*, its one extra
+    row, come from one FFT on the 512th roots of unity (512 is at least the
+    m that the roots of Phi_L* off the circle by NEAR_ROOT_BAND or more ask
+    for), which gives the pointwise check and the mean of log|D|^2.  |D|
+    and |Phi_L*| are checked and overflow is refused as in ``szego_verify``.
     """
     tail, L = tail_schur(seq, n), len(seq)  # the tail validates n first
     pairs = _szego_pairs(seq.alphas, (n, L))
@@ -491,8 +472,8 @@ def log_split_check(seq: VerblunskySequence, n: int) -> float:
     logw = omega_log_sign(seq, n - 1)[1]
     F = RationalFn(second_kind_polys(seq, L)[1], pairs[L][1])
     poles, den_roots = _poles(F.den, seq.alphas, seq.N)
-    neg_mean_d, _, _, bt2, _, d2, (num, den, z) = _denominator_mean(
-        at_n, logw, F.den, den_roots, 512, (F.num.coeffs, F.den.coeffs, (0j, 1.0)))
+    neg_mean_d, _, _, bt2, _, d2, (den, z, num) = _denominator_mean(
+        at_n, logw, F.den, den_roots, 512, (F.num.coeffs,))
     split = logw + _log_defect(seq.alphas[n:], z) + np.log(bt2) - np.log(d2)
     direct = np.log(np.abs((num / den).real))
     pointwise = float(np.max(np.abs(direct - split)) / max(1.0, float(np.max(np.abs(direct)))))

@@ -88,19 +88,26 @@ def _backward_schur(alphas) -> RationalFn:
     return RationalFn(ComplexPoly(num), ComplexPoly(den))
 
 
-def tail_schur(seq: VerblunskySequence, N: int) -> RationalFn:
-    """The Schur function f_N of the tail alpha_N, alpha_{N+1}, ... (the
-    continuation beyond the stored list is zero).
-
-    Requires the tail to be classical: every stored |alpha_j| < 1 for j >= N.
-    Then |B|^2 - |A|^2 > 0 on the circle, so the ratio is strictly Schur.
-    """
+def _classical_tail(seq: VerblunskySequence, N: int) -> tuple[complex, ...]:
+    """The stored coefficients alpha_N, alpha_{N+1}, ...; a negative N or
+    one of modulus >= 1 is a ValueError.  Nothing is built."""
     if N < 0:
         raise ValueError("tail start must be nonnegative")
     for j in range(N, len(seq)):
         if abs(seq.alpha(j)) >= 1.0:
             raise ValueError(f"tail coefficient at index {j} has modulus >= 1")
-    return _backward_schur(seq.alphas[N:])
+    return seq.alphas[N:]
+
+
+def tail_schur(seq: VerblunskySequence, N: int) -> RationalFn:
+    """The Schur function f_N of the tail alpha_N, alpha_{N+1}, ... (the
+    continuation beyond the stored list is zero).
+
+    Requires the tail to be classical: every stored |alpha_j| < 1 for j >= N
+    (``_classical_tail``).  Then |B|^2 - |A|^2 > 0 on the circle, so the
+    ratio is strictly Schur.
+    """
+    return _backward_schur(_classical_tail(seq, N))
 
 
 def as_rational_f(seq: VerblunskySequence) -> RationalFn:

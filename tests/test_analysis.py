@@ -22,6 +22,7 @@ from opuc import (
     re_F_khrushchev,
     szego_polys,
     szego_verify,
+    tail_schur,
     zero_count_trace,
     zero_migration,
 )
@@ -415,22 +416,26 @@ def _mp_log_integral(alphas) -> mpmath.mpf:
 
 
 def test_subtracted_log_integral_matches_50_digits():
-    seq = draw_near_circle(np.random.default_rng(2), 8, 1e-4, 1e-3)
-    rep = szego_verify(seq)
-    assert rep.subtracted
-    assert abs(rep.log_integral - float(_mp_log_integral(seq.alphas))) < 1e-12
+    # the second draw has a root of Phi_L* 7.2e-8 off the circle, the worst
+    # conditioning for dividing it out at the points: a grid point near it
+    # leaves Phi_L*(z) small against its rounding
+    for seq in (draw_near_circle(np.random.default_rng(2), 8, 1e-4, 1e-3),
+                draw_near_circle(np.random.default_rng(4), 24, 1e-8, 1e-6)):
+        rep = szego_verify(seq)
+        assert rep.subtracted
+        assert abs(rep.log_integral - float(_mp_log_integral(seq.alphas))) < 1e-12
 
 
-def test_verify_deflates_in_ascending_order_of_modulus():
-    # L = 48 with 34 roots of Phi_L* divided out: deflated in the root
-    # finder's order the quotient cost rel_error 3.95e-10, smallest modulus
-    # first (Peters and Wilkinson, 1971) 3.98e-13; ``subtracted`` keeps the
-    # root finder's order
+def test_verify_divides_many_near_roots_out_at_the_points():
+    # L = 48 with 34 roots of Phi_L* near the circle: dividing them out of the
+    # coefficients, smallest modulus first, left rel_error 6.1e-13; taking
+    # log|z - r|^2 off log|Phi_L*|^2 at each point leaves 1.2e-14.
+    # ``subtracted`` keeps the root finder's order
     seq = draw_near_circle(np.random.default_rng(2), 48, 1e-6, 1e-3)
     rep = szego_verify(seq)
     near = [r for r in poly_roots(as_rational_F(seq).den) if abs(abs(r) - 1.0) < NEAR_ROOT_BAND]
     assert len(near) == 34 and rep.subtracted == tuple(near)
-    assert rep.rel_error < 1e-11
+    assert rep.rel_error < 1e-13
 
 
 def test_verify_without_near_roots_matches_50_digits():
@@ -452,12 +457,21 @@ def test_verify_without_near_roots_matches_50_digits():
 _CHECKED = ([2.0, 0.95, -0.95j, 0.9], [2.0, 0.5j, -0.3, 0.2])
 
 
-def test_verify_refuses_a_quotient_that_misses_the_denominator(monkeypatch):
-    deflate = opuc.analysis._deflate
-    monkeypatch.setattr(opuc.analysis, "_deflate",
-                        lambda c, rts: [1.001 * q for q in deflate(c, rts)])
+def _scaled_phi_L_star(monkeypatch):
+    """Hand ``_denominator_mean`` 1.001 Phi_L*, which the split's D misses."""
+    mean = opuc.analysis._denominator_mean
+    monkeypatch.setattr(opuc.analysis, "_denominator_mean",
+                        lambda split, logw, phistar_L, *args: mean(split, logw, 1.001 * phistar_L,
+                                                                   *args))
+
+
+_MISSED_SPLIT = r"\|D\| from the split and \|Phi_L\*\| from the recurrence differ"
+
+
+def test_verify_refuses_a_phi_L_star_that_misses_the_split(monkeypatch):
+    _scaled_phi_L_star(monkeypatch)
     for alphas in _CHECKED:
-        with pytest.raises(CrossCheckError, match="near-circle roots"):
+        with pytest.raises(CrossCheckError, match=_MISSED_SPLIT):
             szego_verify(VerblunskySequence(alphas))
 
 
@@ -493,7 +507,8 @@ def test_verify_makes_no_horner_loop(horner_calls, alphas):
 
 def test_verify_takes_the_points_z_from_its_one_fft(monkeypatch):
     # the near roots' |z - r| need z on the m angles: the FFT that samples
-    # the split gives it, so no np.exp runs on an m-point array
+    # the split gives it on every call, with near roots or none, so no
+    # np.exp runs on an m-point array
     exp, sizes = np.exp, []
 
     def recording_exp(x, *args, **kwargs):
@@ -501,9 +516,27 @@ def test_verify_takes_the_points_z_from_its_one_fft(monkeypatch):
         return exp(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "exp", recording_exp)
-    rep = szego_verify(VerblunskySequence(_CHECKED[0]))
-    assert len(rep.subtracted) == 3 and rep.quad_points == 512
-    assert rep.quad_points not in sizes
+    for alphas, near, points in ((_CHECKED[0], 3, 512), (_CHECKED[1], 0, 128)):
+        sizes.clear()
+        rep = szego_verify(VerblunskySequence(alphas))
+        assert len(rep.subtracted) == near and rep.quad_points == points
+        assert rep.quad_points not in sizes
+
+
+@pytest.mark.parametrize("alphas", _CHECKED)
+def test_verify_samples_phi_L_star_and_z_in_its_one_fft(monkeypatch, alphas):
+    # |D| is checked against Phi_L*'s own values, from the same FFT as the split
+    on_circle, calls = opuc.schur._on_circle, []
+
+    def recording(rows, m):
+        calls.append([tuple(row) for row in rows])
+        return on_circle(rows, m)
+
+    monkeypatch.setattr(opuc.schur, "_on_circle", recording)
+    seq = VerblunskySequence(alphas)
+    szego_verify(seq)
+    assert len(calls) == 1
+    assert tuple(as_rational_F(seq).den.coeffs) in calls[0] and (0j, 1.0) in calls[0]
 
 
 def test_verify_answers_as_horner_at_the_same_angles(monkeypatch):
@@ -619,10 +652,19 @@ def test_boyd_is_quiet_on_an_overflowing_head():
 
 
 def test_boyd_builds_only_the_tail(szego_runs, tail_builds, root_calls):
-    # the tail validates N; the mean of log|B_t|^2 is 0 by Jensen's formula,
-    # so no roots size a grid
+    # N is validated without building the tail; the mean of log|B_t|^2 is 0
+    # by Jensen's formula, so no roots size a grid
     boyd_integral(VerblunskySequence([2.0, 0.5, 0.3]), 1)
-    assert szego_runs == [] and tail_builds == [1] and root_calls == []
+    assert szego_runs == [] and tail_builds == [] and root_calls == []
+
+
+@pytest.mark.parametrize("N, message", [(-1, "tail start must be nonnegative"),
+                                        (0, "tail coefficient at index 0 has modulus >= 1")])
+def test_boyd_refuses_a_tail_as_tail_schur_does(N, message):
+    seq = VerblunskySequence([2.0, 0.5])
+    for run in (tail_schur, boyd_integral):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run(seq, N)
 
 
 def test_boyd_matches_product_on_random_tails():
@@ -882,13 +924,11 @@ def test_log_split_subtracts_near_circle_roots():
         assert log_split_check(seq, seq.N) < 1e-7
 
 
-def test_log_split_refuses_a_quotient_that_misses_the_denominator(monkeypatch):
-    deflate = opuc.analysis._deflate
-    monkeypatch.setattr(opuc.analysis, "_deflate",
-                        lambda c, rts: [1.001 * q for q in deflate(c, rts)])
-    for seq in (draw_near_circle(np.random.default_rng(4), 24, 1e-8, 1e-6),
-                VerblunskySequence(_CHECKED[1])):
-        with pytest.raises(CrossCheckError, match="near-circle roots"):
+def test_log_split_refuses_a_phi_L_star_that_misses_the_split(monkeypatch):
+    _scaled_phi_L_star(monkeypatch)
+    for alphas in _CHECKED:
+        seq = VerblunskySequence(alphas)
+        with pytest.raises(CrossCheckError, match=_MISSED_SPLIT):
             log_split_check(seq, seq.N)
 
 
