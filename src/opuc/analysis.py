@@ -20,6 +20,7 @@ import numpy as np
 from .opuc_core import (
     CrossCheckError,
     VerblunskySequence,
+    _log_omega,
     _szego_pairs,
     _szego_steps,
     omega,
@@ -121,15 +122,16 @@ def _log_defect(alphas, z: np.ndarray) -> np.ndarray:
         1 - |f_j|^2 = (1 - |a_j|^2) (1 - |f_{j+1}|^2) / |1 + conj(a_j) z f_{j+1}|^2,
 
     so, run from f = 0 past the last coefficient, the logarithm is the fsum
-    of log1p(-|a_j|^2) less the sum of log|1 + conj(a_j) z f_{j+1}|^2.  No
-    term cancels, as |1 + conj(a_j) z f_{j+1}| >= 1 - |a_j| > 0."""
+    of log1p(-h_j h_j), h_j = abs(a_j) (``_log_omega``), less the sum of
+    log|1 + conj(a_j) z f_{j+1}|^2.  No term cancels, as
+    |1 + conj(a_j) z f_{j+1}| >= 1 - |a_j| > 0."""
     f, logs = np.zeros_like(z), np.zeros(len(z))
     for a in reversed(alphas):
         zf = z * f
         d = 1.0 + a.conjugate() * zf
         logs += np.log(np.abs(d) ** 2)
         f = (a + zf) / d
-    return math.fsum(math.log1p(-abs(a) ** 2) for a in alphas) - logs
+    return _log_omega(alphas)[1] - logs
 
 
 def re_F_khrushchev(seq: VerblunskySequence, n: int, theta: float | np.ndarray):
@@ -323,6 +325,10 @@ def szego_verify(seq: VerblunskySequence) -> SzegoReport:
     1 - |alpha_j|^2); sampled, that difference loses
     |B_t|^2 / omega_t, up to 3e8, to cancellation, so it is not integrated:
     the samples of |B_t|^2 and |A_t|^2 are checked against omega_t instead.
+    The lhs, epsilon, log|omega_{N-1}| and log omega_t all read each factor
+    1 - |alpha_j|^2 as 1 - h h, h = abs(alpha_j) (``_log_omega``), so the
+    relative error measures the quadrature and the roots, not two roundings
+    of |alpha_j|^2.
 
     The roots of Phi_L* are found once, before anything else is built, so
     a refusal (a root in the circle guard band, roots that cannot be
@@ -334,7 +340,7 @@ def szego_verify(seq: VerblunskySequence) -> SzegoReport:
     poles, den_roots = _poles(pairs[L][1], seq.alphas, N)
     split = KhrushchevSplit(*pairs[N], tail_schur(seq, N), omega(seq, N - 1))
     sign, logw = omega_log_sign(seq, N - 1)
-    logwt = math.fsum(math.log1p(-abs(a) ** 2) for a in seq.alphas[N:])
+    logwt = _log_omega(seq.alphas[N:])[1]
     neg_mean, pts, near, bt2, at2, *_ = _denominator_mean(split, logw, pairs[L][1], den_roots)
     gap = float(np.max(np.abs(bt2 - at2 - math.exp(logwt)) / (bt2 + at2)))
     if not gap <= SPLIT_CHECK_TOL:
@@ -354,7 +360,8 @@ def szego_verify(seq: VerblunskySequence) -> SzegoReport:
 def boyd_integral(seq: VerblunskySequence, N: int) -> float:
     """(1/2pi) * integral of log(1 - |f_N|^2) over the circle, for the
     classical tail from index N: exactly log prod_{j>=N} (1 - |alpha_j|^2),
-    returned as the fsum of log1p(-|alpha_j|^2).
+    returned as the fsum of log1p(-h_j h_j), h_j = abs(alpha_j), the
+    factors that ``omega`` multiplies (``_log_omega``).
 
     On the circle 1 - |f_N|^2 = omega_t / |B_t|^2, with omega_t that
     product (the Schur step in product form, ``_log_defect``), and the mean
@@ -364,7 +371,7 @@ def boyd_integral(seq: VerblunskySequence, N: int) -> float:
     An N whose tail is not classical is refused as by ``tail_schur``, with
     the same check (``_classical_tail``).
     """
-    return math.fsum(math.log1p(-abs(a) ** 2) for a in _classical_tail(seq, N))
+    return _log_omega(_classical_tail(seq, N))[1]
 
 
 def zero_count_trace(seq: VerblunskySequence, n_max: int) -> list[TraceRow]:

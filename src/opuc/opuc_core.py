@@ -113,10 +113,6 @@ class IdentityReport:
     liouville: float          # Phi Psi* + Phi* Psi - 2 z^{n+1} omega_n, coefficientwise
 
 
-def _abs2(a: complex) -> float:
-    return a.real * a.real + a.imag * a.imag
-
-
 def _szego_steps(alphas, n: int):
     """Coefficient lists (constant first) of Phi_k for k = 0..n, from one run
     of the recurrence over ``alphas`` (zero beyond them).  Phi_k* is not
@@ -162,24 +158,30 @@ def second_kind_polys(seq: VerblunskySequence, n: int) -> tuple[ComplexPoly, Com
     return _szego_pairs([-a for a in seq.alphas], (n,))[n]
 
 
+def _log_omega(alphas) -> tuple[int, float]:
+    """(sign, log magnitude) of prod (1 - |alpha_j|^2) over ``alphas``.
+
+    Each factor is 1 - h h with h = abs(alpha_j), the modulus that the guard,
+    ``N`` and the zero-count rule read, so a factor is negative exactly when
+    h > 1 and zero only at h = 1, which every positive guard refuses.  The
+    logarithms, log1p(-h h) below 1 and log(h h - 1) above, are summed by
+    ``math.fsum``; the sign counts the negative factors.
+    """
+    squares = [h * h for h in map(abs, alphas)]
+    sign = -1 if sum(s > 1.0 for s in squares) % 2 else 1
+    return sign, math.fsum(math.log1p(-s) if s < 1.0 else math.log(s - 1.0) for s in squares)
+
+
 def omega(seq: VerblunskySequence, n: int) -> float:
-    """prod_{j=0}^{n} (1 - |alpha_j|^2); may be negative.  Empty product is 1."""
-    out = 1.0
-    for a in seq.alphas[:max(n + 1, 0)]:
-        out *= 1.0 - _abs2(a)
-    return out
+    """prod_{j=0}^{n} (1 - h_j h_j), h_j = abs(alpha_j), left to right; may be
+    negative.  Empty product is 1.  The factors are ``_log_omega``'s."""
+    return math.prod((1.0 - h * h for h in map(abs, seq.alphas[:max(n + 1, 0)])), start=1.0)
 
 
 def omega_log_sign(seq: VerblunskySequence, n: int) -> tuple[int, float]:
-    """(sign, log magnitude) of omega_n; safe against under/overflow."""
-    sign = 1
-    logmag = 0.0
-    for a in seq.alphas[:max(n + 1, 0)]:
-        f = 1.0 - _abs2(a)
-        if f < 0:
-            sign = -sign
-        logmag += math.log(abs(f))
-    return sign, logmag
+    """(sign, log magnitude) of omega_n from ``_log_omega``; safe against
+    under/overflow."""
+    return _log_omega(seq.alphas[:max(n + 1, 0)])
 
 
 def _max_coeff_dev(p: ComplexPoly, q: ComplexPoly) -> float:

@@ -15,7 +15,9 @@ numerically meaningful:
 
 from __future__ import annotations
 
+import cmath
 import math
+import random
 
 import numpy as np
 
@@ -152,6 +154,22 @@ def draw_near_circle(rng: np.random.Generator, L: int, lo: float,
             continue
         if lo < circle_margin(seq) < hi:
             return seq
+
+
+NEAR_CIRCLE_TAIL_HEADS = (2.0, -1.5j, 1.2 + 0.7j)
+
+
+def near_circle_coefficient(rng: random.Random) -> complex:
+    """(1 - 10^U(-7.9, -6)) e^{i theta}: a factor 1 - |alpha|^2 of 2.5e-8 to
+    2e-6, where a second rounding of |alpha|^2 shows."""
+    return (1.0 - 10.0 ** rng.uniform(-7.9, -6.0)) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+
+
+def draw_near_circle_tail(rng: random.Random) -> VerblunskySequence:
+    """One head coefficient outside the disk, then one or two tail
+    coefficients from ``near_circle_coefficient``."""
+    head, k = rng.choice(NEAR_CIRCLE_TAIL_HEADS), rng.choice((1, 2))
+    return VerblunskySequence([head, *(near_circle_coefficient(rng) for _ in range(k))])
 
 
 def random_nonclassical(rng: np.random.Generator, head_max: int = 5,

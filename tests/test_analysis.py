@@ -1,4 +1,6 @@
+import cmath
 import math
+import random
 import warnings
 
 import mpmath
@@ -9,6 +11,7 @@ import opuc.analysis
 import opuc.schur
 from opuc import (
     AmbiguousRootError,
+    ComplexPoly,
     CrossCheckError,
     QuadratureError,
     VerblunskySequence,
@@ -33,9 +36,11 @@ from opuc.schur import KhrushchevSplit
 from helpers import (
     NEAR_COMMON_ROOT_ALPHAS,
     draw_near_circle,
+    draw_near_circle_tail,
     draw_tail,
     draw_wide,
     horner_on_circle,
+    near_circle_coefficient,
     independent_phi_N_star_count,
     independent_star_counts,
     random_classical,
@@ -192,17 +197,9 @@ def test_pole_set_guard_band_refuses():
         pole_set(guard_band_sequence())
 
 
-def guard_band_sequence() -> VerblunskySequence:
-    """Admissible pair whose Phi_2* has a zero 5e-9 inside the circle.
-
-    Built by prescribing the zeros of Phi_2 (one of them just outside the
-    circle) and inverting one recurrence step to read the coefficients off.
-    """
-    import cmath
-    from opuc import ComplexPoly
-
-    r1 = 1.2 * cmath.exp(0.7j)
-    r2 = (1 + 5e-9) * cmath.exp(4.0j)
+def phi2_sequence(r1: complex, r2: complex) -> VerblunskySequence:
+    """The pair (alpha_0, alpha_1) whose Phi_2 has the zeros r1 and r2, by
+    inverting one recurrence step to read the coefficients off."""
     phi2 = ComplexPoly([r1 * r2, -(r1 + r2), 1])
     alpha1 = -phi2(0).conjugate()
     num = phi2 + alpha1.conjugate() * phi2.reverse(2)
@@ -210,6 +207,25 @@ def guard_band_sequence() -> VerblunskySequence:
     phi1 = ComplexPoly([c / w for c in num.coeffs[1:]])
     alpha0 = -phi1(0).conjugate()
     return VerblunskySequence([alpha0, alpha1])
+
+
+def guard_band_sequence() -> VerblunskySequence:
+    """Admissible pair whose Phi_2* has a zero 5e-9 inside the circle: one
+    zero of Phi_2 is prescribed just outside it."""
+    return phi2_sequence(1.2 * cmath.exp(0.7j), (1 + 5e-9) * cmath.exp(4.0j))
+
+
+def test_pole_set_merges_the_split_double_zero_of_phi_2_star():
+    # Phi_2 = (z - R)^2: the root finder splits the double zero 1/conj(R) of
+    # Phi_2* into two values 3e-8 apart, which _cluster_poles merges
+    R = 1.5 * cmath.exp(0.9j)
+    seq = phi2_sequence(R, R)
+    found = poly_roots(szego_polys(seq, 2)[1])
+    assert len(found) == 2 and 1e-9 < abs(found[0] - found[1]) < 1e-7
+    poles = pole_set(seq)
+    assert len(poles) == 2 and poles[0] == poles[1]
+    assert abs(poles[0] - 1 / R.conjugate()) < 1e-14
+    assert szego_verify(seq).rel_error < 1e-12
 
 
 def test_pole_set_guard_band_at_default_guard():
@@ -625,6 +641,23 @@ def test_verify_report_invariant():
     assert rep.rel_error == abs(rep.lhs - rep.rhs) / max(abs(rep.lhs), abs(rep.rhs), 1e-300)
 
 
+def test_verify_reads_both_sides_from_the_same_factors_near_the_circle():
+    # factors 1 - |alpha_j|^2 of 2.5e-8 to 2e-6: reading |alpha_j|^2 one way
+    # in the lhs and another in the rhs misses by up to 6.2e-9 here (median
+    # 1.9e-10); one reading on both sides leaves the quadrature's and the
+    # roots' error
+    rng, answered, refused = random.Random(3), [], 0
+    for _ in range(300):
+        seq = draw_near_circle_tail(rng)
+        try:
+            answered.append((szego_verify(seq).rel_error, seq.alphas))
+        except AmbiguousRootError:  # a root of Phi_L* within 1e-8 of the circle
+            refused += 1
+    assert (len(answered), refused) == (225, 75)
+    worst = max(answered, key=lambda case: case[0])
+    assert worst[0] < 1e-12, worst
+
+
 # ---------------------------------------------------------------------------
 # Boyd
 
@@ -682,7 +715,7 @@ def test_boyd_matches_product_on_draws_near_the_circle(seed, max_mod):
     rng = np.random.default_rng(seed)
     for _ in range(40):
         seq = VerblunskySequence(draw_tail(rng, 6, max_mod))
-        want = math.fsum(math.log1p(-abs(a) ** 2) for a in seq.alphas)
+        want = math.fsum(math.log1p(-h * h) for h in map(abs, seq.alphas))
         assert boyd_integral(seq, 0) == want, seq.alphas
 
 
@@ -694,14 +727,24 @@ def test_boyd_answers_a_cancelling_difference(alphas):
     # A trapezoid mean of the product form would need 16,384 to 524,288
     # points, and more than 2^20 for [1 - 1e-6] * 2, whose B_t has a root
     # 2e-6 off the circle; the fsum needs none
-    want = math.fsum(math.log1p(-abs(a) ** 2) for a in alphas)
+    want = math.fsum(math.log1p(-h * h) for h in map(abs, alphas))
     assert boyd_integral(VerblunskySequence(alphas), 0) == want
 
 
 def test_boyd_keeps_a_difference_that_cancels_less():
     # [0.999] * 2 would lose a factor 2e6 to |B_t|^2 - |A_t|^2
-    want = 2 * math.log1p(-0.999 ** 2)
+    want = 2 * math.log1p(-0.999 * 0.999)
     assert boyd_integral(VerblunskySequence([0.999] * 2), 0) == want
+
+
+def test_boyd_equals_omega_near_the_circle():
+    # the integral and omega read the same factors 1 - h h, so only exp's
+    # rounding is left
+    rng = random.Random(8)
+    for _ in range(200):
+        seq = VerblunskySequence([near_circle_coefficient(rng) for _ in range(rng.randint(1, 4))])
+        want = omega(seq, len(seq) - 1)
+        assert abs(math.exp(boyd_integral(seq, 0)) - want) <= 1e-13 * want, seq.alphas
 
 
 def _mp_boyd(alphas, pieces: int) -> mpmath.mpf:

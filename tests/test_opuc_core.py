@@ -146,6 +146,7 @@ def test_star_polynomial_is_exact_reversal():
 def test_omega_values():
     assert omega(VerblunskySequence([2]), 0) == -3
     assert omega(VerblunskySequence([2, 0.5]), 1) == -2.25
+    assert omega(VerblunskySequence([0.5]), 0) == 0.75
     assert omega(VerblunskySequence([]), 9) == 1
 
 
@@ -155,6 +156,24 @@ def test_omega_log_sign_consistent():
     val = omega(seq, 2)
     assert sign == (1 if val > 0 else -1)
     assert math.isclose(math.exp(logmag), abs(val), rel_tol=1e-13)
+
+
+def test_omega_log_sign_counts_the_negative_factors():
+    sign, logmag = omega_log_sign(VerblunskySequence([2, 2j, 0.5]), 2)
+    assert sign == 1 and math.isclose(logmag, math.log(6.75), rel_tol=1e-15)
+    assert omega_log_sign(VerblunskySequence([2, 0.5]), 1)[0] == -1
+    assert omega_log_sign(VerblunskySequence([2, 0.5]), -1) == (1, 0.0)
+
+
+def test_a_factor_the_guard_admits_is_not_zero():
+    # |alpha_1| - 1 = -1.1e-16 passes a guard of 1e-300; x^2 + y^2 rounds to
+    # 1.0 there, while h * h with h = |alpha_1| is 1 - 2^-52
+    seq = VerblunskySequence([2.0, 0.5321609527832336 + 0.8466432072206337j], guard_unit=1e-300)
+    val = omega(seq, 1)
+    sign, logmag = omega_log_sign(seq, 1)
+    assert val < 0 and sign == -1
+    assert math.isclose(logmag, -34.945041100449046, rel_tol=1e-15)
+    assert math.isclose(math.exp(logmag), -val, rel_tol=1e-14)
 
 
 # ---------------------------------------------------------------------------
