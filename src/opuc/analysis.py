@@ -146,8 +146,8 @@ def re_F_khrushchev(seq: VerblunskySequence, n: int, theta: float | np.ndarray):
     before anything else is built.
     """
     tail = tail_schur(seq, n)
-    split = KhrushchevSplit(*szego_polys(seq, n), tail, omega(seq, n - 1))
-    values = split.re_F(np.atleast_1d(np.asarray(theta, dtype=float)))
+    split = KhrushchevSplit(*szego_polys(seq, n), tail)
+    values = split.re_F(np.atleast_1d(np.asarray(theta, dtype=float)), omega(seq, n - 1))
     return values if np.ndim(theta) else float(values[0])
 
 
@@ -338,7 +338,7 @@ def szego_verify(seq: VerblunskySequence) -> SzegoReport:
     N, L = seq.N, len(seq)
     pairs = _szego_pairs(seq.alphas, (N, L))  # Phi_N, Phi_N* and Phi_L* from one run
     poles, den_roots = _poles(pairs[L][1], seq.alphas, N)
-    split = KhrushchevSplit(*pairs[N], tail_schur(seq, N), omega(seq, N - 1))
+    split = KhrushchevSplit(*pairs[N], tail_schur(seq, N))
     sign, logw = omega_log_sign(seq, N - 1)
     logwt = _log_omega(seq.alphas[N:])[1]
     neg_mean, pts, near, bt2, at2, *_ = _denominator_mean(split, logw, pairs[L][1], den_roots)
@@ -409,14 +409,16 @@ def zero_migration(seq: VerblunskySequence, n_values) -> list[MigrationRow]:
     """In-disk zeros of Phi_n* for each requested n, annotated with the
     distance to the nearest pole of F and the distance to the circle.  Every
     Phi_n* and Phi_L*, whose in-disk zeros are the poles, come from one run
-    of the recurrence."""
+    of the recurrence, and Phi_L*'s roots are found once, for the poles and
+    for n = L alike."""
     n_values, L = list(n_values), len(seq)
     pairs = _szego_pairs(seq.alphas, [*n_values, L])
-    poles = _poles(pairs[L][1], seq.alphas, seq.N)[0]
+    poles, den_roots = _poles(pairs[L][1], seq.alphas, seq.N)
     rows: list[MigrationRow] = []
     for n in n_values:
         phistar = pairs[n][1]
-        inside = _inside(poly_roots(phistar), f"zeros of Phi_{n}*") if phistar.degree >= 1 else []
+        zeros = den_roots if n == L else poly_roots(phistar) if phistar.degree >= 1 else []
+        inside = _inside(zeros, f"zeros of Phi_{n}*")
         pd = tuple(min((abs(z - p) for p in poles), default=math.inf) for z in inside)
         cd = tuple(1.0 - abs(z) for z in inside)
         rows.append(MigrationRow(n=n, zeros=tuple(inside), pole_dist=pd, circle_dist=cd))
@@ -475,7 +477,7 @@ def log_split_check(seq: VerblunskySequence, n: int) -> float:
     """
     tail, L = tail_schur(seq, n), len(seq)  # the tail validates n first
     pairs = _szego_pairs(seq.alphas, (n, L))
-    at_n = KhrushchevSplit(*pairs[n], tail, omega(seq, n - 1))
+    at_n = KhrushchevSplit(*pairs[n], tail)
     logw = omega_log_sign(seq, n - 1)[1]
     F = RationalFn(second_kind_polys(seq, L)[1], pairs[L][1])
     poles, den_roots = _poles(F.den, seq.alphas, seq.N)

@@ -29,9 +29,10 @@ _EPS = np.finfo(float).eps
 
 
 class RootFindingError(RuntimeError):
-    """No candidate root set met the bound: neither the Aberth start, the
-    companion-matrix roots nor an Aberth restart; or the coefficients are
-    not finite, or the leading one underflows beside the largest."""
+    """No candidate root set met the bound: neither the companion-matrix
+    roots nor the Aberth iteration from the Newton-polygon circles; or the
+    coefficients are not finite, or the leading one underflows beside the
+    largest."""
 
     def __init__(self, message: str, residuals: Sequence[float] = ()) -> None:
         super().__init__(message)
@@ -262,9 +263,10 @@ def _aberth(c: np.ndarray, z: np.ndarray) -> np.ndarray | None:
     moving (``_aberth_sweep``): a root stops once its own correction is at
     most 1e-10 |z_i| or its rounding floor, so a sweep costs O(moving n).
     Once every root has stopped, the roots after one ``_polish``, if every
-    residual meets DEFAULT_ROOT_TOL and Smith's inclusion discs are
-    pairwise disjoint (``_discs_disjoint``).  None if not, on a correction
-    that is not finite, or after _MAX_SWEEPS sweeps."""
+    residual meets DEFAULT_ROOT_TOL and Smith's inclusion discs, built from
+    the polish's own values, are pairwise disjoint (``_discs_disjoint``).
+    None if not, on a correction that is not finite, or after _MAX_SWEEPS
+    sweeps."""
     n = len(c) - 1
     dc = c[1:] * np.arange(1, n + 1)
     cols = np.zeros((n + 1, 4), dtype=complex)
@@ -278,22 +280,25 @@ def _aberth(c: np.ndarray, z: np.ndarray) -> np.ndarray | None:
         z[act] = swept
         act = act[moving]
         if not len(act):
-            z, absp, scale, resid = _polish(c, z)
-            ok = resid.max() <= DEFAULT_ROOT_TOL and _discs_disjoint(c, z, absp, scale)
-            return z if ok else None
+            z, *smith, resid = _polish(c, z)
+            return z if resid.max() <= DEFAULT_ROOT_TOL and _discs_disjoint(c, z, *smith) else None
     return None
 
 
-def _polish(c: np.ndarray,
-            cand: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _polish(c: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, ...]:
     """One Newton step per candidate where it is shorter than a tenth of the
     gap to the nearest other candidate (so none merge; a non-finite step is
-    not taken), then (roots, |p|, scale, scaled residuals) at the result.
+    not taken), then (roots, |p|, scale, log shift, scaled residuals) at the
+    result, the residual being |p| / scale.
 
     The step and |p| come from one matrix of powers each (``_powers``), the
-    scale sum_k |c_k| |z|**k in real arithmetic; where it is not finite (the
-    powers overflow, or inf * 0 at a zero coefficient) the residual comes
-    from the reversed coefficients at 1/r; a NaN root keeps its NaN."""
+    scale sum_k |c_k| |z|**k in real arithmetic, and the log shift is 0.
+    Where the scale is not finite (the powers overflow, or inf * 0 at a zero
+    coefficient) |p| and the scale are |q(1/r)| and sum_k |c_{n-k}| |1/r|**k
+    of the reversed coefficients q instead, and the log shift is n log|r|,
+    the log of the factor |r|**n between them and p's; a NaN root keeps its
+    NaN.  ``_discs_disjoint`` takes |p|, the scale and the shift as they
+    are."""
     n = len(c) - 1
     v = _powers(cand, n)
     step = (v @ c) / (v[:, :n] @ (c[1:] * np.arange(1, n + 1)))
@@ -303,33 +308,30 @@ def _polish(c: np.ndarray,
     v = _powers(cand, n)
     absp = np.abs(v @ c)
     scale = np.abs(v) @ np.abs(c)
-    resid = absp / np.maximum(scale, 1e-300)
+    shift = np.zeros(n)
     over = ~np.isfinite(scale) & np.isfinite(cand)
     if over.any():
-        v = _powers(1.0 / cand[over], n)
-        resid[over] = np.abs(v @ c[::-1]) / np.maximum(np.abs(v) @ np.abs(c[::-1]), 1e-300)
-    return cand, absp, scale, resid
+        w = 1.0 / cand[over]
+        v = _powers(w, n)
+        absp[over], scale[over] = np.abs(v @ c[::-1]), np.abs(v) @ np.abs(c[::-1])
+        shift[over] = -n * np.log(np.abs(w))
+    return cand, absp, scale, shift, absp / np.maximum(scale, 1e-300)
 
 
-def _discs_disjoint(c: np.ndarray, z: np.ndarray, absp: np.ndarray, scale: np.ndarray) -> bool:
+def _discs_disjoint(c: np.ndarray, z: np.ndarray, absp: np.ndarray, scale: np.ndarray,
+                    shift: np.ndarray) -> bool:
     """True when Smith's inclusion discs about the approximations ``z`` are
     pairwise disjoint, so each holds exactly one root (Smith, JACM 17, 1970).
 
     The radius is r_i = n (|p(z_i)| + 4 n eps S_i) / |c_n prod_{j != i} (z_i - z_j)|,
     with S_i = sum_k |c_k| |z_i|**k bounding the rounding of p(z_i); the
-    product is taken as a sum of logs.  ``absp`` and ``scale`` are |p(z_i)|
-    and S_i from a matrix of powers of z; where the scale is not finite, both
-    come from the reversed coefficients at 1/z_i, times |z_i|**n in logs.  A
-    coincident pair gives an infinite radius."""
+    product is taken as a sum of logs.  ``absp``, ``scale`` and ``shift``
+    are ``_polish``'s: |p(z_i)| and S_i with a log shift of 0, or, where S_i
+    overflows, the reversed coefficients' values at 1/z_i with the shift
+    n log|z_i|, so no power is computed here.  A coincident pair gives an
+    infinite radius."""
     n = len(z)
-    eps4n = 4 * n * _EPS
-    log_m = np.log(absp + eps4n * scale)
-    over = ~np.isfinite(scale) & np.isfinite(z)
-    if over.any():
-        w = 1.0 / z[over]
-        v = _powers(w, n)
-        log_m[over] = (np.log(np.abs(v @ c[::-1]) + eps4n * (np.abs(v) @ np.abs(c[::-1])))
-                       - n * np.log(np.abs(w)))
+    log_m = np.log(absp + 4 * n * _EPS * scale) + shift
     gap = np.abs(z[:, None] - z[None, :])
     np.fill_diagonal(gap, 1.0)
     r = np.exp(np.log(n) + log_m - np.log(abs(c[-1])) - np.log(gap).sum(axis=1))
@@ -352,12 +354,11 @@ def roots(p: ComplexPoly) -> list[complex]:
       Newton-polygon circles;
     * the companion-matrix eigenvalues, accepted when every residual
       meets the bound;
-    * on a miss, Aberth sweeps from the companion roots;
-    * then, below degree 40 (from 40 on the first route ran them),
-      Aberth sweeps from the Newton-polygon circles;
+    * on a miss below degree 40, Aberth sweeps from the Newton-polygon
+      circles (from 40 on the first route ran them and missed);
     * else RootFindingError, carrying the companion residuals.
 
-    There is one Aberth iteration, from three starts.  Each sweep takes p
+    There is one Aberth iteration, from one start.  Each sweep takes p
     and p' from one matrix of powers of z, or of 1/z with the reversed
     coefficients where |z| > 1, so no power exceeds 1 in modulus, and it
     takes only the roots still moving: a root stops once its own
@@ -371,10 +372,10 @@ def roots(p: ComplexPoly) -> list[complex]:
     matrix of powers (``_polish``).  An Aberth answer is accepted only when
     every residual meets the bound and Smith's inclusion discs
     (``_discs_disjoint``: radius n (|p(z_i)| + 4 n eps S_i) /
-    |c_n prod_{j != i} (z_i - z_j)|) are pairwise disjoint, so the
-    candidates are n distinct roots.  The companion answer is accepted on
-    its residuals alone, so a multiple root keeps its multiplicity as a
-    cluster whose discs overlap.
+    |c_n prod_{j != i} (z_i - z_j)|, from the polish's values) are pairwise
+    disjoint, so the candidates are n distinct roots.  The companion answer
+    is accepted on its residuals alone, so a multiple root keeps its
+    multiplicity as a cluster whose discs overlap.
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has no well-defined root set")
@@ -412,12 +413,11 @@ def roots(p: ComplexPoly) -> list[complex]:
                 overflow = True
             if k:
                 cand = np.concatenate([cand, np.zeros(k, dtype=complex)])
-            cand, _, _, resid = _polish(c, cand)
+            cand, *_, resid = _polish(c, cand)
             cand = cand[:m]
             if not resid.max() <= DEFAULT_ROOT_TOL:  # a NaN residual is a miss
-                cand = _aberth(rest, cand)
-                if cand is None and m < _START_MIN_DEGREE:  # else the start ran this one
-                    cand = _aberth(rest, _newton_polygon_start(rest))
+                # from degree 40 on the start ran this one
+                cand = _aberth(rest, _newton_polygon_start(rest)) if m < _START_MIN_DEGREE else None
                 if cand is None:
                     worst = np.nan_to_num(resid, nan=np.inf).max()
                     raise RootFindingError(

@@ -127,8 +127,8 @@ def _split_terms(tn, td, phistar, zphi):
 
 @dataclasses.dataclass(frozen=True)
 class KhrushchevSplit:
-    """Phi_n, Phi_n*, the tail f_n = A_t/B_t and omega_{n-1}: the parts of
-    Khrushchev's formula for Re F at index n.
+    """Phi_n, Phi_n* and the tail f_n = A_t/B_t: the parts of Khrushchev's
+    formula for Re F at index n that are polynomials.
 
     On the m-th roots of unity (``on_circle``) the split's values come from
     one FFT of its stacked coefficients; at arbitrary angles (``re_F``) from
@@ -139,7 +139,6 @@ class KhrushchevSplit:
     phi: ComplexPoly
     phistar: ComplexPoly
     tail: RationalFn
-    omega: float
 
     def on_circle(self, m: int, *rows):
         """|B_t|^2, |A_t|^2, |D|^2 and D's scale at the m angles 2 pi j / m,
@@ -150,8 +149,9 @@ class KhrushchevSplit:
              (0j, *self.phi.coeffs), *rows], m)
         return _split_terms(tn, td, phistar, zphi), values
 
-    def re_F(self, thetas: np.ndarray) -> np.ndarray:
-        """Re F = omega_{n-1} (1 - |f_n|^2) / |Phi_n* - z Phi_n f_n|^2 at the angles."""
+    def re_F(self, thetas: np.ndarray, omega: float) -> np.ndarray:
+        """Re F = omega_{n-1} (1 - |f_n|^2) / |Phi_n* - z Phi_n f_n|^2 at the
+        angles, with ``omega`` = omega_{n-1}."""
         zs = np.exp(1j * np.asarray(thetas, dtype=float))
         bt2, at2, d2, scale = _split_terms(self.tail.num(zs), self.tail.den(zs),
                                            self.phistar(zs), zs * self.phi(zs))
@@ -160,7 +160,7 @@ class KhrushchevSplit:
         if at_pole.any():
             raise PoleEvaluationError(
                 f"Khrushchev denominator vanishes at theta = {float(thetas[at_pole][0])!r}")
-        return self.omega * (bt2 - at2) / d2
+        return omega * (bt2 - at2) / d2
 
 
 def as_rational_F(seq: VerblunskySequence) -> RationalFn:

@@ -108,7 +108,7 @@ def spurious_root(monkeypatch):
 @pytest.fixture
 def aberth_runs(monkeypatch):
     """Record the degree of the polynomial in each Aberth run: the start from
-    degree 40 and both restarts after a companion miss."""
+    degree 40, or the run after a companion miss below it."""
     import opuc.poly
 
     calls: list[int] = []
@@ -125,7 +125,7 @@ def aberth_runs(monkeypatch):
 @pytest.fixture
 def start_sweeps(monkeypatch):
     """Record (degree of the polynomial, roots swept) for each Aberth sweep
-    of roots, in the start or in a restart."""
+    of roots, from degree 40 on or after a companion miss below it."""
     import opuc.poly
 
     calls: list[tuple[int, int]] = []

@@ -263,8 +263,8 @@ def draw_wide(rng: np.random.Generator) -> VerblunskySequence:
 # the two agree bit for bit).  On a miss, an Aberth iteration evaluated by
 # Horner and run to the residual bound, from the companion roots where its
 # inclusion discs are disjoint, then from the Newton-polygon circles; the
-# library restarts with its power-matrix sweeps instead, so there the two
-# differ in the last bits.  From degree 40 on the library tries its Aberth
+# library runs its power-matrix sweeps from the Newton-polygon circles
+# alone, so there the two differ in the last bits.  From degree 40 on the library tries its Aberth
 # start first, which this route leaves out: there it is the route the start
 # hands over to
 

@@ -6,6 +6,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import opuc.analysis
 import opuc.schur
@@ -119,6 +120,21 @@ def test_trapezoid_points_come_from_the_roots(roots, points):
     # every root left in Q lies at least NEAR_ROOT_BAND = 0.1 off the circle,
     # so no case needs more than 512 points
     assert opuc.analysis._trapezoid_points(roots) == points
+
+
+def _far_roots(**bounds):
+    return st.complex_numbers(allow_nan=False, allow_infinity=False, **bounds).filter(
+        lambda r: abs(abs(r) - 1.0) >= NEAR_ROOT_BAND)  # _denominator_mean's far roots
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_far_roots(max_magnitude=1.0 - NEAR_ROOT_BAND),
+                          _far_roots(min_magnitude=1.0 + NEAR_ROOT_BAND)), max_size=1000))
+def test_trapezoid_points_never_exceed_512_off_the_near_root_band(roots):
+    # the ceiling README states for the grids of szego_verify and
+    # log_split_check, whose sizing sees only roots at least NEAR_ROOT_BAND
+    # off the circle; the 2^20 refusal guards direct calls
+    assert opuc.analysis._trapezoid_points(roots) <= 512
 
 
 @pytest.mark.parametrize("m", [64, 128])
@@ -322,7 +338,7 @@ def test_verify_keeps_every_zero_of_phi_L_star(alphas):
 
 def test_verify_resolves_poles_of_very_different_sizes():
     # the two poles sit near 2.2e-13 and 9.8e-4; the companion matrix does not
-    # resolve the zeros of Phi_5* to the residual bound, so Aberth restarts
+    # resolve the zeros of Phi_5* to the residual bound, so Aberth runs
     # from the Newton-polygon circles
     rep = szego_verify(VerblunskySequence(
         [1018.945, 209564.108, 22144176.191, -0.048j, -0.529j]))
@@ -858,6 +874,13 @@ def test_star_zeros_in_the_guard_band_are_refused(monkeypatch, root, run):
                         lambda p: [root] if p.degree == 1 else find(p))
     with pytest.raises(AmbiguousRootError, match=r"zeros of Phi_1\* in the circle guard band"):
         run()
+
+
+def test_migration_finds_each_root_set_once(root_calls):
+    # Phi_3* is Phi_L*, whose roots give the poles: they serve the row n = 3 too
+    rows = zero_migration(VerblunskySequence([2, 0.5, 0.3j]), [1, 3])
+    assert root_calls == [3, 1]
+    assert [row.n for row in rows] == [1, 3]
 
 
 def test_migration_head_only():

@@ -136,7 +136,7 @@ def test_out_of_range_roots_are_one_quiet_refusal_line(tmp_path, capsys, command
 
 def test_poles_names_a_root_beyond_float64_range(tmp_path, capsys):
     # Phi_2* of [2.0, 1e-320] has a root near 1e320: the companion matrix
-    # overflows and the Aberth restart misses too
+    # overflows and the Aberth run from the Newton-polygon circles misses too
     case = write_case(tmp_path / "case.json", [2.0, 1e-320])
     assert main(["poles", "--input", str(case)]) == 2
     assert capsys.readouterr().err == ("refused: the polynomial has a root beyond float64 "
@@ -270,7 +270,7 @@ def test_grid_overflow_is_one_quiet_refusal_line(tmp_path, capsys, alphas):
 
 
 def test_grid_sample_at_a_pole_is_one_refusal_line(tmp_path, capsys, monkeypatch):
-    def at_pole(self, thetas):
+    def at_pole(self, thetas, omega):
         raise PoleEvaluationError("Khrushchev denominator vanishes at theta = 0.0")
 
     monkeypatch.setattr(KhrushchevSplit, "re_F", at_pole)

@@ -216,10 +216,10 @@ def test_roots_keeps_a_multiple_root_with_its_multiplicity(aberth_runs):
 
 
 def test_roots_restarts_aberth_only_on_a_companion_miss(aberth_runs):
-    # first from the companion roots, whose discs overlap on this trap, then
-    # from the Newton-polygon circles
+    # the companion roots miss on this trap, and one Aberth run from the
+    # Newton-polygon circles answers
     roots(ComplexPoly([1.3748121654206392e-266, 0, 1, 1]))
-    assert aberth_runs == [3, 3]
+    assert aberth_runs == [3]
 
 
 def test_roots_of_phi_L_star_match_50_digit_roots():
@@ -422,7 +422,7 @@ def test_roots_of_long_phi_L_star(L, companion_eigvals):
 
 def test_roots_answer_the_draws_the_companion_route_missed(aberth_runs):
     # five draws of degree 26-39 whose companion roots miss the bound;
-    # Aberth from the companion roots answers each, with disjoint discs.
+    # Aberth from the Newton-polygon circles answers each, with disjoint discs.
     # Oracle: mpmath's roots of the same coefficients at 50 digits
     rng = np.random.default_rng(0)
     draws = {}
@@ -448,7 +448,7 @@ def test_roots_answer_the_draws_the_companion_route_missed(aberth_runs):
 def test_roots_resolves_clusters_of_very_different_sizes():
     # z^3 + z^2 + 1.37e-266 has roots near -1 and +-1.17e-133 i: the
     # companion matrix resolves the small pair only to absolute accuracy,
-    # so Aberth restarts from the Newton-polygon circles.  Its stop test is
+    # so Aberth runs from the Newton-polygon circles.  Its stop test is
     # relative to each root: an absolute 1e-10 below |z| = 1 stopped the
     # pair at its start points
     p = ComplexPoly([1.3748121654206392e-266, 0, 1, 1])
@@ -461,9 +461,10 @@ def test_roots_resolves_clusters_of_very_different_sizes():
 
 def test_roots_keep_the_tiny_pair_apart_from_minus_one():
     # z^3 + z^2 + 1.37e-266 has the roots -1 and +-i sqrt(1.37e-266).  Aberth
-    # started from the companion roots (-1, 0, 0) ends on -1 three times, and
-    # -1 meets the residual bound, so residuals alone cannot reject that
-    # answer: a restart from the companion roots must keep the pair apart
+    # started from the companion roots (-1, 0, 0) would end on -1 three
+    # times, and -1 meets the residual bound, so residuals alone cannot
+    # reject that answer: the Newton-polygon start puts the pair on its own
+    # circle and keeps it apart
     p = ComplexPoly([1.37e-266, 0, 1, 1])
     assert abs(p(-1)) <= 1e-12 * p.magnitude_bound(-1)
     got = sorted(roots(p), key=abs)
@@ -507,7 +508,7 @@ def test_roots_keep_every_root_when_the_constant_underflows():
     # nonzero coefficient, so it answered 3 roots, one of them (9.1e-218) no
     # root, and lost the one near 2.4e72.  The flushed constant is a root at
     # 0 (for the root near -c_0/c_1 = 9.4e-310, which 80-digit polyroots also
-    # gives as 0); the restart finds the other three.  Oracle: mpmath's roots
+    # gives as 0); the Aberth run finds the other three.  Oracle: mpmath's roots
     # of the same coefficients at 80 digits
     cs = [3.8e-285, -3.9e24 - 1.1e24j, -8e69 + 5.9e69j, -2.2e128 - 1.2e128j, 9e55]
     got = roots(ComplexPoly(cs))
@@ -554,7 +555,7 @@ def test_roots_match_the_np_roots_reference_bit_for_bit(aberth_runs):
     # degree 2-39, a third of the draws with coefficient scales 10^U(-8, 8).
     # Where the companion roots meet the bound, roots answers as the
     # reference bit for bit.  Where they miss (draw 415), the library's
-    # Aberth restart and the reference's Horner iteration stop at different
+    # Aberth run and the reference's Horner iteration stop at different
     # points, so that answer is checked against 50-digit roots instead (it
     # is off by 1.5e-16, the reference by 1.3e-16); where the reference
     # refuses, every root found meets the bound
