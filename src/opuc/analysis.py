@@ -29,7 +29,8 @@ from .opuc_core import (
     szego_polys,
 )
 from .poly import ComplexPoly, roots as poly_roots, series_div, split_by_circle
-from .schur import KhrushchevSplit, RationalFn, _classical_tail, as_rational_F, tail_schur
+from .schur import (KhrushchevSplit, PoleEvaluationError, RationalFn, _classical_tail,
+                    as_rational_F, tail_schur)
 
 QUAD_MIN_POINTS = 64     # the fewest points _trapezoid_points asks for
 QUAD_MAX_POINTS = 1 << 20  # the most: a grid above it is refused, not built
@@ -37,6 +38,7 @@ QUAD_ERROR_BOUND = 1e-15  # the bound on each trapezoid error: below the roundin
                           # of the m-point sum, so more points gain nothing
 LOG_SPLIT_TOL = 1e-9     # log_split_check's bound on the third integral's miss
 POLE_CLUSTER_TOL = 1e-7
+_POLE_GUARD = 1e-13      # re_F_khrushchev's bound on |D| relative to its two terms
 NEAR_ROOT_BAND = 0.1     # roots of Phi_L* with ||r| - 1| below this are subtracted
 SPLIT_CHECK_TOL = 1e-6   # |D| from the split against |Phi_L*|, and |B_t|^2 - |A_t|^2
                          # against omega_t, relative to the scale of each difference
@@ -114,24 +116,24 @@ def circle_quadrature(g, m: int) -> float:
     return math.fsum(vals.tolist()) / m
 
 
-def _log_defect(alphas, z: np.ndarray) -> np.ndarray:
-    """log(1 - |f|^2) at the points ``z`` of the circle, f the Schur function
-    of the classical ``alphas`` (zero beyond them).  There the Schur step
-    f_j = (a_j + z f_{j+1}) / (1 + conj(a_j) z f_{j+1}) gives
+def _log_defect(alphas, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f and log(1 - |f|^2) at the points ``z`` of the circle, f the Schur
+    function of the classical ``alphas`` (zero beyond them).  There the
+    Schur step f_j = (a_j + z f_{j+1}) / (1 + conj(a_j) z f_{j+1}) gives
 
         1 - |f_j|^2 = (1 - |a_j|^2) (1 - |f_{j+1}|^2) / |1 + conj(a_j) z f_{j+1}|^2,
 
-    so, run from f = 0 past the last coefficient, the logarithm is the fsum
-    of log1p(-h_j h_j), h_j = abs(a_j) (``_log_omega``), less the sum of
-    log|1 + conj(a_j) z f_{j+1}|^2.  No term cancels, as
-    |1 + conj(a_j) z f_{j+1}| >= 1 - |a_j| > 0."""
+    so, run from f = 0 past the last coefficient, f is the last step's
+    value and the logarithm is the fsum of log1p(-h_j h_j), h_j = abs(a_j)
+    (``_log_omega``), less the sum of log|1 + conj(a_j) z f_{j+1}|^2.  No
+    term cancels, as |1 + conj(a_j) z f_{j+1}| >= 1 - |a_j| > 0."""
     f, logs = np.zeros_like(z), np.zeros(len(z))
     for a in reversed(alphas):
         zf = z * f
         d = 1.0 + a.conjugate() * zf
         logs += np.log(np.abs(d) ** 2)
         f = (a + zf) / d
-    return _log_omega(alphas)[1] - logs
+    return f, _log_omega(alphas)[1] - logs
 
 
 def re_F_khrushchev(seq: VerblunskySequence, n: int, theta: float | np.ndarray):
@@ -139,21 +141,35 @@ def re_F_khrushchev(seq: VerblunskySequence, n: int, theta: float | np.ndarray):
 
         Re F = omega_{n-1} (1 - |f_n|^2) / |Phi_n* - z Phi_n f_n|^2,
 
-    evaluated in cleared form so only polynomial values enter.  ``theta``
-    is one angle (a float is returned) or an ndarray of angles (an ndarray
-    is returned, all from one build of the polynomials and the tail).  The
-    tail is built first, so an ``n`` whose tail is not classical is refused
-    before anything else is built.
+    with Phi_n and Phi_n* by Horner and f_n and log(1 - |f_n|^2) from the
+    Schur step at the points (``_log_defect``), so no difference cancels
+    and no tail is built.  ``theta`` is one angle (a float is returned) or
+    an ndarray of angles (an ndarray is returned, all from one run of the
+    recurrence).  The tail is validated first (``_classical_tail``), so an
+    ``n`` whose tail is not classical is refused before anything is built.
+    A point where |Phi_n* - z Phi_n f_n| is at most _POLE_GUARD of
+    |Phi_n*| + |z Phi_n f_n| raises PoleEvaluationError.
     """
-    tail = tail_schur(seq, n)
-    split = KhrushchevSplit(*szego_polys(seq, n), tail)
-    values = split.re_F(np.atleast_1d(np.asarray(theta, dtype=float)), omega(seq, n - 1))
+    alphas = _classical_tail(seq, n)
+    phi, phistar = szego_polys(seq, n)
+    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
+    zs = np.exp(1j * thetas)
+    f, log_defect = _log_defect(alphas, zs)
+    lead, trail = phistar(zs), zs * phi(zs) * f
+    d2 = np.abs(lead - trail) ** 2
+    scale = np.maximum(np.abs(lead) + np.abs(trail), 1e-300)
+    # an overflowed |D|^2 is no pole: its samples stay non-finite
+    at_pole = np.isfinite(d2) & (d2 <= (_POLE_GUARD * scale) ** 2)
+    if at_pole.any():
+        raise PoleEvaluationError(
+            f"Khrushchev denominator vanishes at theta = {float(thetas[at_pole][0])!r}")
+    values = omega(seq, n - 1) * np.exp(log_defect) / d2
     return values if np.ndim(theta) else float(values[0])
 
 
-def _cluster_poles(points: list[complex], tol: float = POLE_CLUSTER_TOL) -> list[complex]:
-    """Merge root clusters within ``tol`` relative to the larger modulus
-    into their mean, repeated with multiplicity (root finders split
+def _cluster_poles(points: list[complex]) -> list[complex]:
+    """Merge root clusters within POLE_CLUSTER_TOL relative to the larger
+    modulus into their mean, repeated with multiplicity (root finders split
     multiple roots; distinct tiny roots stay apart)."""
     out: list[complex] = []
     remaining = list(points)
@@ -162,7 +178,7 @@ def _cluster_poles(points: list[complex], tol: float = POLE_CLUSTER_TOL) -> list
         cluster = [seed]
         rest = []
         for p in remaining:
-            if abs(p - seed) <= tol * max(abs(p), abs(seed)):
+            if abs(p - seed) <= POLE_CLUSTER_TOL * max(abs(p), abs(seed)):
                 cluster.append(p)
             else:
                 rest.append(p)
@@ -483,7 +499,7 @@ def log_split_check(seq: VerblunskySequence, n: int) -> float:
     poles, den_roots = _poles(F.den, seq.alphas, seq.N)
     neg_mean_d, _, _, bt2, _, d2, (den, z, num) = _denominator_mean(
         at_n, logw, F.den, den_roots, 512, (F.num.coeffs,))
-    split = logw + _log_defect(seq.alphas[n:], z) + np.log(bt2) - np.log(d2)
+    split = logw + _log_defect(seq.alphas[n:], z)[1] + np.log(bt2) - np.log(d2)
     direct = np.log(np.abs((num / den).real))
     pointwise = float(np.max(np.abs(direct - split)) / max(1.0, float(np.max(np.abs(direct)))))
 

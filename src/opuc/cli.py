@@ -255,16 +255,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     case = load_case(args.input)
     n_max = args.n_max if args.n_max is not None else len(case.seq)
     rows = zero_count_trace(case.seq, n_max)
-    _emit({
-        "label": case.label,
-        "rows": [{
-            "k": r.k,
-            "predicted": r.predicted,
-            "actual": r.actual,
-            "predicted_star": r.predicted_star,
-            "actual_star": r.actual_star,
-        } for r in rows],
-    })
+    _emit({"label": case.label, "rows": [vars(r) for r in rows]})
     return 0
 
 

@@ -24,8 +24,6 @@ from .opuc_core import (
 )
 from .poly import ComplexPoly, _on_circle
 
-_POLE_GUARD = 1e-13
-
 
 class PoleEvaluationError(ArithmeticError):
     """Evaluation was requested at (or numerically at) a pole."""
@@ -116,24 +114,14 @@ def as_rational_f(seq: VerblunskySequence) -> RationalFn:
     return _backward_schur(seq.alphas)
 
 
-def _split_terms(tn, td, phistar, zphi):
-    """|B_t|^2, |A_t|^2, |D|^2 and the scale |Phi_n* B_t| + |z Phi_n A_t| of
-    D = Phi_n* B_t - z Phi_n A_t, from the values of A_t, B_t, Phi_n* and
-    z Phi_n at the same points."""
-    lead = phistar * td
-    trail = zphi * tn
-    return np.abs(td) ** 2, np.abs(tn) ** 2, np.abs(lead - trail) ** 2, np.abs(lead) + np.abs(trail)
-
-
 @dataclasses.dataclass(frozen=True)
 class KhrushchevSplit:
     """Phi_n, Phi_n* and the tail f_n = A_t/B_t: the parts of Khrushchev's
-    formula for Re F at index n that are polynomials.
-
-    On the m-th roots of unity (``on_circle``) the split's values come from
-    one FFT of its stacked coefficients; at arbitrary angles (``re_F``) from
-    Horner.  Both take |B_t|^2, |A_t|^2, |D|^2 and D's scale from those
-    values in the same way (``_split_terms``).
+    formula for Re F at index n that are polynomials, sampled on the m-th
+    roots of unity by one FFT of their stacked coefficients (``on_circle``)
+    for the means of ``szego_verify`` and ``log_split_check``.
+    ``re_F_khrushchev`` builds no split: at arbitrary angles it takes f_n
+    from the Schur step at the points.
     """
 
     phi: ComplexPoly
@@ -141,26 +129,16 @@ class KhrushchevSplit:
     tail: RationalFn
 
     def on_circle(self, m: int, *rows):
-        """|B_t|^2, |A_t|^2, |D|^2 and D's scale at the m angles 2 pi j / m,
-        and the values there of each coefficient row in ``rows``, all from
-        one ``_on_circle`` call; z Phi_n is Phi_n shifted one place."""
+        """|B_t|^2, |A_t|^2, |D|^2 and the scale |Phi_n* B_t| + |z Phi_n A_t|
+        of D = Phi_n* B_t - z Phi_n A_t at the m angles 2 pi j / m, and the
+        values there of each coefficient row in ``rows``, all from one
+        ``_on_circle`` call; z Phi_n is Phi_n shifted one place."""
         tn, td, phistar, zphi, *values = _on_circle(
             [self.tail.num.coeffs, self.tail.den.coeffs, self.phistar.coeffs,
              (0j, *self.phi.coeffs), *rows], m)
-        return _split_terms(tn, td, phistar, zphi), values
-
-    def re_F(self, thetas: np.ndarray, omega: float) -> np.ndarray:
-        """Re F = omega_{n-1} (1 - |f_n|^2) / |Phi_n* - z Phi_n f_n|^2 at the
-        angles, with ``omega`` = omega_{n-1}."""
-        zs = np.exp(1j * np.asarray(thetas, dtype=float))
-        bt2, at2, d2, scale = _split_terms(self.tail.num(zs), self.tail.den(zs),
-                                           self.phistar(zs), zs * self.phi(zs))
-        # an overflowed |D|^2 is no pole: its samples stay non-finite
-        at_pole = np.isfinite(d2) & (d2 <= (_POLE_GUARD * np.maximum(scale, 1e-300)) ** 2)
-        if at_pole.any():
-            raise PoleEvaluationError(
-                f"Khrushchev denominator vanishes at theta = {float(thetas[at_pole][0])!r}")
-        return omega * (bt2 - at2) / d2
+        lead, trail = phistar * td, zphi * tn
+        return (np.abs(td) ** 2, np.abs(tn) ** 2, np.abs(lead - trail) ** 2,
+                np.abs(lead) + np.abs(trail)), values
 
 
 def as_rational_F(seq: VerblunskySequence) -> RationalFn:

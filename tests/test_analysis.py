@@ -129,11 +129,14 @@ def _far_roots(**bounds):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(_far_roots(max_magnitude=1.0 - NEAR_ROOT_BAND),
-                          _far_roots(min_magnitude=1.0 + NEAR_ROOT_BAND)), max_size=1000))
+                          _far_roots(min_magnitude=1.0 + NEAR_ROOT_BAND,
+                                     max_magnitude=1e308)), max_size=1000))
 def test_trapezoid_points_never_exceed_512_off_the_near_root_band(roots):
     # the ceiling README states for the grids of szego_verify and
     # log_split_check, whose sizing sees only roots at least NEAR_ROOT_BAND
     # off the circle; the 2^20 refusal guards direct calls
+    # (moduli stop at 1e308, as poly.roots returns only finite ones and abs
+    # of a draw near the largest double overflows)
     assert opuc.analysis._trapezoid_points(roots) <= 512
 
 
@@ -187,6 +190,44 @@ def test_khrushchev_array_matches_scalar():
     values = re_F_khrushchev(seq, seq.N, thetas)
     assert values.shape == thetas.shape
     assert values.tolist() == [re_F_khrushchev(seq, seq.N, float(t)) for t in thetas]
+
+
+def _mp_re_F(alphas, thetas) -> list[mpmath.mpf]:
+    """Re(Psi_L*/Phi_L*) at ``thetas`` at 40 digits, both polynomials from
+    the recurrence in mpmath (Psi's with the coefficients negated)."""
+    with mpmath.workdps(40):
+        one, zero = mpmath.mpc(1), mpmath.mpc(0)
+        phi, phistar, psi, psistar = [one], [one], [one], [one]
+        for a in alphas:
+            a = mpmath.mpc(a.real, a.imag)
+            zphi, padded = [zero] + phi, phistar + [zero]
+            phi = [p - mpmath.conj(a) * q for p, q in zip(zphi, padded)]
+            phistar = [q - a * p for p, q in zip(zphi, padded)]
+            zpsi, padded = [zero] + psi, psistar + [zero]
+            psi = [p + mpmath.conj(a) * q for p, q in zip(zpsi, padded)]
+            psistar = [q + a * p for p, q in zip(zpsi, padded)]
+        zs = [mpmath.expj(mpmath.mpf(float(t))) for t in thetas]
+        return [mpmath.re(mpmath.polyval(psistar[::-1], z) / mpmath.polyval(phistar[::-1], z))
+                for z in zs]
+
+
+def _worst_khrushchev_miss(seq, thetas) -> float:
+    got = re_F_khrushchev(seq, seq.N, thetas)
+    return max(float(abs(g - r) / abs(r)) for g, r in zip(got, _mp_re_F(seq.alphas, thetas)))
+
+
+def test_khrushchev_matches_40_digits():
+    # where |B_t|^2 - |A_t|^2 would cancel far below its terms: tails of
+    # 31-61 coefficients of modulus 0.7, and factors 1 - |alpha_j|^2 near
+    # 1e-8, whose miss is the rounding of 1 - h h (_log_omega)
+    thetas = 2 * np.pi * np.arange(8) / 8 + 0.3
+    rng = np.random.default_rng(0)
+    for head, L in (([2.0], 32), ([2.0, -1.5j], 48), ([1.5, 0.3, -2j], 64)):
+        tail = 0.7 * np.exp(2j * np.pi * rng.uniform(size=L - len(head)))
+        assert _worst_khrushchev_miss(VerblunskySequence(head + tail.tolist()), thetas) < 1e-12
+    draws = random.Random(3)
+    for _ in range(20):
+        assert _worst_khrushchev_miss(draw_near_circle_tail(draws), thetas) < 1e-8
 
 
 # ---------------------------------------------------------------------------

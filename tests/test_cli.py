@@ -17,7 +17,6 @@ import opuc
 from opuc.cli import CaseError, load_case, main, report_to_dict
 from opuc import (CrossCheckError, SzegoReport, VerblunskySequence, re_F_khrushchev,
                   szego_verify)
-from opuc.schur import KhrushchevSplit, PoleEvaluationError
 
 from helpers import NEAR_COMMON_ROOT_ALPHAS
 
@@ -270,23 +269,22 @@ def test_grid_overflow_is_one_quiet_refusal_line(tmp_path, capsys, alphas):
 
 
 def test_grid_sample_at_a_pole_is_one_refusal_line(tmp_path, capsys, monkeypatch):
-    def at_pole(self, thetas, omega):
-        raise PoleEvaluationError("Khrushchev denominator vanishes at theta = 0.0")
-
-    monkeypatch.setattr(KhrushchevSplit, "re_F", at_pole)
+    # a guard of 1 calls every sample a pole, the first at theta = 0
+    monkeypatch.setattr(opuc.analysis, "_POLE_GUARD", 1.0)
     case = write_case(tmp_path / "case.json", [2.0, 0.5])
     assert main(["grid", "--input", str(case), "--points", "8"]) == 2
     assert capsys.readouterr().err == "refused: Khrushchev denominator vanishes at theta = 0.0\n"
 
 
-def test_grid_builds_tail_once(tmp_path, capsys, tail_builds):
+def test_grid_builds_no_tail(tmp_path, capsys, tail_builds):
     # the Khrushchev column is re_F_khrushchev at the split index, bit for
-    # bit (17 significant digits give every double back)
+    # bit (17 significant digits give every double back), and takes f_N
+    # from the Schur step at the points
     case = write_case(tmp_path / "case.json", [2.0, 0.5j, -0.3])
     assert main(["grid", "--input", str(case), "--points", "64"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 65
-    assert tail_builds == [1]
+    assert tail_builds == []
     seq = VerblunskySequence([2.0, 0.5j, -0.3])
     want = re_F_khrushchev(seq, seq.N, 2.0 * np.pi * np.arange(64) / 64)
     assert [float(line.split(",")[2]) for line in lines[1:]] == want.tolist()
