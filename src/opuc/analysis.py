@@ -28,9 +28,8 @@ from .opuc_core import (
     second_kind_polys,
     szego_polys,
 )
-from .poly import ComplexPoly, roots as poly_roots, series_div, split_by_circle
-from .schur import (KhrushchevSplit, PoleEvaluationError, RationalFn, _classical_tail,
-                    as_rational_F, tail_schur)
+from .poly import ComplexPoly, _on_circle, roots as poly_roots, series_div, split_by_circle
+from .schur import PoleEvaluationError, _classical_tail, as_rational_F, tail_schur
 
 QUAD_MIN_POINTS = 64     # the fewest points _trapezoid_points asks for
 QUAD_MAX_POINTS = 1 << 20  # the most: a grid above it is refused, not built
@@ -126,13 +125,16 @@ def _log_defect(alphas, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     so, run from f = 0 past the last coefficient, f is the last step's
     value and the logarithm is the fsum of log1p(-h_j h_j), h_j = abs(a_j)
     (``_log_omega``), less the sum of log|1 + conj(a_j) z f_{j+1}|^2.  No
-    term cancels, as |1 + conj(a_j) z f_{j+1}| >= 1 - |a_j| > 0."""
-    f, logs = np.zeros_like(z), np.zeros(len(z))
+    term cancels, as |1 + conj(a_j) z f_{j+1}| >= 1 - |a_j| > 0.  Every
+    step writes into the same five arrays (``out=``), in the formula's
+    order of operations, so a coefficient allocates no full-length array."""
+    f, zf, d, logs, t = (np.zeros_like(z), np.empty_like(z), np.empty_like(z),
+                         np.zeros(len(z)), np.empty(len(z)))
     for a in reversed(alphas):
-        zf = z * f
-        d = 1.0 + a.conjugate() * zf
-        logs += np.log(np.abs(d) ** 2)
-        f = (a + zf) / d
+        np.multiply(z, f, out=zf)
+        np.add(1.0, np.multiply(a.conjugate(), zf, out=d), out=d)
+        logs += np.log(np.square(np.abs(d, out=t), out=t), out=t)
+        np.divide(np.add(a, zf, out=f), d, out=f)
     return f, _log_omega(alphas)[1] - logs
 
 
@@ -244,15 +246,6 @@ def pole_set(seq: VerblunskySequence) -> list[complex]:
     return _poles(as_rational_F(seq).den, seq.alphas, seq.N)[0]
 
 
-def _refuse_overflow(logw: float, samples: np.ndarray) -> None:
-    """Raise QuadratureError for an infinite log|omega_{n-1}| or samples of
-    a denominator that overflow float64."""
-    if math.isinf(logw) or not np.isfinite(samples).all():
-        raise QuadratureError(
-            "samples of log|Re F| overflow float64: omega_{n-1} or "
-            "|Phi_n* - z Phi_n f_n|^2 exceeds the largest double")
-
-
 def _trapezoid_points(roots) -> int:
     """The smallest m = QUAD_MIN_POINTS * 2^k at which sum -(2/m) log(1 -
     |rho_r|^m) falls below QUAD_ERROR_BOUND, rho_r = r inside the disk and
@@ -276,51 +269,72 @@ def _trapezoid_points(roots) -> int:
     return m
 
 
-def _denominator_mean(split: KhrushchevSplit, logw: float, phistar_L: ComplexPoly,
-                      den_roots: list[complex], floor: int = QUAD_MIN_POINTS, rows=()):
-    """Minus the mean over the circle of log|D|^2, with D = Phi_n* B_t -
-    z Phi_n A_t Khrushchev's denominator for ``split`` at n, which is Phi_L*.
+def _khrushchev_split(seq: VerblunskySequence, n: int, pairs, den_roots, logw: float,
+                      floor: int = QUAD_MIN_POINTS, rows=()):
+    """Khrushchev's split at n, sampled and checked, and minus the mean over
+    the circle of log|D|^2: D = Phi_n* B_t - z Phi_n A_t is Phi_L*, with
+    f_n = A_t/B_t the tail at n, which this routine alone builds, once
+    (``tail_schur``), for ``szego_verify`` and ``log_split_check``.
 
-    Each root r of Phi_L* (``den_roots``) within NEAR_ROOT_BAND of the
-    circle puts a spike -log|z - r|^2 into log|D|^2, which costs the
-    trapezoid rule about 1/margin points.  So the mean is taken of the
-    smooth log|Q|^2 = log|Phi_L*|^2 - sum log|z - r|^2 over those roots, a
-    sum of logarithms at each point (Q = Phi_L* when there are none), on the
-    m angles 2 pi k / m, m sized from the other roots
-    (``_trapezoid_points``) and at least ``floor``; the spikes' mean over
-    the circle, Jensen's 2 sum log max(1, |r|), is added to it.
+    ``pairs`` maps n and L = len(seq) to (Phi, Phi*) from one run of the
+    recurrence, ``den_roots`` are Phi_L*'s roots and ``logw`` is
+    log|omega_{n-1}|; the callers find those roots first, so a refusal
+    there builds no tail.  Each root r within
+    NEAR_ROOT_BAND of the circle puts a spike -log|z - r|^2 into
+    log|D|^2, which costs the trapezoid rule about 1/margin points.  So the
+    mean is taken of the smooth log|Q|^2 = log|Phi_L*|^2 - sum log|z - r|^2
+    over those roots, a sum of logarithms at each point (Q = Phi_L* when
+    there are none), on the m angles 2 pi k / m, m sized from the other
+    roots (``_trapezoid_points``) and at least ``floor``; the spikes' mean
+    over the circle, Jensen's 2 sum log max(1, |r|), is added to it.
 
-    Phi_L*, the polynomial z, the split and the extra coefficient ``rows``
-    are sampled once, together, on those angles: the m-th roots of unity,
-    where one FFT of their stacked coefficients gives every value
-    (``KhrushchevSplit.on_circle``), the points z themselves included.
-    There |D|, from the recurrence to n and the tail's backward Schur steps,
-    must agree with |Phi_L*|, from the recurrence to L, within
-    SPLIT_CHECK_TOL of the split's scale |Phi_n* B_t| + |z Phi_n A_t|, or
-    CrossCheckError is raised.  An infinite ``logw`` = log|omega_{n-1}| and
-    samples of log|Q|^2 or |D|^2 that overflow float64 raise
-    QuadratureError.  Returns minus that mean, the number of points, the
-    near roots, |B_t|^2, |A_t|^2 and |D|^2 on the angles, and the values
-    there of Phi_L*, of z and of each of ``rows``.
+    A_t, B_t, Phi_n*, z Phi_n (Phi_n shifted one place), Phi_L*, the
+    polynomial z and the extra coefficient ``rows`` are sampled by one
+    ``_on_circle`` call on those angles, the m-th roots of unity, where one
+    FFT of the stacked coefficients gives every value, the points z
+    themselves included.  Three checks follow, each a refusal:
+    an infinite ``logw`` or samples of log|Q|^2 or |D|^2 that overflow
+    float64 raise QuadratureError; |D|, from the recurrence to n and the
+    tail's backward Schur steps, must agree with |Phi_L*|, from the
+    recurrence to L, within SPLIT_CHECK_TOL of the split's scale
+    |Phi_n* B_t| + |z Phi_n A_t|; and |B_t|^2 - |A_t|^2 must agree with
+    omega_t = prod_{j >= n} (1 - |alpha_j|^2) (``_log_omega``) within
+    SPLIT_CHECK_TOL of |B_t|^2 + |A_t|^2, else CrossCheckError.  Returns
+    log omega_t, minus the mean of log|D|^2, the number of points, the near
+    roots, and |B_t|^2, |D|^2 and the values of Phi_L*, of z and of each of
+    ``rows`` on the angles.
     """
+    tail, (phi, phistar), phistar_L = tail_schur(seq, n), pairs[n], pairs[len(seq)][1]
+    logwt = _log_omega(seq.alphas[n:])[1]
     near, far = [], []
     for r in den_roots:
         (near if abs(abs(r) - 1.0) < NEAR_ROOT_BAND else far).append(r)
     m = max(floor, _trapezoid_points(far))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        (bt2, at2, d2, scale), values = split.on_circle(m, phistar_L.coeffs, (0j, 1.0), *rows)
-        den, z = values[:2]
+        tn, td, lead, trail, den, z, *values = _on_circle(
+            [tail.num.coeffs, tail.den.coeffs, phistar.coeffs, (0j, *phi.coeffs),
+             phistar_L.coeffs, (0j, 1.0), *rows], m)
+        lead, trail = lead * td, trail * tn
+        bt2, at2, d2 = np.abs(td) ** 2, np.abs(tn) ** 2, np.abs(lead - trail) ** 2
         log_q2 = 2.0 * (np.log(np.abs(den)) - sum(np.log(np.abs(z - r)) for r in near))
         # log_q2 is far inside float64's range where finite, so the sum is
         # finite exactly when both are
-        _refuse_overflow(logw, log_q2 + d2)
-    worst = float(np.max(np.abs(np.sqrt(d2) - np.abs(den)) / scale))
+        if math.isinf(logw) or not np.isfinite(log_q2 + d2).all():
+            raise QuadratureError(
+                "samples of log|Re F| overflow float64: omega_{n-1} or "
+                "|Phi_n* - z Phi_n f_n|^2 exceeds the largest double")
+        worst = float(np.max(np.abs(np.sqrt(d2) - np.abs(den)) / (np.abs(lead) + np.abs(trail))))
     if not worst <= SPLIT_CHECK_TOL:
         raise CrossCheckError(
             f"|D| from the split and |Phi_L*| from the recurrence differ by {worst:.1e} "
             "of the split's scale")
+    gap = float(np.max(np.abs(bt2 - at2 - math.exp(logwt)) / (bt2 + at2)))
+    if not gap <= SPLIT_CHECK_TOL:
+        raise CrossCheckError(
+            f"|B_t|^2 - |A_t|^2 and prod (1 - |alpha_j|^2) over the tail differ "
+            f"by {gap:.1e} of |B_t|^2 + |A_t|^2")
     jensen = 2.0 * sum(math.log(max(1.0, abs(r))) for r in near)
-    return -float(log_q2.sum() / m) - jensen, m, near, bt2, at2, d2, values
+    return logwt, -float(log_q2.sum() / m) - jensen, m, near, (bt2, d2, den, z, *values)
 
 
 def szego_verify(seq: VerblunskySequence) -> SzegoReport:
@@ -332,37 +346,30 @@ def szego_verify(seq: VerblunskySequence) -> SzegoReport:
     textbook statement.
 
     The integral is the constant log|omega_{N-1}| + log omega_t less the
-    mean of log|D|^2, D = Phi_L* (``_denominator_mean``, which takes that
-    mean by one trapezoid level sized from the roots of Phi_L*, with
-    log|z - r|^2 of those near the circle subtracted at each point, and
-    checks |D| from the split against |Phi_L*| on the same angles).
-    omega_t = prod_{j >= N} (1 - |alpha_j|^2) is |B_t|^2 - |A_t|^2 on the
-    circle (each backward Schur step multiplies |den|^2 - |num|^2 there by
-    1 - |alpha_j|^2); sampled, that difference loses
-    |B_t|^2 / omega_t, up to 3e8, to cancellation, so it is not integrated:
-    the samples of |B_t|^2 and |A_t|^2 are checked against omega_t instead.
-    The lhs, epsilon, log|omega_{N-1}| and log omega_t all read each factor
-    1 - |alpha_j|^2 as 1 - h h, h = abs(alpha_j) (``_log_omega``), so the
-    relative error measures the quadrature and the roots, not two roundings
-    of |alpha_j|^2.
+    mean of log|D|^2, D = Phi_L*, from Khrushchev's split at N
+    (``_khrushchev_split``, which takes that mean by one trapezoid level
+    sized from the roots of Phi_L*, with log|z - r|^2 of those near the
+    circle subtracted at each point, and runs the split's three checks on
+    the same angles: overflow, |D| against |Phi_L*|, and |B_t|^2 - |A_t|^2
+    against omega_t).  omega_t = prod_{j >= N} (1 - |alpha_j|^2) is
+    |B_t|^2 - |A_t|^2 on the circle (each backward Schur step multiplies
+    |den|^2 - |num|^2 there by 1 - |alpha_j|^2); sampled, that difference
+    loses |B_t|^2 / omega_t, up to 3e8, to cancellation, so it is checked,
+    not integrated.  The lhs, epsilon, log|omega_{N-1}| and log omega_t all
+    read each factor 1 - |alpha_j|^2 as 1 - h h, h = abs(alpha_j)
+    (``_log_omega``), so the relative error measures the quadrature and the
+    roots, not two roundings of |alpha_j|^2.
 
-    The roots of Phi_L* are found once, before anything else is built, so
-    a refusal (a root in the circle guard band, roots that cannot be
-    resolved, another number of poles than the zero-count rule gives)
-    builds no tail.
+    As in ``log_split_check``, the roots of Phi_L* are found once, before
+    the tail is built (N is valid by construction), so a refusal (a root in
+    the circle guard band, roots that cannot be resolved, another number of
+    poles than the zero-count rule gives) builds no tail.
     """
     N, L = seq.N, len(seq)
     pairs = _szego_pairs(seq.alphas, (N, L))  # Phi_N, Phi_N* and Phi_L* from one run
     poles, den_roots = _poles(pairs[L][1], seq.alphas, N)
-    split = KhrushchevSplit(*pairs[N], tail_schur(seq, N))
     sign, logw = omega_log_sign(seq, N - 1)
-    logwt = _log_omega(seq.alphas[N:])[1]
-    neg_mean, pts, near, bt2, at2, *_ = _denominator_mean(split, logw, pairs[L][1], den_roots)
-    gap = float(np.max(np.abs(bt2 - at2 - math.exp(logwt)) / (bt2 + at2)))
-    if not gap <= SPLIT_CHECK_TOL:
-        raise CrossCheckError(
-            f"|B_t|^2 - |A_t|^2 and prod (1 - |alpha_j|^2) over the tail differ "
-            f"by {gap:.1e} of |B_t|^2 + |A_t|^2")
+    logwt, neg_mean, pts, near, _ = _khrushchev_split(seq, N, pairs, den_roots, logw)
     log_integral = logw + logwt + neg_mean
     log_pole_product = -2.0 * sum(math.log(abs(p)) for p in poles)
     rhs = sign * math.exp(log_integral + log_pole_product)
@@ -398,12 +405,14 @@ def zero_count_trace(seq: VerblunskySequence, n_max: int) -> list[TraceRow]:
     adds one zero and |alpha_{k-1}| > 1 reflects, giving (k-1) minus the
     previous count.  Star counts are the complements.
 
-    The roots of each Phi_k are found once.  Phi_k* = z^k conj Phi_k(1/conj z)
-    (the recurrence builds it as that exact conjugate reversal) has as its
-    zeros the reflections 1/conj(r) of the nonzero zeros r of Phi_k; a zero
-    of Phi_k at the origin lowers the degree of Phi_k* instead.  A zero or
-    reflection in the circle guard band raises AmbiguousRootError; a
-    negative ``n_max`` is a ValueError.
+    The roots of each Phi_k are found once and split once by the guard band
+    (``_inside``).  Phi_k* = z^k conj Phi_k(1/conj z) (the recurrence builds
+    it as that exact conjugate reversal) has as its zeros the reflections
+    1/conj(r) of the nonzero zeros r of Phi_k; a zero of Phi_k at the
+    origin lowers the degree of Phi_k* instead.  So Phi_k*'s
+    count in the disk is the count of Phi_k's zeros outside the band, with
+    no reflection and no second test.  A zero in the circle guard band
+    raises AmbiguousRootError; a negative ``n_max`` is a ValueError.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
@@ -413,11 +422,9 @@ def zero_count_trace(seq: VerblunskySequence, n_max: int) -> list[TraceRow]:
     next(steps)  # Phi_0 = 1
     for k, phi_k in enumerate(steps, start=1):
         zeros = poly_roots(ComplexPoly(phi_k))
-        actual = len(_inside(zeros, f"zeros of Phi_{k}"))
-        actual_star = len(_inside((1 / r.conjugate() for r in zeros if r != 0),
-                                  f"zeros of Phi_{k}*"))
+        actual = len(_inside(zeros, f"zeros of Phi_{k}"))  # the rest lie outside the band
         rows.append(TraceRow(k=k, predicted=counts[k], actual=actual,
-                             predicted_star=k - counts[k], actual_star=actual_star))
+                             predicted_star=k - counts[k], actual_star=len(zeros) - actual))
     return rows
 
 
@@ -482,24 +489,25 @@ def log_split_check(seq: VerblunskySequence, n: int) -> float:
     ``szego_verify``, the third piece is log|D|^2 - log|B_t|^2 with D = F's
     denominator Phi_L*, and its mean is the mean of log|D|^2 alone: that of
     log|B_t|^2 is 0 by Jensen's formula, as B_t(0) = 1 and B_t has no zero
-    in the closed disk.  One run of the recurrence gives the split's Phi_n,
-    Phi_n* and Phi_L*, and Phi_L*'s roots are the only ones found.  The
-    split, F's denominator Phi_L* and the points z themselves, which
-    ``_denominator_mean`` samples, and F's numerator Psi_L*, its one extra
-    row, come from one FFT on the 512th roots of unity (512 is at least the
-    m that the roots of Phi_L* off the circle by NEAR_ROOT_BAND or more ask
-    for), which gives the pointwise check and the mean of log|D|^2.  |D|
-    and |Phi_L*| are checked and overflow is refused as in ``szego_verify``.
+    in the closed disk.  The order is that of ``szego_verify``: n is
+    validated (``_classical_tail``), one run of the recurrence gives the
+    split's Phi_n, Phi_n* and Phi_L*, Phi_L*'s roots are the only ones
+    found, and only then is the tail built, so no refusal before the
+    sampling builds one.  ``_khrushchev_split`` samples the split, F's
+    denominator Phi_L* and the points z themselves, and F's numerator
+    Psi_L*, its one extra row, on the 512th roots of unity (512 is at least
+    the m that the roots of Phi_L* off the circle by NEAR_ROOT_BAND or more
+    ask for), which gives the pointwise check and the mean of log|D|^2, and
+    runs the split's three checks as for ``szego_verify``: overflow,
+    |D| against |Phi_L*|, and |B_t|^2 - |A_t|^2 against omega_t.
     """
-    tail, L = tail_schur(seq, n), len(seq)  # the tail validates n first
+    alphas, L = _classical_tail(seq, n), len(seq)
     pairs = _szego_pairs(seq.alphas, (n, L))
-    at_n = KhrushchevSplit(*pairs[n], tail)
+    poles, den_roots = _poles(pairs[L][1], seq.alphas, seq.N)
     logw = omega_log_sign(seq, n - 1)[1]
-    F = RationalFn(second_kind_polys(seq, L)[1], pairs[L][1])
-    poles, den_roots = _poles(F.den, seq.alphas, seq.N)
-    neg_mean_d, _, _, bt2, _, d2, (den, z, num) = _denominator_mean(
-        at_n, logw, F.den, den_roots, 512, (F.num.coeffs,))
-    split = logw + _log_defect(seq.alphas[n:], z)[1] + np.log(bt2) - np.log(d2)
+    _, neg_mean_d, _, _, (bt2, d2, den, z, num) = _khrushchev_split(
+        seq, n, pairs, den_roots, logw, 512, (second_kind_polys(seq, L)[1].coeffs,))
+    split = logw + _log_defect(alphas, z)[1] + np.log(bt2) - np.log(d2)
     direct = np.log(np.abs((num / den).real))
     pointwise = float(np.max(np.abs(direct - split)) / max(1.0, float(np.max(np.abs(direct)))))
 

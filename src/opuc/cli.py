@@ -183,7 +183,11 @@ def cmd_grid(args: argparse.Namespace) -> int:
     thetas = 2.0 * np.pi * np.arange(args.points) / args.points
     with np.errstate(all="ignore"):  # out-of-range samples end in a refusal, not a warning
         F = as_rational_F(case.seq)
-        direct = np.divide(*_on_circle([F.num.coeffs, F.den.coeffs], args.points)).real
+        num, den = _on_circle([F.num.coeffs, F.den.coeffs], args.points)
+        if not den.all():  # rounding, not overflow: Phi_L* has no zero on the circle
+            raise PoleEvaluationError(
+                f"a sample of Phi_L* is 0 at theta = {float(thetas[den == 0][0])!r}")
+        direct = (num / den).real
         formula = re_F_khrushchev(case.seq, case.seq.N, thetas)
     if not (np.isfinite(direct).all() and np.isfinite(formula).all()):
         raise OverflowError("samples of Re F on the grid overflow float64")

@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
 from .opuc_core import (
     DEFAULT_GUARD_UNIT,
     VerblunskySequence,
     second_kind_polys,
     szego_polys,
 )
-from .poly import ComplexPoly, _on_circle
+from .poly import ComplexPoly
 
 
 class PoleEvaluationError(ArithmeticError):
@@ -112,33 +110,6 @@ def as_rational_f(seq: VerblunskySequence) -> RationalFn:
     """The function f = f_0 = A_{L-1}/B_{L-1} (L = len(seq)) in cleared
     form, with f(0) = alpha_0 exactly."""
     return _backward_schur(seq.alphas)
-
-
-@dataclasses.dataclass(frozen=True)
-class KhrushchevSplit:
-    """Phi_n, Phi_n* and the tail f_n = A_t/B_t: the parts of Khrushchev's
-    formula for Re F at index n that are polynomials, sampled on the m-th
-    roots of unity by one FFT of their stacked coefficients (``on_circle``)
-    for the means of ``szego_verify`` and ``log_split_check``.
-    ``re_F_khrushchev`` builds no split: at arbitrary angles it takes f_n
-    from the Schur step at the points.
-    """
-
-    phi: ComplexPoly
-    phistar: ComplexPoly
-    tail: RationalFn
-
-    def on_circle(self, m: int, *rows):
-        """|B_t|^2, |A_t|^2, |D|^2 and the scale |Phi_n* B_t| + |z Phi_n A_t|
-        of D = Phi_n* B_t - z Phi_n A_t at the m angles 2 pi j / m, and the
-        values there of each coefficient row in ``rows``, all from one
-        ``_on_circle`` call; z Phi_n is Phi_n shifted one place."""
-        tn, td, phistar, zphi, *values = _on_circle(
-            [self.tail.num.coeffs, self.tail.den.coeffs, self.phistar.coeffs,
-             (0j, *self.phi.coeffs), *rows], m)
-        lead, trail = phistar * td, zphi * tn
-        return (np.abs(td) ** 2, np.abs(tn) ** 2, np.abs(lead - trail) ** 2,
-                np.abs(lead) + np.abs(trail)), values
 
 
 def as_rational_F(seq: VerblunskySequence) -> RationalFn:

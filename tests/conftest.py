@@ -51,17 +51,18 @@ def wall_builds(monkeypatch):
 
 @pytest.fixture
 def split_samples(monkeypatch):
-    """Record the number of points m in each KhrushchevSplit.on_circle call."""
-    from opuc.schur import KhrushchevSplit
+    """Record the number of points m in each ``_on_circle`` call that
+    ``opuc.analysis`` makes: its one caller there samples Khrushchev's split."""
+    import opuc.analysis
 
     sizes: list[int] = []
-    on_circle = KhrushchevSplit.on_circle
+    on_circle = opuc.analysis._on_circle
 
-    def counted(self, m, *rows):
+    def counted(rows, m):
         sizes.append(m)
-        return on_circle(self, m, *rows)
+        return on_circle(rows, m)
 
-    monkeypatch.setattr(KhrushchevSplit, "on_circle", counted)
+    monkeypatch.setattr(opuc.analysis, "_on_circle", counted)
     return sizes
 
 

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import opuc.analysis
-import opuc.schur
 from opuc import (
     AmbiguousRootError,
     ComplexPoly,
@@ -32,7 +31,6 @@ from opuc import (
 )
 from opuc.analysis import NEAR_ROOT_BAND
 from opuc.poly import RootFindingError, roots as poly_roots, split_by_circle
-from opuc.schur import KhrushchevSplit
 
 from helpers import (
     NEAR_COMMON_ROOT_ALPHAS,
@@ -124,7 +122,7 @@ def test_trapezoid_points_come_from_the_roots(roots, points):
 
 def _far_roots(**bounds):
     return st.complex_numbers(allow_nan=False, allow_infinity=False, **bounds).filter(
-        lambda r: abs(abs(r) - 1.0) >= NEAR_ROOT_BAND)  # _denominator_mean's far roots
+        lambda r: abs(abs(r) - 1.0) >= NEAR_ROOT_BAND)  # _khrushchev_split's far roots
 
 
 @settings(max_examples=200, deadline=None)
@@ -531,11 +529,27 @@ _CHECKED = ([2.0, 0.95, -0.95j, 0.9], [2.0, 0.5j, -0.3, 0.2])
 
 
 def _scaled_phi_L_star(monkeypatch):
-    """Hand ``_denominator_mean`` 1.001 Phi_L*, which the split's D misses."""
-    mean = opuc.analysis._denominator_mean
-    monkeypatch.setattr(opuc.analysis, "_denominator_mean",
-                        lambda split, logw, phistar_L, *args: mean(split, logw, 1.001 * phistar_L,
-                                                                   *args))
+    """Hand ``_khrushchev_split`` 1.001 Phi_L*, which the split's D misses."""
+    split = opuc.analysis._khrushchev_split
+
+    def scaled(seq, n, pairs, *args):
+        phi_L, phistar_L = pairs[len(seq)]
+        return split(seq, n, {**pairs, len(seq): (phi_L, 1.001 * phistar_L)}, *args)
+
+    monkeypatch.setattr(opuc.analysis, "_khrushchev_split", scaled)
+
+
+def _skewed_omega_t(monkeypatch):
+    """Hand the split 1.001 omega_t, which |B_t|^2 - |A_t|^2 misses: the tail's
+    log omega_t is the only ``_log_omega`` that ``opuc.analysis`` takes
+    before the split's checks."""
+    log_omega = opuc.analysis._log_omega
+
+    def skewed(alphas):
+        sign, log = log_omega(alphas)
+        return sign, log + math.log(1.001)
+
+    monkeypatch.setattr(opuc.analysis, "_log_omega", skewed)
 
 
 _MISSED_SPLIT = r"\|D\| from the split and \|Phi_L\*\| from the recurrence differ"
@@ -559,13 +573,7 @@ def test_verify_takes_the_tail_term_without_cancellation():
 
 
 def test_verify_refuses_a_tail_off_its_wall_identity(monkeypatch):
-    on_circle = KhrushchevSplit.on_circle
-
-    def skewed(self, m, *rows):
-        (bt2, at2, d2, scale), values = on_circle(self, m, *rows)
-        return (1.001 * bt2, at2, d2, scale), values
-
-    monkeypatch.setattr(KhrushchevSplit, "on_circle", skewed)
+    _skewed_omega_t(monkeypatch)
     for alphas in _CHECKED:
         with pytest.raises(CrossCheckError, match="over the tail"):
             szego_verify(VerblunskySequence(alphas))
@@ -599,13 +607,13 @@ def test_verify_takes_the_points_z_from_its_one_fft(monkeypatch):
 @pytest.mark.parametrize("alphas", _CHECKED)
 def test_verify_samples_phi_L_star_and_z_in_its_one_fft(monkeypatch, alphas):
     # |D| is checked against Phi_L*'s own values, from the same FFT as the split
-    on_circle, calls = opuc.schur._on_circle, []
+    on_circle, calls = opuc.analysis._on_circle, []
 
     def recording(rows, m):
         calls.append([tuple(row) for row in rows])
         return on_circle(rows, m)
 
-    monkeypatch.setattr(opuc.schur, "_on_circle", recording)
+    monkeypatch.setattr(opuc.analysis, "_on_circle", recording)
     seq = VerblunskySequence(alphas)
     szego_verify(seq)
     assert len(calls) == 1
@@ -619,7 +627,7 @@ def test_verify_answers_as_horner_at_the_same_angles(monkeypatch):
     cases += [VerblunskySequence(alphas) for alphas in _CHECKED]
     reports = [szego_verify(seq) for seq in cases]
     assert sum(bool(rep.subtracted) for rep in reports) >= 5
-    monkeypatch.setattr(opuc.schur, "_on_circle", horner_on_circle)
+    monkeypatch.setattr(opuc.analysis, "_on_circle", horner_on_circle)
     for seq, rep in zip(cases, reports):
         ref = szego_verify(seq)
         assert rep.quad_points == ref.quad_points
@@ -665,7 +673,7 @@ def test_circle_means_answer_as_horner_at_the_same_angles(monkeypatch, run):
     cases = [random_nonclassical(rng, require_growth_window=False) for _ in range(15)]
     cases += [VerblunskySequence(alphas) for alphas in _CHECKED]
     values = [run(seq) for seq in cases]
-    monkeypatch.setattr(opuc.schur, "_on_circle", horner_on_circle)
+    monkeypatch.setattr(opuc.analysis, "_on_circle", horner_on_circle)
     for seq, value in zip(cases, values):
         ref = run(seq)
         assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref)), seq.alphas
@@ -903,18 +911,34 @@ def test_migration_runs_one_recurrence(szego_runs):
     assert [row.n for row in rows] == [2, 3, 5]
 
 
-@pytest.mark.parametrize("root, run", [
-    (1.0 + 1e-8, lambda: zero_count_trace(VerblunskySequence([0.5]), 1)),
-    (1.0, lambda: zero_migration(VerblunskySequence([0.5, 0.3]), [1])),
-], ids=["trace", "migration"])
-def test_star_zeros_in_the_guard_band_are_refused(monkeypatch, root, run):
-    # the zero of Phi_1 replaced by one just outside the band, whose
-    # reflection lies in it; the zero of Phi_1* replaced by one on the circle
+def _replace_degree_one_roots(monkeypatch, root) -> None:
     find = opuc.analysis.poly_roots
     monkeypatch.setattr(opuc.analysis, "poly_roots",
                         lambda p: [root] if p.degree == 1 else find(p))
-    with pytest.raises(AmbiguousRootError, match=r"zeros of Phi_1\* in the circle guard band"):
+
+
+@pytest.mark.parametrize("root, run, poly", [
+    (1.0 - 5e-9, lambda: zero_count_trace(VerblunskySequence([0.5]), 1), "Phi_1"),
+    (1.0, lambda: zero_migration(VerblunskySequence([0.5, 0.3]), [1]), r"Phi_1\*"),
+], ids=["trace", "migration"])
+def test_star_zeros_in_the_guard_band_are_refused(monkeypatch, root, run, poly):
+    # the zero of Phi_1 replaced by one in the band, whose reflection, the
+    # zero of Phi_1*, lies in it too (the trace splits Phi_1's zeros once);
+    # the zero of Phi_1* replaced by one on the circle
+    _replace_degree_one_roots(monkeypatch, root)
+    with pytest.raises(AmbiguousRootError, match=f"zeros of {poly} in the circle guard band"):
         run()
+
+
+def test_trace_counts_a_zero_just_outside_the_band_for_phi_k_star(monkeypatch):
+    # 1 + 1e-8 lies outside the band, so it counts for Phi_1* although its
+    # reflection 1 - 1e-8 + 1e-16 lies in the band: both counts come from
+    # one split of Phi_1's zeros and cannot contradict each other.  The
+    # patched root is no root of Phi_1 = z - 0.5, so the rule's (1, 0) differs
+    _replace_degree_one_roots(monkeypatch, 1.0 + 1e-8)
+    row, = zero_count_trace(VerblunskySequence([0.5]), 1)
+    assert (row.actual, row.actual_star) == (0, 1)
+    assert (row.predicted, row.predicted_star) == (1, 0)
 
 
 def test_migration_finds_each_root_set_once(root_calls):
@@ -1036,6 +1060,15 @@ def test_log_split_refuses_a_phi_L_star_that_misses_the_split(monkeypatch):
     for alphas in _CHECKED:
         seq = VerblunskySequence(alphas)
         with pytest.raises(CrossCheckError, match=_MISSED_SPLIT):
+            log_split_check(seq, seq.N)
+
+
+def test_log_split_refuses_a_tail_off_its_wall_identity(monkeypatch):
+    # the split's omega_t check runs for log_split_check as for szego_verify
+    _skewed_omega_t(monkeypatch)
+    for alphas in _CHECKED:
+        seq = VerblunskySequence(alphas)
+        with pytest.raises(CrossCheckError, match="over the tail"):
             log_split_check(seq, seq.N)
 
 

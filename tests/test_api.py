@@ -2,8 +2,10 @@
 names of each exported callable and the public methods and properties of
 each exported class.  Adding, removing or renaming a parameter or a method
 shows up here as a diff.  The package's source names no extended-precision
-type, so no answer depends on the platform's long double."""
+type, so no answer depends on the platform's long double, and its Schur
+module imports no numpy."""
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -107,3 +109,14 @@ def test_source_names_no_extended_precision_type():
              for path in sorted(Path(opuc.__file__).parent.glob("*.py"))
              for match in pattern.finditer(path.read_text())]
     assert named == []
+
+
+def test_schur_imports_no_numpy():
+    # schur is coefficient-level rational algebra; sampling on the circle,
+    # Khrushchev's split included, belongs to analysis
+    tree = ast.parse((Path(opuc.__file__).parent / "schur.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert [name for name in imported if "numpy" in name or "_on_circle" in name] == []

@@ -268,6 +268,28 @@ def test_grid_overflow_is_one_quiet_refusal_line(tmp_path, capsys, alphas):
     assert caught == []
 
 
+def test_grid_zero_sample_of_phi_L_star_is_one_refusal_line(tmp_path, capsys, monkeypatch):
+    # head 2.0 and 2,047 tail coefficients 0.8 U e^{2 pi i U} (default_rng(1))
+    # give Phi_L* coefficients up to 4.3e17 and 58 FFT samples exactly 0 at
+    # 65,536 points, with nothing overflowing; one such sample stands in here
+    on_circle = opuc.cli._on_circle
+
+    def zeroed(rows, m):
+        num, den = on_circle(rows, m)
+        den[3] = 0.0
+        return num, den
+
+    monkeypatch.setattr(opuc.cli, "_on_circle", zeroed)
+    case = write_case(tmp_path / "case.json", [2.0, 0.5])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["grid", "--input", str(case), "--points", "8"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"refused: a sample of Phi_L* is 0 at theta = {2.0 * math.pi * 3 / 8!r}\n"
+    assert caught == []
+
+
 def test_grid_sample_at_a_pole_is_one_refusal_line(tmp_path, capsys, monkeypatch):
     # a guard of 1 calls every sample a pole, the first at theta = 0
     monkeypatch.setattr(opuc.analysis, "_POLE_GUARD", 1.0)
