@@ -17,7 +17,7 @@ import cmath
 import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +25,7 @@ import numpy as np
 from .analysis import (
     QUAD_MAX_POINTS,
     AmbiguousRootError,
-    MomentReport,
     QuadratureError,
-    SzegoReport,
     moments,
     pole_set,
     re_F_khrushchev,
@@ -110,33 +108,19 @@ def load_case(path: Path) -> CaseFile:
     return CaseFile(seq=seq, label=label)
 
 
-def _cx(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
+def _encode(obj):
+    """A complex number as ``{"re", "im"}``, a dataclass (a report or a
+    trace row) as its fields."""
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    if is_dataclass(obj):
+        return vars(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def report_to_dict(report: SzegoReport) -> dict:
-    return {
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "epsilon": report.epsilon,
-        "log_integral": report.log_integral,
-        "rel_error": report.rel_error,
-        "quad_points": report.quad_points,
-        "poles": [_cx(p) for p in report.poles],
-        "subtracted": [_cx(r) for r in report.subtracted],
-    }
-
-
-def moment_report_to_dict(report: MomentReport) -> dict:
-    return {
-        "moments": [_cx(c) for c in report.moments],
-        "growth_rate": report.growth_rate,
-        "predicted_rate": report.predicted_rate,
-    }
-
-
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, allow_nan=False))
+def _dumps(value) -> str:
+    """Strict JSON: never NaN or Infinity."""
+    return json.dumps(value, indent=2, allow_nan=False, default=_encode)
 
 
 def _parse_complex_list(text: str, flag: str) -> list[complex]:
@@ -171,8 +155,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _require_positive("--tol", args.tol)
     case = load_case(args.input)
     report = szego_verify(case.seq)
-    payload = {"label": case.label, **report_to_dict(report)}
-    _emit(payload)
+    print(_dumps({"label": case.label, **vars(report)}))
     return 0 if report.rel_error < args.tol else 1
 
 
@@ -205,7 +188,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
 def cmd_poles(args: argparse.Namespace) -> int:
     case = load_case(args.input)
-    _emit({"label": case.label, "poles": [_cx(p) for p in pole_set(case.seq)]})
+    print(_dumps({"label": case.label, "poles": pole_set(case.seq)}))
     return 0
 
 
@@ -216,14 +199,9 @@ def cmd_polys(args: argparse.Namespace) -> int:
     psi, psistar = second_kind_polys(case.seq, args.n)
     if not np.isfinite(phi.coeffs + phistar.coeffs + psi.coeffs + psistar.coeffs).all():
         raise OverflowError(f"polynomial coefficients at n = {args.n} overflow float64")
-    _emit({
-        "label": case.label,
-        "n": args.n,
-        "phi": [_cx(c) for c in phi.coeffs],
-        "phi_star": [_cx(c) for c in phistar.coeffs],
-        "psi": [_cx(c) for c in psi.coeffs],
-        "psi_star": [_cx(c) for c in psistar.coeffs],
-    })
+    print(_dumps({"label": case.label, "n": args.n, "phi": phi.coeffs,
+                  "phi_star": phistar.coeffs, "psi": psi.coeffs,
+                  "psi_star": psistar.coeffs}))
     return 0
 
 
@@ -233,7 +211,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
     case = load_case(args.input)
     m = args.m if args.m is not None else len(case.seq)
     report = moments(case.seq, m, args.order)
-    _emit({"label": case.label, "m": m, **moment_report_to_dict(report)})
+    print(_dumps({"label": case.label, "m": m, **vars(report)}))
     return 0
 
 
@@ -247,10 +225,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
     if not finite.all():
         raise OverflowError(
             f"recovered coefficients from alpha_{np.argmin(finite)} on overflow float64")
-    _emit({
-        "alphas": [_cx(a) for a in result.alphas],
-        "terminated": result.termination,
-    })
+    print(_dumps({"alphas": result.alphas, "terminated": result.termination}))
     return 0
 
 
@@ -259,7 +234,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     case = load_case(args.input)
     n_max = args.n_max if args.n_max is not None else len(case.seq)
     rows = zero_count_trace(case.seq, n_max)
-    _emit({"label": case.label, "rows": [vars(r) for r in rows]})
+    print(_dumps({"label": case.label, "rows": rows}))
     return 0
 
 
@@ -271,8 +246,7 @@ def _run_batch_case(path: Path, tol: float, out_dir: Path) -> dict:
         case = load_case(path)
         entry["label"] = case.label
         report = szego_verify(case.seq)
-        text = json.dumps(report_to_dict(report), indent=2, allow_nan=False)
-        (out_dir / f"{path.stem}.report.json").write_text(text + "\n")
+        (out_dir / f"{path.stem}.report.json").write_text(_dumps(report) + "\n")
         entry["rel_error"] = report.rel_error
         entry["status"] = "pass" if report.rel_error < tol else "fail"
     except Exception as exc:  # one bad case must not lose the summary
@@ -286,8 +260,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     _require_positive("--tol", args.tol)
     case_dir = Path(args.dir)
     if not case_dir.is_dir():
-        print(f"error: {case_dir} is not a directory", file=sys.stderr)
-        return 1
+        raise ValueError(f"{case_dir} is not a directory")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = [_run_batch_case(p, args.tol, out_dir) for p in sorted(case_dir.glob("*.json"))]
@@ -298,7 +271,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         "worst_rel_error": worst,
         "cases": entries,
     }
-    text = json.dumps(summary, indent=2, allow_nan=False)
+    text = _dumps(summary)
     (out_dir / "summary.json").write_text(text + "\n")
     print(text)
     return 0

@@ -67,7 +67,7 @@ class SchurStep:
 @dataclasses.dataclass(frozen=True)
 class RecoveryResult:
     alphas: tuple[complex, ...]
-    termination: str | None  # None | "unimodular" | "pole_at_zero"
+    termination: str | None  # None | "unimodular"
 
 
 def _backward_schur(alphas) -> RationalFn:
@@ -144,10 +144,11 @@ def recover_coefficients(fstar: RationalFn, max_n: int) -> RecoveryResult:
     Seeds with f_0 = (1/z)(F_* - F_*(0)) / (F_* + F_*(0)), which is invariant
     under rescaling F_* by a nonzero constant, then collects f_n(0) for
     n < max_n.  Stops early, with the reason recorded, when an iterate's
-    value at 0 is unimodular (within DEFAULT_GUARD_UNIT) or a pole lands on
-    the origin.  A negative ``max_n`` or F_*(0) = 0 is a ValueError; an
-    F_*(0) that is nonzero but at most 1e-14 of sum_k |c_k| over the
-    numerator's coefficients is a PoleEvaluationError (the seed's
+    value at 0 is unimodular (within DEFAULT_GUARD_UNIT); short of that the
+    next iterate's den(0) = 1 - |alpha|^2 is far from 0 in float64, so no
+    pole lands on the origin.  A negative ``max_n`` or F_*(0) = 0 is a
+    ValueError; an F_*(0) that is nonzero but at most 1e-14 of sum_k |c_k|
+    over the numerator's coefficients is a PoleEvaluationError (the seed's
     denominator F_* + F_*(0) vanishes at 0 to rounding).
     """
     if max_n < 0:
@@ -165,10 +166,7 @@ def recover_coefficients(fstar: RationalFn, max_n: int) -> RecoveryResult:
     f = RationalFn(ComplexPoly(seed_num if seed_num else [0.0]), seed_den)
     alphas: list[complex] = []
     for _ in range(max_n):
-        try:
-            step = inverse_schur_step(f)
-        except ValueError:
-            return RecoveryResult(tuple(alphas), "pole_at_zero")
+        step = inverse_schur_step(f)
         alphas.append(step.alpha)
         if step.next_fn is None:
             return RecoveryResult(tuple(alphas), "unimodular")

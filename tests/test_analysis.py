@@ -1072,6 +1072,18 @@ def test_log_split_refuses_a_tail_off_its_wall_identity(monkeypatch):
             log_split_check(seq, seq.N)
 
 
+def test_log_split_refuses_a_third_integral_off_the_pole_product(monkeypatch):
+    # poles moved out by 1e-6 keep their count and leave the split's checks
+    # alone, but their product moves by about 2e-6, above LOG_SPLIT_TOL
+    cluster = opuc.analysis._cluster_poles
+    monkeypatch.setattr(opuc.analysis, "_cluster_poles",
+                        lambda points: [p * (1 + 1e-6) for p in cluster(points)])
+    for alphas in _CHECKED:
+        seq = VerblunskySequence(alphas)
+        with pytest.raises(CrossCheckError, match="disagrees with pole product"):
+            log_split_check(seq, seq.N)
+
+
 def test_log_split_overflow_is_the_verify_refusal():
     # |Phi_1* - z Phi_1 f_1|^2 exceeds the largest double; numpy stays quiet
     with warnings.catch_warnings():

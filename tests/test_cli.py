@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import opuc
-from opuc.cli import CaseError, load_case, main, report_to_dict
+from opuc.cli import CaseError, _dumps, load_case, main
 from opuc import (CrossCheckError, SzegoReport, VerblunskySequence, re_F_khrushchev,
                   szego_verify)
 
@@ -194,7 +194,7 @@ def test_report_roundtrip():
 
     for alphas in ([2, 0.5], [2.0, 0.95, -0.95j, 0.9]):
         report = szego_verify(VerblunskySequence(alphas))
-        data = json.loads(json.dumps(report_to_dict(report)))
+        data = json.loads(_dumps(report))
         again = SzegoReport(**{**data, "poles": points(data["poles"]),
                                "subtracted": points(data["subtracted"])})
         assert again == report

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import opuc.opuc_core
 from opuc import (
     ComplexPoly,
+    CrossCheckError,
     GuardViolationError,
     VerblunskySequence,
     omega,
@@ -211,6 +213,26 @@ def test_wall_symbolic_two_step(a, b):
 def test_wall_accepts_index_beyond_storage():
     wp = wall_polys(VerblunskySequence([]), 0)
     assert wp.A.is_zero() and wp.B.coeffs == (1,)
+
+
+@pytest.mark.parametrize("check", [wall_polys, verify_identities])
+def test_wall_refuses_a_negative_index(check):
+    with pytest.raises(ValueError, match="index must be nonnegative"):
+        check(VerblunskySequence([2, 0.5]), -1)
+
+
+@pytest.mark.parametrize("check", [wall_polys, verify_identities])
+def test_wall_refuses_a_pinter_nevai_miss(monkeypatch, check):
+    # a Phi_{n+1} scaled by 1.001 misses B_n* z - A_n* by 1e-3 of its scale
+    run = opuc.opuc_core.szego_polys
+
+    def scaled(seq, n):
+        phi, phistar = run(seq, n)
+        return 1.001 * phi, phistar
+
+    monkeypatch.setattr(opuc.opuc_core, "szego_polys", scaled)
+    with pytest.raises(CrossCheckError, match="Pinter-Nevai dev"):
+        check(VerblunskySequence([2, 0.5]), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -705,6 +705,11 @@ def test_series_div_rejects_zero_constant_denominator():
         series_div(ComplexPoly([1]), ComplexPoly([0, 1]), 2)
 
 
+def test_series_div_rejects_a_negative_order():
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        series_div(ComplexPoly([1]), ComplexPoly([1, -1]), -1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(complexes, min_size=1, max_size=6),
        st.lists(complexes, min_size=0, max_size=5), st.integers(0, 12))

@@ -299,6 +299,19 @@ def test_recover_unimodular_termination():
     assert res.alphas == (1,)
 
 
+@pytest.mark.parametrize("off", [-2e-8, 2e-8])
+def test_steps_just_outside_the_unimodular_band_build_the_next_iterate(off):
+    # |alpha_0| = 1 + off clears the 1e-8 band, and the next iterate's den(0)
+    # = 1 - |alpha_0|^2, about 4e-8, is far from the exact 0 that RationalFn
+    # refuses: each step builds the next iterate or stops as "unimodular"
+    for theta in np.random.default_rng(47).uniform(0.0, 2.0 * np.pi, 100):
+        alpha0 = (1.0 + off) * complex(np.exp(1j * theta))
+        seq = VerblunskySequence([alpha0, 0.5, -0.3j])
+        step = inverse_schur_step(as_rational_f(seq))
+        assert step.alpha == alpha0 and step.next_fn is not None
+        assert recover_coefficients(as_rational_F(seq), 3).termination in (None, "unimodular")
+
+
 def test_recover_rejects_vanishing_normalization():
     with pytest.raises(ValueError):
         recover_coefficients(RationalFn(ComplexPoly([0, 1]), ComplexPoly([1])), 3)
