@@ -35,7 +35,6 @@ QUAD_MIN_POINTS = 64     # the fewest points _trapezoid_points asks for
 QUAD_MAX_POINTS = 1 << 20  # the most: a grid above it is refused, not built
 QUAD_ERROR_BOUND = 1e-15  # the bound on each trapezoid error: below the rounding
                           # of the m-point sum, so more points gain nothing
-LOG_SPLIT_TOL = 1e-9     # log_split_check's bound on the third integral's miss
 POLE_CLUSTER_TOL = 1e-7
 _POLE_GUARD = 1e-13      # re_F_khrushchev's bound on |D| relative to its two terms
 NEAR_ROOT_BAND = 0.1     # roots of Phi_L* with ||r| - 1| below this are subtracted
@@ -269,51 +268,48 @@ def _trapezoid_points(roots) -> int:
     return m
 
 
-def _khrushchev_split(seq: VerblunskySequence, n: int, pairs, den_roots, logw: float,
-                      floor: int = QUAD_MIN_POINTS, rows=()):
+def _khrushchev_split(seq: VerblunskySequence, n: int, pairs, den_roots, logw: float):
     """Khrushchev's split at n, sampled and checked, and minus the mean over
     the circle of log|D|^2: D = Phi_n* B_t - z Phi_n A_t is Phi_L*, with
     f_n = A_t/B_t the tail at n, which this routine alone builds, once
-    (``tail_schur``), for ``szego_verify`` and ``log_split_check``.
+    (``tail_schur``), for ``szego_verify``.
 
     ``pairs`` maps n and L = len(seq) to (Phi, Phi*) from one run of the
     recurrence, ``den_roots`` are Phi_L*'s roots and ``logw`` is
-    log|omega_{n-1}|; the callers find those roots first, so a refusal
-    there builds no tail.  Each root r within
-    NEAR_ROOT_BAND of the circle puts a spike -log|z - r|^2 into
-    log|D|^2, which costs the trapezoid rule about 1/margin points.  So the
-    mean is taken of the smooth log|Q|^2 = log|Phi_L*|^2 - sum log|z - r|^2
-    over those roots, a sum of logarithms at each point (Q = Phi_L* when
-    there are none), on the m angles 2 pi k / m, m sized from the other
-    roots (``_trapezoid_points``) and at least ``floor``; the spikes' mean
-    over the circle, Jensen's 2 sum log max(1, |r|), is added to it.
+    log|omega_{n-1}|; the caller finds those roots first, so a refusal
+    there builds no tail.  Each root r within NEAR_ROOT_BAND of the circle
+    puts a spike -log|z - r|^2 into log|D|^2, which costs the trapezoid
+    rule about 1/margin points.  So the mean is taken of the smooth
+    log|Q|^2 = log|Phi_L*|^2 - sum log|z - r|^2 over those roots, a sum of
+    logarithms at each point (Q = Phi_L* when there are none), on the m
+    angles 2 pi k / m, m sized from the other roots
+    (``_trapezoid_points``); the spikes' mean over the circle, Jensen's
+    2 sum log max(1, |r|), is added to it.
 
-    A_t, B_t, Phi_n*, z Phi_n (Phi_n shifted one place), Phi_L*, the
-    polynomial z and the extra coefficient ``rows`` are sampled by one
-    ``_on_circle`` call on those angles, the m-th roots of unity, where one
-    FFT of the stacked coefficients gives every value, the points z
-    themselves included.  Three checks follow, each a refusal:
-    an infinite ``logw`` or samples of log|Q|^2 or |D|^2 that overflow
-    float64 raise QuadratureError; |D|, from the recurrence to n and the
-    tail's backward Schur steps, must agree with |Phi_L*|, from the
-    recurrence to L, within SPLIT_CHECK_TOL of the split's scale
-    |Phi_n* B_t| + |z Phi_n A_t|; and |B_t|^2 - |A_t|^2 must agree with
-    omega_t = prod_{j >= n} (1 - |alpha_j|^2) (``_log_omega``) within
-    SPLIT_CHECK_TOL of |B_t|^2 + |A_t|^2, else CrossCheckError.  Returns
-    log omega_t, minus the mean of log|D|^2, the number of points, the near
-    roots, and |B_t|^2, |D|^2 and the values of Phi_L*, of z and of each of
-    ``rows`` on the angles.
+    A_t, B_t, Phi_n*, z Phi_n (Phi_n shifted one place), Phi_L* and the
+    polynomial z are sampled by one ``_on_circle`` call on those angles,
+    the m-th roots of unity, where one FFT of the stacked coefficients
+    gives every value, the points z themselves included.  Three checks
+    follow, each a refusal: an infinite ``logw`` or samples of log|Q|^2 or
+    |D|^2 that overflow float64 raise QuadratureError; |D|, from the
+    recurrence to n and the tail's backward Schur steps, must agree with
+    |Phi_L*|, from the recurrence to L, within SPLIT_CHECK_TOL of the
+    split's scale |Phi_n* B_t| + |z Phi_n A_t|; and |B_t|^2 - |A_t|^2 must
+    agree with omega_t = prod_{j >= n} (1 - |alpha_j|^2) (``_log_omega``)
+    within SPLIT_CHECK_TOL of |B_t|^2 + |A_t|^2, else CrossCheckError.
+    Returns log omega_t, minus the mean of log|D|^2, the number of points
+    and the near roots.
     """
     tail, (phi, phistar), phistar_L = tail_schur(seq, n), pairs[n], pairs[len(seq)][1]
     logwt = _log_omega(seq.alphas[n:])[1]
     near, far = [], []
     for r in den_roots:
         (near if abs(abs(r) - 1.0) < NEAR_ROOT_BAND else far).append(r)
-    m = max(floor, _trapezoid_points(far))
+    m = _trapezoid_points(far)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        tn, td, lead, trail, den, z, *values = _on_circle(
+        tn, td, lead, trail, den, z = _on_circle(
             [tail.num.coeffs, tail.den.coeffs, phistar.coeffs, (0j, *phi.coeffs),
-             phistar_L.coeffs, (0j, 1.0), *rows], m)
+             phistar_L.coeffs, (0j, 1.0)], m)
         lead, trail = lead * td, trail * tn
         bt2, at2, d2 = np.abs(td) ** 2, np.abs(tn) ** 2, np.abs(lead - trail) ** 2
         log_q2 = 2.0 * (np.log(np.abs(den)) - sum(np.log(np.abs(z - r)) for r in near))
@@ -334,7 +330,7 @@ def _khrushchev_split(seq: VerblunskySequence, n: int, pairs, den_roots, logw: f
             f"|B_t|^2 - |A_t|^2 and prod (1 - |alpha_j|^2) over the tail differ "
             f"by {gap:.1e} of |B_t|^2 + |A_t|^2")
     jensen = 2.0 * sum(math.log(max(1.0, abs(r))) for r in near)
-    return logwt, -float(log_q2.sum() / m) - jensen, m, near, (bt2, d2, den, z, *values)
+    return logwt, -float(log_q2.sum() / m) - jensen, m, near
 
 
 def szego_verify(seq: VerblunskySequence) -> SzegoReport:
@@ -360,16 +356,16 @@ def szego_verify(seq: VerblunskySequence) -> SzegoReport:
     (``_log_omega``), so the relative error measures the quadrature and the
     roots, not two roundings of |alpha_j|^2.
 
-    As in ``log_split_check``, the roots of Phi_L* are found once, before
-    the tail is built (N is valid by construction), so a refusal (a root in
-    the circle guard band, roots that cannot be resolved, another number of
-    poles than the zero-count rule gives) builds no tail.
+    The roots of Phi_L* are found once, before the tail is built (N is
+    valid by construction), so a refusal (a root in the circle guard band,
+    roots that cannot be resolved, another number of poles than the
+    zero-count rule gives) builds no tail.
     """
     N, L = seq.N, len(seq)
     pairs = _szego_pairs(seq.alphas, (N, L))  # Phi_N, Phi_N* and Phi_L* from one run
     poles, den_roots = _poles(pairs[L][1], seq.alphas, N)
     sign, logw = omega_log_sign(seq, N - 1)
-    logwt, neg_mean, pts, near, _ = _khrushchev_split(seq, N, pairs, den_roots, logw)
+    logwt, neg_mean, pts, near = _khrushchev_split(seq, N, pairs, den_roots, logw)
     log_integral = logw + logwt + neg_mean
     log_pole_product = -2.0 * sum(math.log(abs(p)) for p in poles)
     rhs = sign * math.exp(log_integral + log_pole_product)
@@ -472,48 +468,3 @@ def moments(seq: VerblunskySequence, m: int, J: int) -> MomentReport:
     poles = _poles(pairs[L][1], seq.alphas, seq.N)[0]
     predicted = 1.0 / min(abs(p) for p in poles) if poles else 1.0
     return MomentReport(moments=cs, growth_rate=growth, predicted_rate=predicted)
-
-
-def log_split_check(seq: VerblunskySequence, n: int) -> float:
-    """Check the pointwise log split of |Re F| and the Jensen-type value of
-    its third piece; returns the larger of the two normalized residuals.
-
-    Pointwise on the 512th roots of unity:
-        log|Re F| = log|omega_{n-1}| + log(1 - |f_n|^2) - log|Phi_n* - z Phi_n f_n|^2
-    with Re F taken from the rational form of F (an independent route),
-    log(1 - |f_n|^2) from the Schur step in product form (``_log_defect``),
-    which cancels nowhere, and the last term as log|D|^2 - log|B_t|^2; and
-
-        exp( (1/2pi) int log|Phi_n* - z Phi_n f_n|^2 ) = prod |lambda_j|^{-2}
-    within LOG_SPLIT_TOL = 1e-9, else CrossCheckError.  As in
-    ``szego_verify``, the third piece is log|D|^2 - log|B_t|^2 with D = F's
-    denominator Phi_L*, and its mean is the mean of log|D|^2 alone: that of
-    log|B_t|^2 is 0 by Jensen's formula, as B_t(0) = 1 and B_t has no zero
-    in the closed disk.  The order is that of ``szego_verify``: n is
-    validated (``_classical_tail``), one run of the recurrence gives the
-    split's Phi_n, Phi_n* and Phi_L*, Phi_L*'s roots are the only ones
-    found, and only then is the tail built, so no refusal before the
-    sampling builds one.  ``_khrushchev_split`` samples the split, F's
-    denominator Phi_L* and the points z themselves, and F's numerator
-    Psi_L*, its one extra row, on the 512th roots of unity (512 is at least
-    the m that the roots of Phi_L* off the circle by NEAR_ROOT_BAND or more
-    ask for), which gives the pointwise check and the mean of log|D|^2, and
-    runs the split's three checks as for ``szego_verify``: overflow,
-    |D| against |Phi_L*|, and |B_t|^2 - |A_t|^2 against omega_t.
-    """
-    alphas, L = _classical_tail(seq, n), len(seq)
-    pairs = _szego_pairs(seq.alphas, (n, L))
-    poles, den_roots = _poles(pairs[L][1], seq.alphas, seq.N)
-    logw = omega_log_sign(seq, n - 1)[1]
-    _, neg_mean_d, _, _, (bt2, d2, den, z, num) = _khrushchev_split(
-        seq, n, pairs, den_roots, logw, 512, (second_kind_polys(seq, L)[1].coeffs,))
-    split = logw + _log_defect(alphas, z)[1] + np.log(bt2) - np.log(d2)
-    direct = np.log(np.abs((num / den).real))
-    pointwise = float(np.max(np.abs(direct - split)) / max(1.0, float(np.max(np.abs(direct)))))
-
-    third = math.exp(-neg_mean_d)  # the mean of log|B_t|^2 is 0 by Jensen's formula
-    target = math.exp(-2.0 * sum(math.log(abs(p)) for p in poles))
-    diff = abs(third - target)
-    if diff > LOG_SPLIT_TOL * max(1.0, target):
-        raise CrossCheckError(f"third integral {third!r} disagrees with pole product {target!r}")
-    return max(pointwise, diff / max(1.0, target))

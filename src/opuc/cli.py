@@ -262,6 +262,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
     if not case_dir.is_dir():
         raise ValueError(f"{case_dir} is not a directory")
     out_dir = Path(args.out)
+    if out_dir.resolve() == case_dir.resolve():  # a rerun would read the reports as cases
+        raise ValueError(f"--out {out_dir} is the --dir directory")
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = [_run_batch_case(p, args.tol, out_dir) for p in sorted(case_dir.glob("*.json"))]
     worst = max((e["rel_error"] for e in entries if "rel_error" in e), default=None)

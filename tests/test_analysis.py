@@ -18,7 +18,6 @@ from opuc import (
     as_rational_F,
     boyd_integral,
     circle_quadrature,
-    log_split_check,
     moments,
     omega,
     pole_set,
@@ -130,9 +129,9 @@ def _far_roots(**bounds):
                           _far_roots(min_magnitude=1.0 + NEAR_ROOT_BAND,
                                      max_magnitude=1e308)), max_size=1000))
 def test_trapezoid_points_never_exceed_512_off_the_near_root_band(roots):
-    # the ceiling README states for the grids of szego_verify and
-    # log_split_check, whose sizing sees only roots at least NEAR_ROOT_BAND
-    # off the circle; the 2^20 refusal guards direct calls
+    # the ceiling README states for szego_verify's grid, whose sizing sees
+    # only roots at least NEAR_ROOT_BAND off the circle; the 2^20 refusal
+    # guards direct calls
     # (moduli stop at 1e308, as poly.roots returns only finite ones and abs
     # of a draw near the largest double overflows)
     assert opuc.analysis._trapezoid_points(roots) <= 512
@@ -209,8 +208,12 @@ def _mp_re_F(alphas, thetas) -> list[mpmath.mpf]:
                 for z in zs]
 
 
-def _worst_khrushchev_miss(seq, thetas) -> float:
-    got = re_F_khrushchev(seq, seq.N, thetas)
+# three roots of Phi_L* near the circle, and none: both checks run on every case
+_CHECKED = ([2.0, 0.95, -0.95j, 0.9], [2.0, 0.5j, -0.3, 0.2])
+
+
+def _worst_khrushchev_miss(seq, n, thetas) -> float:
+    got = re_F_khrushchev(seq, n, thetas)
     return max(float(abs(g - r) / abs(r)) for g, r in zip(got, _mp_re_F(seq.alphas, thetas)))
 
 
@@ -222,10 +225,17 @@ def test_khrushchev_matches_40_digits():
     rng = np.random.default_rng(0)
     for head, L in (([2.0], 32), ([2.0, -1.5j], 48), ([1.5, 0.3, -2j], 64)):
         tail = 0.7 * np.exp(2j * np.pi * rng.uniform(size=L - len(head)))
-        assert _worst_khrushchev_miss(VerblunskySequence(head + tail.tolist()), thetas) < 1e-12
+        seq = VerblunskySequence(head + tail.tolist())
+        assert _worst_khrushchev_miss(seq, seq.N, thetas) < 1e-12
     draws = random.Random(3)
     for _ in range(20):
-        assert _worst_khrushchev_miss(draw_near_circle_tail(draws), thetas) < 1e-8
+        seq = draw_near_circle_tail(draws)
+        assert _worst_khrushchev_miss(seq, seq.N, thetas) < 1e-8
+    # short sequences through the tail at every index from N to L
+    for alphas in (*_CHECKED, [2.0, 0.5], [2.0], [0.5]):
+        seq = VerblunskySequence(alphas)
+        for n in range(seq.N, len(seq) + 1):
+            assert _worst_khrushchev_miss(seq, n, thetas) < 1e-13, (alphas, n)
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +359,7 @@ def test_verify_builds_tail_once(tail_builds):
     lambda seq: szego_verify(seq),
     lambda seq: re_F_khrushchev(seq, 1, np.linspace(0.0, 6.0, 7)),
     lambda seq: boyd_integral(seq, 1),
-    lambda seq: log_split_check(seq, 1),
-], ids=["szego_verify", "re_F_khrushchev", "boyd_integral", "log_split_check"])
+], ids=["szego_verify", "re_F_khrushchev", "boyd_integral"])
 def test_tails_build_no_wall_product(wall_builds, run):
     # the Wall transfer-matrix product is the reference route only: tails
     # come from the backward Schur recursion
@@ -414,9 +423,8 @@ def test_verify_finds_roots_once(root_calls):
 
 @pytest.mark.parametrize("run, degrees", [
     (lambda seq: pole_set(seq), [3]),
-    (lambda seq: log_split_check(seq, seq.N), [3]),
     (lambda seq: moments(seq, len(seq), 10), [3]),
-], ids=["pole_set", "log_split_check", "moments"])
+], ids=["pole_set", "moments"])
 def test_poles_find_roots_once(root_calls, run, degrees):
     run(VerblunskySequence([2.0, 0.5j, -0.3]))
     assert root_calls == degrees
@@ -524,12 +532,8 @@ def test_verify_without_near_roots_matches_50_digits():
         assert abs(rep.log_integral - float(_mp_log_integral(seq.alphas))) < 1e-12
 
 
-# three roots of Phi_L* near the circle, and none: both checks run on every case
-_CHECKED = ([2.0, 0.95, -0.95j, 0.9], [2.0, 0.5j, -0.3, 0.2])
-
-
-def _scaled_phi_L_star(monkeypatch):
-    """Hand ``_khrushchev_split`` 1.001 Phi_L*, which the split's D misses."""
+def test_verify_refuses_a_phi_L_star_that_misses_the_split(monkeypatch):
+    # hand the split 1.001 Phi_L*, which its D misses
     split = opuc.analysis._khrushchev_split
 
     def scaled(seq, n, pairs, *args):
@@ -537,28 +541,9 @@ def _scaled_phi_L_star(monkeypatch):
         return split(seq, n, {**pairs, len(seq): (phi_L, 1.001 * phistar_L)}, *args)
 
     monkeypatch.setattr(opuc.analysis, "_khrushchev_split", scaled)
-
-
-def _skewed_omega_t(monkeypatch):
-    """Hand the split 1.001 omega_t, which |B_t|^2 - |A_t|^2 misses: the tail's
-    log omega_t is the only ``_log_omega`` that ``opuc.analysis`` takes
-    before the split's checks."""
-    log_omega = opuc.analysis._log_omega
-
-    def skewed(alphas):
-        sign, log = log_omega(alphas)
-        return sign, log + math.log(1.001)
-
-    monkeypatch.setattr(opuc.analysis, "_log_omega", skewed)
-
-
-_MISSED_SPLIT = r"\|D\| from the split and \|Phi_L\*\| from the recurrence differ"
-
-
-def test_verify_refuses_a_phi_L_star_that_misses_the_split(monkeypatch):
-    _scaled_phi_L_star(monkeypatch)
     for alphas in _CHECKED:
-        with pytest.raises(CrossCheckError, match=_MISSED_SPLIT):
+        with pytest.raises(CrossCheckError, match=(
+                r"\|D\| from the split and \|Phi_L\*\| from the recurrence differ")):
             szego_verify(VerblunskySequence(alphas))
 
 
@@ -573,7 +558,16 @@ def test_verify_takes_the_tail_term_without_cancellation():
 
 
 def test_verify_refuses_a_tail_off_its_wall_identity(monkeypatch):
-    _skewed_omega_t(monkeypatch)
+    # hand the split 1.001 omega_t, which |B_t|^2 - |A_t|^2 misses: the
+    # tail's log omega_t is the only ``_log_omega`` that ``opuc.analysis``
+    # takes before the split's checks
+    log_omega = opuc.analysis._log_omega
+
+    def skewed(alphas):
+        sign, log = log_omega(alphas)
+        return sign, log + math.log(1.001)
+
+    monkeypatch.setattr(opuc.analysis, "_log_omega", skewed)
     for alphas in _CHECKED:
         with pytest.raises(CrossCheckError, match="over the tail"):
             szego_verify(VerblunskySequence(alphas))
@@ -642,21 +636,11 @@ def test_verify_samples_the_split_once_on_its_quadrature_angles(split_samples, a
     assert split_samples == [rep.quad_points]
 
 
-@pytest.mark.parametrize("alphas, n", [([2.0, 0.5], 2), (_CHECKED[0], 1), (_CHECKED[1], 2)])
-def test_log_split_samples_the_split_once(split_samples, alphas, n):
-    # the pointwise check and the mean of log|D|^2 share one grid of 512
-    # points, which no far root of Phi_L* asks to exceed
-    assert log_split_check(VerblunskySequence(alphas), n) < 1e-9
-    assert split_samples == [512]
-
-
 _CIRCLE_MEANS = [
     lambda seq: boyd_integral(seq, seq.N),
     lambda seq: boyd_integral(seq, min(seq.N + 1, len(seq))),
-    lambda seq: log_split_check(seq, seq.N),
-    lambda seq: log_split_check(seq, min(seq.N + 1, len(seq))),
 ]
-_CIRCLE_MEAN_IDS = ["boyd_at_N", "boyd_after_N", "log_split_at_N", "log_split_after_N"]
+_CIRCLE_MEAN_IDS = ["boyd_at_N", "boyd_after_N"]
 
 
 @pytest.mark.parametrize("alphas", [*_CHECKED, [0.5, 0.3], [2.0, 0.5]])
@@ -1019,77 +1003,6 @@ def test_moments_overflow_raises():
 
 # ---------------------------------------------------------------------------
 # log split
-
-
-def test_log_split_single_big():
-    assert log_split_check(VerblunskySequence([2]), 1) < 1e-9
-
-
-def test_log_split_single_classical():
-    assert log_split_check(VerblunskySequence([0.5]), 1) < 1e-9
-
-
-def test_log_split_two_coefficients():
-    assert log_split_check(VerblunskySequence([2, 0.5]), 2) < 1e-9
-
-
-@pytest.mark.parametrize("n, builds", [(1, [1]), (2, [2])])
-def test_log_split_builds_one_tail_per_index(tail_builds, n, builds):
-    assert log_split_check(VerblunskySequence([2, 0.5]), n) < 1e-9
-    assert tail_builds == builds
-
-
-def test_log_split_runs_one_szego_and_one_second_kind_recurrence(szego_runs):
-    # Phi_n, Phi_n* and F's denominator Phi_L* from one run; F's numerator
-    # Psi_L* from the second-kind run on -alpha_j
-    log_split_check(VerblunskySequence([2.0, 0.5j, -0.3, 0.2]), 1)
-    assert szego_runs == [4, 4]
-
-
-def test_log_split_subtracts_near_circle_roots():
-    # a root of Phi_L* 7.2e-8 off the circle: integrated unsubtracted, the
-    # third piece ran to the point cap and missed the pole product by 1.2e-6
-    seq = draw_near_circle(np.random.default_rng(4), 24, 1e-8, 1e-6)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert log_split_check(seq, seq.N) < 1e-7
-
-
-def test_log_split_refuses_a_phi_L_star_that_misses_the_split(monkeypatch):
-    _scaled_phi_L_star(monkeypatch)
-    for alphas in _CHECKED:
-        seq = VerblunskySequence(alphas)
-        with pytest.raises(CrossCheckError, match=_MISSED_SPLIT):
-            log_split_check(seq, seq.N)
-
-
-def test_log_split_refuses_a_tail_off_its_wall_identity(monkeypatch):
-    # the split's omega_t check runs for log_split_check as for szego_verify
-    _skewed_omega_t(monkeypatch)
-    for alphas in _CHECKED:
-        seq = VerblunskySequence(alphas)
-        with pytest.raises(CrossCheckError, match="over the tail"):
-            log_split_check(seq, seq.N)
-
-
-def test_log_split_refuses_a_third_integral_off_the_pole_product(monkeypatch):
-    # poles moved out by 1e-6 keep their count and leave the split's checks
-    # alone, but their product moves by about 2e-6, above LOG_SPLIT_TOL
-    cluster = opuc.analysis._cluster_poles
-    monkeypatch.setattr(opuc.analysis, "_cluster_poles",
-                        lambda points: [p * (1 + 1e-6) for p in cluster(points)])
-    for alphas in _CHECKED:
-        seq = VerblunskySequence(alphas)
-        with pytest.raises(CrossCheckError, match="disagrees with pole product"):
-            log_split_check(seq, seq.N)
-
-
-def test_log_split_overflow_is_the_verify_refusal():
-    # |Phi_1* - z Phi_1 f_1|^2 exceeds the largest double; numpy stays quiet
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(QuadratureError, match="samples of log|Re F| overflow float64"):
-            log_split_check(VerblunskySequence([1e200, 0.5]), 1)
 
 
 def test_log_split_jensen_piece_directly():

@@ -2,12 +2,14 @@
 names of each exported callable and the public methods and properties of
 each exported class.  Adding, removing or renaming a parameter or a method
 shows up here as a diff.  The package's source names no extended-precision
-type, so no answer depends on the platform's long double, and its Schur
-module imports no numpy."""
+type, so no answer depends on the platform's long double, its Schur
+module imports no numpy, and it imports nothing but numpy and the standard
+library."""
 
 import ast
 import inspect
 import re
+import sys
 from pathlib import Path
 
 import opuc
@@ -39,7 +41,6 @@ API = {
     "circle_quadrature": ("g", "m"),
     "from_roots": ("rts",),
     "inverse_schur_step": ("f",),
-    "log_split_check": ("seq", "n"),
     "moments": ("seq", "m", "J"),
     "omega": ("seq", "n"),
     "omega_log_sign": ("seq", "n"),
@@ -120,3 +121,20 @@ def test_schur_imports_no_numpy():
     imported += [f"{node.module}.{alias.name}" for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert [name for name in imported if "numpy" in name or "_on_circle" in name] == []
+
+
+def test_imports_only_numpy_and_the_standard_library():
+    # numpy is the one runtime dependency (pyproject.toml); mpmath,
+    # hypothesis and pytest serve the tests alone
+    outside = []
+    for path in sorted(Path(opuc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue  # not an import, or a relative one
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in {"numpy", *sys.stdlib_module_names}]
+    assert outside == []

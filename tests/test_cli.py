@@ -689,6 +689,18 @@ def test_batch_missing_dir(tmp_path):
     assert main(["batch", "--dir", str(tmp_path / "nope"), "--out", str(tmp_path / "r")]) == 1
 
 
+def test_batch_refuses_its_case_dir_as_out(tmp_path, capsys):
+    # a second run would read a.report.json and summary.json as cases; the
+    # refusal comes before any case is read, so nothing is written
+    cases = tmp_path / "cases"
+    cases.mkdir()
+    write_case(cases / "a.json", [2.0, 0.5])
+    assert main(["batch", "--dir", str(cases), "--out", str(cases / ".." / "cases")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.json", "cases"]
+
+
 # ---------------------------------------------------------------------------
 # fuzz
 
