@@ -35,17 +35,12 @@ from .analysis import (
 from .opuc_core import (
     DEFAULT_GUARD_UNIT,
     CrossCheckError,
-    GuardViolationError,
     VerblunskySequence,
+    omega,
     second_kind_polys,
     szego_polys,
 )
-from .schur import (
-    PoleEvaluationError,
-    RationalFn,
-    as_rational_F,
-    recover_coefficients,
-)
+from .schur import PoleEvaluationError, RationalFn, recover_coefficients
 from .poly import ComplexPoly, RootFindingError, _on_circle
 
 DEFAULT_VERIFY_TOL = 1e-8
@@ -101,9 +96,7 @@ def load_case(path: Path) -> CaseFile:
     label = str(raw.get("label", Path(path).stem))
     try:
         seq = VerblunskySequence(alphas, guard)
-    except GuardViolationError as exc:
-        raise CaseError(f"{path}: index {exc.index} on unit circle") from exc
-    except ValueError as exc:
+    except ValueError as exc:  # a GuardViolationError keeps its measured gap
         raise CaseError(f"{path}: {exc}") from exc
     return CaseFile(seq=seq, label=label)
 
@@ -163,14 +156,18 @@ def cmd_grid(args: argparse.Namespace) -> int:
     if not 1 <= args.points <= QUAD_MAX_POINTS:
         raise ValueError(f"--points must be between 1 and {QUAD_MAX_POINTS}, got {args.points}")
     case = load_case(args.input)
+    L = len(case.seq)
     thetas = 2.0 * np.pi * np.arange(args.points) / args.points
     with np.errstate(all="ignore"):  # out-of-range samples end in a refusal, not a warning
-        F = as_rational_F(case.seq)
-        num, den = _on_circle([F.num.coeffs, F.den.coeffs], args.points)
+        den = _on_circle([szego_polys(case.seq, L)[1].coeffs], args.points)[0]
         if not den.all():  # rounding, not overflow: Phi_L* has no zero on the circle
             raise PoleEvaluationError(
                 f"a sample of Phi_L* is 0 at theta = {float(thetas[den == 0][0])!r}")
-        direct = (num / den).real
+        # Phi_L Psi_L* + Phi_L* Psi_L = 2 z^L omega_{L-1} makes Re F =
+        # omega_{L-1} / |Phi_L*|^2 on the circle, with no difference to cancel;
+        # dividing by |Phi_L*| twice keeps its square from overflowing
+        mod = np.abs(den)
+        direct = omega(case.seq, L - 1) / mod / mod
         formula = re_F_khrushchev(case.seq, case.seq.N, thetas)
     if not (np.isfinite(direct).all() and np.isfinite(formula).all()):
         raise OverflowError("samples of Re F on the grid overflow float64")

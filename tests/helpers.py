@@ -19,6 +19,7 @@ import cmath
 import math
 import random
 
+import mpmath
 import numpy as np
 
 from opuc import (
@@ -196,6 +197,25 @@ def horner_on_circle(rows, m: int) -> np.ndarray:
     at the angles 2 pi j / m, j = 0..m-1, unfolded."""
     zs = np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
     return np.array([_horner(row, zs) for row in rows])
+
+
+def mp_re_F(alphas, thetas) -> list[mpmath.mpf]:
+    """Re(Psi_L*/Phi_L*) at ``thetas`` at 40 digits, both polynomials from
+    the recurrence in mpmath (Psi's with the coefficients negated)."""
+    with mpmath.workdps(40):
+        one, zero = mpmath.mpc(1), mpmath.mpc(0)
+        phi, phistar, psi, psistar = [one], [one], [one], [one]
+        for a in alphas:
+            a = mpmath.mpc(a.real, a.imag)
+            zphi, padded = [zero] + phi, phistar + [zero]
+            phi = [p - mpmath.conj(a) * q for p, q in zip(zphi, padded)]
+            phistar = [q - a * p for p, q in zip(zphi, padded)]
+            zpsi, padded = [zero] + psi, psistar + [zero]
+            psi = [p + mpmath.conj(a) * q for p, q in zip(zpsi, padded)]
+            psistar = [q + a * p for p, q in zip(zpsi, padded)]
+        zs = [mpmath.expj(mpmath.mpf(float(t))) for t in thetas]
+        return [mpmath.re(mpmath.polyval(psistar[::-1], z) / mpmath.polyval(phistar[::-1], z))
+                for z in zs]
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from helpers import (
     draw_tail,
     draw_wide,
     horner_on_circle,
+    mp_re_F,
     near_circle_coefficient,
     independent_phi_N_star_count,
     independent_star_counts,
@@ -189,32 +190,13 @@ def test_khrushchev_array_matches_scalar():
     assert values.tolist() == [re_F_khrushchev(seq, seq.N, float(t)) for t in thetas]
 
 
-def _mp_re_F(alphas, thetas) -> list[mpmath.mpf]:
-    """Re(Psi_L*/Phi_L*) at ``thetas`` at 40 digits, both polynomials from
-    the recurrence in mpmath (Psi's with the coefficients negated)."""
-    with mpmath.workdps(40):
-        one, zero = mpmath.mpc(1), mpmath.mpc(0)
-        phi, phistar, psi, psistar = [one], [one], [one], [one]
-        for a in alphas:
-            a = mpmath.mpc(a.real, a.imag)
-            zphi, padded = [zero] + phi, phistar + [zero]
-            phi = [p - mpmath.conj(a) * q for p, q in zip(zphi, padded)]
-            phistar = [q - a * p for p, q in zip(zphi, padded)]
-            zpsi, padded = [zero] + psi, psistar + [zero]
-            psi = [p + mpmath.conj(a) * q for p, q in zip(zpsi, padded)]
-            psistar = [q + a * p for p, q in zip(zpsi, padded)]
-        zs = [mpmath.expj(mpmath.mpf(float(t))) for t in thetas]
-        return [mpmath.re(mpmath.polyval(psistar[::-1], z) / mpmath.polyval(phistar[::-1], z))
-                for z in zs]
-
-
 # three roots of Phi_L* near the circle, and none: both checks run on every case
 _CHECKED = ([2.0, 0.95, -0.95j, 0.9], [2.0, 0.5j, -0.3, 0.2])
 
 
 def _worst_khrushchev_miss(seq, n, thetas) -> float:
     got = re_F_khrushchev(seq, n, thetas)
-    return max(float(abs(g - r) / abs(r)) for g, r in zip(got, _mp_re_F(seq.alphas, thetas)))
+    return max(float(abs(g - r) / abs(r)) for g, r in zip(got, mp_re_F(seq.alphas, thetas)))
 
 
 def test_khrushchev_matches_40_digits():
@@ -636,33 +618,6 @@ def test_verify_samples_the_split_once_on_its_quadrature_angles(split_samples, a
     assert split_samples == [rep.quad_points]
 
 
-_CIRCLE_MEANS = [
-    lambda seq: boyd_integral(seq, seq.N),
-    lambda seq: boyd_integral(seq, min(seq.N + 1, len(seq))),
-]
-_CIRCLE_MEAN_IDS = ["boyd_at_N", "boyd_after_N"]
-
-
-@pytest.mark.parametrize("alphas", [*_CHECKED, [0.5, 0.3], [2.0, 0.5]])
-@pytest.mark.parametrize("run", _CIRCLE_MEANS, ids=_CIRCLE_MEAN_IDS)
-def test_circle_means_make_no_horner_loop(horner_calls, run, alphas):
-    # every polynomial value on a uniform grid comes from one FFT per grid
-    run(VerblunskySequence(alphas))
-    assert horner_calls == []
-
-
-@pytest.mark.parametrize("run", _CIRCLE_MEANS, ids=_CIRCLE_MEAN_IDS)
-def test_circle_means_answer_as_horner_at_the_same_angles(monkeypatch, run):
-    rng = np.random.default_rng(31)
-    cases = [random_nonclassical(rng, require_growth_window=False) for _ in range(15)]
-    cases += [VerblunskySequence(alphas) for alphas in _CHECKED]
-    values = [run(seq) for seq in cases]
-    monkeypatch.setattr(opuc.analysis, "_on_circle", horner_on_circle)
-    for seq, value in zip(cases, values):
-        ref = run(seq)
-        assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref)), seq.alphas
-
-
 @pytest.mark.parametrize("alphas", [[2.0, 0.5j, -0.3], [0.5, 2.0], []])
 def test_verify_runs_one_szego_recurrence(szego_runs, alphas):
     # Phi_N, Phi_N* and Phi_L* come from one run of L steps, also when N = L
@@ -733,11 +688,13 @@ def test_boyd_is_quiet_on_an_overflowing_head():
     assert abs(value - math.log(0.75)) < 1e-12
 
 
-def test_boyd_builds_only_the_tail(szego_runs, tail_builds, root_calls):
+def test_boyd_builds_only_the_tail(szego_runs, tail_builds, root_calls, split_samples,
+                                  horner_calls):
     # N is validated without building the tail; the mean of log|B_t|^2 is 0
-    # by Jensen's formula, so no roots size a grid
+    # by Jensen's formula, so no roots size a grid and nothing is sampled
     boyd_integral(VerblunskySequence([2.0, 0.5, 0.3]), 1)
     assert szego_runs == [] and tail_builds == [] and root_calls == []
+    assert split_samples == [] and horner_calls == []
 
 
 @pytest.mark.parametrize("N, message", [(-1, "tail start must be nonnegative"),

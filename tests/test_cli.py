@@ -15,10 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 import opuc
 from opuc.cli import CaseError, _dumps, load_case, main
-from opuc import (CrossCheckError, SzegoReport, VerblunskySequence, re_F_khrushchev,
-                  szego_verify)
+from opuc.poly import _on_circle
+from opuc import (CrossCheckError, SzegoReport, VerblunskySequence, omega, re_F_khrushchev,
+                  szego_polys, szego_verify)
 
-from helpers import NEAR_COMMON_ROOT_ALPHAS
+from helpers import NEAR_COMMON_ROOT_ALPHAS, mp_re_F
 
 
 def write_case(path, alphas, **extra):
@@ -275,9 +276,9 @@ def test_grid_zero_sample_of_phi_L_star_is_one_refusal_line(tmp_path, capsys, mo
     on_circle = opuc.cli._on_circle
 
     def zeroed(rows, m):
-        num, den = on_circle(rows, m)
+        (den,) = out = on_circle(rows, m)
         den[3] = 0.0
-        return num, den
+        return out
 
     monkeypatch.setattr(opuc.cli, "_on_circle", zeroed)
     case = write_case(tmp_path / "case.json", [2.0, 0.5])
@@ -315,8 +316,8 @@ def test_grid_builds_no_tail(tmp_path, capsys, tail_builds):
 @pytest.mark.parametrize("alphas", [[2.0, 0.5j, -0.3], [2.0, 0.95, -0.95j, 0.9],
                                     NEAR_COMMON_ROOT_ALPHAS])
 def test_grid_direct_column_makes_no_horner_loop(tmp_path, capsys, horner_calls, alphas):
-    # Re(Psi_L*/Phi_L*) comes from one FFT on the grid: every Horner call the
-    # command makes is one of its formula column's
+    # omega_{L-1} / |Phi_L*|^2 comes from one FFT on the grid: every Horner
+    # call the command makes is one of its formula column's
     seq = VerblunskySequence(alphas)
     re_F_khrushchev(seq, seq.N, 2.0 * np.pi * np.arange(64) / 64)
     formula_calls = list(horner_calls)
@@ -328,20 +329,50 @@ def test_grid_direct_column_makes_no_horner_loop(tmp_path, capsys, horner_calls,
 
 @pytest.mark.parametrize("points", [1, 7, 64, 1024])
 def test_grid_direct_column_answers_as_horner_at_the_same_angles(tmp_path, capsys, points):
+    # the column is omega_{L-1} / |Phi_L*|^2 from the FFT samples of Phi_L*,
+    # bit for bit (17 significant digits give every double back); FFT
+    # against Horner sampling is tests/test_poly.py's
+    # test_on_circle_matches_40_digit_values_and_horner
     rng = np.random.default_rng(37)
     cases = [[complex(*rng.normal(size=2)) for _ in range(int(rng.integers(1, 7)))]
              for _ in range(10)]
     for j, alphas in enumerate([*cases, NEAR_COMMON_ROOT_ALPHAS]):
         assert main(["grid", "--input", str(write_case(tmp_path / f"{j}.json", alphas)),
                      "--points", str(points)]) == 0
-        direct = np.array([float(line.split(",")[1])
-                           for line in capsys.readouterr().out.splitlines()[1:]])
-        F = opuc.as_rational_F(VerblunskySequence(alphas))
-        zs = np.exp(2j * np.pi * np.arange(points) / points)
-        want = F.num(zs) / F.den(zs)
-        # Re F rounds on the scale of |F|: both samplers miss 40-digit values
-        # of Re F by up to 4e-12 where |F| is 150
-        assert np.max(np.abs(direct - want.real) / np.maximum(1.0, np.abs(want))) <= 1e-13, alphas
+        direct = [float(line.split(",")[1]) for line in capsys.readouterr().out.splitlines()[1:]]
+        seq = VerblunskySequence(alphas)
+        mod = abs(_on_circle([szego_polys(seq, len(seq))[1].coeffs], points)[0])
+        assert direct == (omega(seq, len(seq) - 1) / mod / mod).tolist(), alphas
+
+
+# perfbench's near-circle case 5 at seed 101: a head of four (one outside
+# the disk) and a tail of twelve, where Re F << |F| on part of the circle
+_NEAR_CIRCLE_16 = [
+    0.022420135816287094 - 0.1260345767222915j, -0.904902234518977 - 1.125586885087114j,
+    -0.7696802684315444 + 0.7281803794332187j, 0.019282535125629024 + 0.28757988333343537j,
+    -0.0794129198263607 + 0.11346065490302014j, 0.36721252194890736 - 0.6730720423028178j,
+    0.760135908824731 + 0.19361500283788477j, -0.444837088728606 - 0.6488190328307737j,
+    0.5817776778601245 + 0.22172894817635314j, 0.3638731868647058 - 0.35045183286706505j,
+    0.34146090221687314 + 0.249032422788046j, -0.4939590273923572 + 0.3780640059443594j,
+    0.34825901143574545 + 0.3032102294365521j, -0.19547937316324784 - 0.500717461402395j,
+    0.07339930714947217 - 0.04829417176666661j, 0.0024924406249086373 + 0.3311553264275764j,
+]
+
+
+# near-circle: Re of the quotient Psi_L*/Phi_L* cancelled here, missing by
+# 5.9e-11, where omega_{L-1} / |Phi_L*|^2 has no difference to cancel;
+# square-overflows: |Phi_L*|^2 overflows float64 at 36 of the 64 points
+# while omega_{L-1} = -1.4e307 and Re F stay finite, so the column divides
+# by |Phi_L*| twice
+@pytest.mark.parametrize("alphas", [_NEAR_CIRCLE_16, [1e154, 0.5j, 0.9]],
+                         ids=["near-circle", "square-overflows"])
+def test_grid_direct_column_matches_40_digits(tmp_path, capsys, alphas):
+    case = write_case(tmp_path / "case.json", alphas)
+    assert main(["grid", "--input", str(case), "--points", "64"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    thetas = [float(row[0]) for row in rows]
+    for row, want in zip(rows, mp_re_F(alphas, thetas)):
+        assert float(abs(float(row[1]) - want) / abs(want)) <= 1e-12, row[0]
 
 
 def test_grid_builds_no_wall_product(tmp_path, capsys, wall_builds):
