@@ -149,7 +149,8 @@ def re_F_khrushchev(seq: VerblunskySequence, n: int, theta: float | np.ndarray):
     recurrence).  The tail is validated first (``_classical_tail``), so an
     ``n`` whose tail is not classical is refused before anything is built.
     A point where |Phi_n* - z Phi_n f_n| is at most _POLE_GUARD of
-    |Phi_n*| + |z Phi_n f_n| raises PoleEvaluationError.
+    |Phi_n*| + |z Phi_n f_n| raises PoleEvaluationError.  The square of that
+    modulus is never formed, so it cannot overflow where Re F is finite.
     """
     alphas = _classical_tail(seq, n)
     phi, phistar = szego_polys(seq, n)
@@ -157,14 +158,18 @@ def re_F_khrushchev(seq: VerblunskySequence, n: int, theta: float | np.ndarray):
     zs = np.exp(1j * thetas)
     f, log_defect = _log_defect(alphas, zs)
     lead, trail = phistar(zs), zs * phi(zs) * f
-    d2 = np.abs(lead - trail) ** 2
+    d = np.abs(lead - trail)
     scale = np.maximum(np.abs(lead) + np.abs(trail), 1e-300)
-    # an overflowed |D|^2 is no pole: its samples stay non-finite
-    at_pole = np.isfinite(d2) & (d2 <= (_POLE_GUARD * scale) ** 2)
+    # a non-finite |D| is no pole: its samples stay non-finite
+    at_pole = np.isfinite(d) & (d <= _POLE_GUARD * scale)
     if at_pole.any():
         raise PoleEvaluationError(
             f"Khrushchev denominator vanishes at theta = {float(thetas[at_pole][0])!r}")
-    values = omega(seq, n - 1) * np.exp(log_defect) / d2
+    # |D|^2 = m^2 4^e with m in [0.5, 1): scaling the numerator by the exact
+    # 4^-e first keeps the square from overflowing, and wherever |D|^2 and
+    # the quotient are normal floats it gives the bits of the plain quotient
+    m, e = np.frexp(d)
+    values = np.ldexp(omega(seq, n - 1) * np.exp(log_defect), -2 * e) / (m * m)
     return values if np.ndim(theta) else float(values[0])
 
 

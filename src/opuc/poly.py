@@ -148,19 +148,6 @@ class ComplexPoly:
         return f"ComplexPoly({list(self.coeffs)!r})"
 
 
-def from_roots(rts: Iterable[complex]) -> ComplexPoly:
-    """Expand the monic prod (z - r) into dense coefficients."""
-    coeffs = [1 + 0j]
-    for r in rts:
-        r = complex(r)
-        nxt = [0j] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] += c
-            nxt[i] -= r * c
-        coeffs = nxt
-    return ComplexPoly(coeffs)
-
-
 def _horner(c: Sequence[complex], z: np.ndarray) -> np.ndarray:
     """Horner evaluation of coefficients ``c`` (constant first) at every point of ``z``."""
     acc = np.full(z.shape, c[-1], dtype=complex)

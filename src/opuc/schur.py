@@ -1,8 +1,9 @@
 """Rational Schur machinery: tails, the function F, and coefficient recovery.
 
-Every iterate f_n comes from the Schur step run backward from the last
-coefficient (Geronimus), with denominators cleared.  The inverse direction
-peels one coefficient per step,
+Both directions of the Schur algorithm run on plain coefficient lists
+(constant first), with denominators cleared.  Every iterate f_n comes from
+the Schur step run backward from the last coefficient (Geronimus).  The
+inverse direction peels one coefficient per step,
 
     f_{n+1}(z) = (1/z) (f_n(z) - f_n(0)) / (1 - conj(f_n(0)) f_n(z)),
 
@@ -52,19 +53,6 @@ class RationalFn:
 
 
 @dataclasses.dataclass(frozen=True)
-class SchurStep:
-    """One inverse Schur step: the extracted coefficient and the next iterate.
-
-    ``next_fn`` is None in the terminal state |alpha| = 1 (within
-    DEFAULT_GUARD_UNIT): the next iterate would have a pole at the origin,
-    so none is built.
-    """
-
-    alpha: complex
-    next_fn: RationalFn | None
-
-
-@dataclasses.dataclass(frozen=True)
 class RecoveryResult:
     alphas: tuple[complex, ...]
     termination: str | None  # None | "unimodular"
@@ -106,12 +94,6 @@ def tail_schur(seq: VerblunskySequence, N: int) -> RationalFn:
     return _backward_schur(_classical_tail(seq, N))
 
 
-def as_rational_f(seq: VerblunskySequence) -> RationalFn:
-    """The function f = f_0 = A_{L-1}/B_{L-1} (L = len(seq)) in cleared
-    form, with f(0) = alpha_0 exactly."""
-    return _backward_schur(seq.alphas)
-
-
 def as_rational_F(seq: VerblunskySequence) -> RationalFn:
     """F = Psi_L*/Phi_L* with L = len(seq): every coefficient from index L on
     is zero, so the tail f_L vanishes.  Phi_L*(0) = 1 gives F(0) = 1 exactly,
@@ -121,32 +103,48 @@ def as_rational_F(seq: VerblunskySequence) -> RationalFn:
     return RationalFn(second_kind_polys(seq, L)[1], szego_polys(seq, L)[1])
 
 
-def inverse_schur_step(f: RationalFn) -> SchurStep:
-    """Extract alpha = f(0) and build the next iterate by exact rational algebra.
+def _at_zero(cs: list[complex]) -> complex:
+    """The value at z = 0 of the coefficient list ``cs`` by Horner, as
+    ``ComplexPoly`` evaluates it: cs[0], but the sign of a zero part
+    follows the whole list."""
+    acc = 0j
+    for c in reversed(cs):
+        acc = acc * 0 + c
+    return acc
 
-    With f = P/Q and a = P(0) (Q is normalized at construction so Q(0) = 1),
-    the next iterate is shift(P - a Q) / (Q - conj(a) P): the Q factors from
-    the Moebius quotient cancel symbolically, and the forced zero at the
-    origin is removed by dropping the constant coefficient, which is exact.
-    """
-    a = f.num(0)
-    if abs(abs(a) - 1.0) <= DEFAULT_GUARD_UNIT:
-        return SchurStep(alpha=a, next_fn=None)
-    shifted_num = (f.num - a * f.den).coeffs[1:]
-    den = f.den - a.conjugate() * f.num
-    nxt = RationalFn(ComplexPoly(shifted_num if shifted_num else [0.0]), den)
-    return SchurStep(alpha=a, next_fn=nxt)
+
+def _trim(cs: list[complex]) -> list[complex]:
+    """``cs`` without its trailing exact zeros, keeping at least one entry."""
+    while len(cs) > 1 and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _less(p: list[complex], a: complex, q: list[complex]) -> list[complex]:
+    """p - a q on trimmed coefficient lists, as ``ComplexPoly`` subtracts: a q
+    trimmed, p padded with zeros to its length, the difference trimmed."""
+    aq = _trim([y * a for y in q])
+    out = p + [0j] * (len(aq) - len(p))
+    for k, y in enumerate(aq):
+        out[k] -= y
+    return _trim(out)
 
 
 def recover_coefficients(fstar: RationalFn, max_n: int) -> RecoveryResult:
     """Run the inverse Schur algorithm from a rational F_*.
 
     Seeds with f_0 = (1/z)(F_* - F_*(0)) / (F_* + F_*(0)), which is invariant
-    under rescaling F_* by a nonzero constant, then collects f_n(0) for
-    n < max_n.  Stops early, with the reason recorded, when an iterate's
-    value at 0 is unimodular (within DEFAULT_GUARD_UNIT); short of that the
-    next iterate's den(0) = 1 - |alpha|^2 is far from 0 in float64, so no
-    pole lands on the origin.  A negative ``max_n`` or F_*(0) = 0 is a
+    under rescaling F_* by a nonzero constant, then collects a = f_n(0) for
+    n < max_n in one loop on the coefficient lists of f_n = num/den, the
+    mirror of ``_backward_schur``: num, den = (num - a den)/z,
+    den - conj(a) num, both divided by the new den(0), so no polynomial
+    object is built per step.  It reads f_n(0) and den(0) by Horner
+    (``_at_zero``) and drops trailing zeros where ``ComplexPoly`` arithmetic
+    does (``_less``), so every alpha, signed zeros included, is the one that
+    step in ``ComplexPoly`` arithmetic gives.  Stops early, with the reason recorded, when
+    an iterate's value at 0 is unimodular (within DEFAULT_GUARD_UNIT);
+    short of that the next den(0) = 1 - |a|^2 is far from 0 in float64, so
+    no pole lands on the origin.  A negative ``max_n`` or F_*(0) = 0 is a
     ValueError; an F_*(0) that is nonzero but at most 1e-14 of sum_k |c_k|
     over the numerator's coefficients is a PoleEvaluationError (the seed's
     denominator F_* + F_*(0) vanishes at 0 to rounding).
@@ -164,11 +162,15 @@ def recover_coefficients(fstar: RationalFn, max_n: int) -> RecoveryResult:
     seed_num = (fstar.num - c * fstar.den).coeffs[1:]
     seed_den = fstar.num + c * fstar.den
     f = RationalFn(ComplexPoly(seed_num if seed_num else [0.0]), seed_den)
+    num, den = list(f.num.coeffs), list(f.den.coeffs)
     alphas: list[complex] = []
     for _ in range(max_n):
-        step = inverse_schur_step(f)
-        alphas.append(step.alpha)
-        if step.next_fn is None:
+        a = _at_zero(num)
+        alphas.append(a)
+        if abs(abs(a) - 1.0) <= DEFAULT_GUARD_UNIT:
             return RecoveryResult(tuple(alphas), "unimodular")
-        f = step.next_fn
+        num, den = _less(num, a, den)[1:] or [0j], _less(den, a.conjugate(), num)
+        d0 = _at_zero(den)
+        if d0 != 1:
+            num, den = _trim([x / d0 for x in num]), _trim([y / d0 for y in den])
     return RecoveryResult(tuple(alphas), None)

@@ -39,7 +39,8 @@ from opuc.poly import (
     roots as poly_roots,
     split_by_circle,
 )
-from opuc.schur import RationalFn, as_rational_F
+from opuc.opuc_core import DEFAULT_GUARD_UNIT
+from opuc.schur import PoleEvaluationError, RationalFn, as_rational_F
 
 # verify-suite case whose F has a denominator root at -17.39 within 3e-11
 # of a numerator root (two zeros of Psi_L* and Phi_L* that are close but
@@ -218,10 +219,23 @@ def mp_re_F(alphas, thetas) -> list[mpmath.mpf]:
                 for z in zs]
 
 
+def from_roots(rts) -> ComplexPoly:
+    """Expand the monic prod (z - r) into dense coefficients."""
+    coeffs = [1 + 0j]
+    for r in rts:
+        r = complex(r)
+        nxt = [0j] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] += c
+            nxt[i] -= r * c
+        coeffs = nxt
+    return ComplexPoly(coeffs)
+
+
 # ---------------------------------------------------------------------------
-# reference recurrences: the same steps in ComplexPoly arithmetic, one
-# immutable polynomial per operation (the library runs them on coefficient
-# lists and wraps the result once; the two agree bit for bit)
+# reference recurrences and the inverse Schur step: the same steps in
+# ComplexPoly arithmetic, one immutable polynomial per operation (the
+# library runs them on coefficient lists; the two agree bit for bit)
 
 
 def reference_szego_polys(seq: VerblunskySequence, n: int) -> tuple[ComplexPoly, ComplexPoly]:
@@ -244,6 +258,38 @@ def reference_backward_schur(alphas) -> RationalFn:
         znum = num.shifted(1)
         num, den = a * den + znum, den + a.conjugate() * znum
     return RationalFn(num, den)
+
+
+def reference_inverse_schur_step(f: RationalFn) -> tuple[complex, RationalFn | None]:
+    """alpha = f(0) and the next iterate shift(P - a Q) / (Q - conj(a) P), or
+    None in place of the iterate when |alpha| = 1 within DEFAULT_GUARD_UNIT."""
+    a = f.num(0)
+    if abs(abs(a) - 1.0) <= DEFAULT_GUARD_UNIT:
+        return a, None
+    shifted_num = (f.num - a * f.den).coeffs[1:]
+    den = f.den - a.conjugate() * f.num
+    return a, RationalFn(ComplexPoly(shifted_num if shifted_num else [0.0]), den)
+
+
+def reference_recover_coefficients(fstar: RationalFn, max_n: int) -> tuple[tuple[complex, ...], str | None]:
+    """The alphas and the termination of the inverse Schur algorithm from F_*,
+    one reference step per coefficient."""
+    if max_n < 0:
+        raise ValueError(f"max_n must be nonnegative, got {max_n}")
+    c = fstar.num(0)
+    if c == 0:
+        raise ValueError("F_*(0) = 0: the Moebius seed is undefined")
+    if abs(c) <= 1e-14 * max(fstar.num.magnitude_bound(1.0), 1e-300):
+        raise PoleEvaluationError("the Moebius seed has a pole at z = 0 to rounding")
+    seed_num = (fstar.num - c * fstar.den).coeffs[1:]
+    f = RationalFn(ComplexPoly(seed_num if seed_num else [0.0]), fstar.num + c * fstar.den)
+    alphas: list[complex] = []
+    for _ in range(max_n):
+        a, f = reference_inverse_schur_step(f)
+        alphas.append(a)
+        if f is None:
+            return tuple(alphas), "unimodular"
+    return tuple(alphas), None
 
 
 def same_bits(p: ComplexPoly, q: ComplexPoly) -> bool:

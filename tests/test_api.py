@@ -29,18 +29,14 @@ API = {
     "RationalFn": ("num", "den"),
     "RecoveryResult": ("alphas", "termination"),
     "RootFindingError": ("message", "residuals"),
-    "SchurStep": ("alpha", "next_fn"),
     "SzegoReport": ("lhs", "poles", "epsilon", "log_integral", "rhs", "rel_error",
                     "quad_points", "subtracted"),
     "TraceRow": ("k", "predicted", "actual", "predicted_star", "actual_star"),
     "VerblunskySequence": ("alphas", "guard_unit"),
     "WallPair": ("A", "B", "n"),
     "as_rational_F": ("seq",),
-    "as_rational_f": ("seq",),
     "boyd_integral": ("seq", "N"),
     "circle_quadrature": ("g", "m"),
-    "from_roots": ("rts",),
-    "inverse_schur_step": ("f",),
     "moments": ("seq", "m", "J"),
     "omega": ("seq", "n"),
     "omega_log_sign": ("seq", "n"),

@@ -15,7 +15,6 @@ from opuc.poly import (
     _horner,
     _newton_polygon_start,
     _on_circle,
-    from_roots,
     roots,
     series_div,
     split_by_circle,
@@ -25,6 +24,7 @@ from helpers import (
     draw_head,
     draw_near_circle,
     draw_tail,
+    from_roots,
     random_nonclassical,
     reference_discs_disjoint,
     reference_roots,

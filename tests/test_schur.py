@@ -6,8 +6,6 @@ from opuc import (
     RationalFn,
     VerblunskySequence,
     as_rational_F,
-    as_rational_f,
-    inverse_schur_step,
     pole_set,
     recover_coefficients,
     szego_polys,
@@ -15,6 +13,7 @@ from opuc import (
     wall_polys,
 )
 from opuc.poly import roots as poly_roots
+from opuc.schur import _backward_schur
 
 from helpers import (
     draw_head,
@@ -23,6 +22,7 @@ from helpers import (
     random_admissible,
     random_nonclassical,
     reference_backward_schur,
+    reference_recover_coefficients,
     reference_second_kind_polys,
     reference_szego_polys,
     same_bits,
@@ -102,7 +102,7 @@ def test_backward_schur_matches_the_polynomial_reference_bit_for_bit():
     for _ in range(60):
         seq = draw_wide(rng)
         L = len(seq)
-        pairs = [(as_rational_f(seq), reference_backward_schur(seq.alphas))]
+        pairs = [(_backward_schur(seq.alphas), reference_backward_schur(seq.alphas))]
         pairs += [(tail_schur(seq, n), reference_backward_schur(seq.alphas[n:]))
                   for n in range(seq.N, L + 3)]
         pairs.append((as_rational_F(seq),
@@ -117,12 +117,12 @@ def test_backward_schur_matches_the_polynomial_reference_bit_for_bit():
 
 
 def test_eval_f_at_origin_is_first_coefficient():
-    assert as_rational_f(VerblunskySequence([2, 0.5]))(0) == 2
+    assert _backward_schur([2, 0.5])(0) == 2
 
 
 def test_eval_f_closed_form():
     # wall product gives f = (2 + 0.5 z) / (1 + z)
-    f = as_rational_f(VerblunskySequence([2, 0.5]))
+    f = _backward_schur([2, 0.5])
     assert abs(f(1) - 1.25) < 1e-15
     assert abs(f(1j) - (1.25 - 0.75j)) < 1e-15
 
@@ -168,14 +168,14 @@ def test_f_matches_the_wall_product():
     for _ in range(60):
         head = draw_head(rng, int(rng.integers(1, 5)))
         seq = VerblunskySequence(head + draw_tail(rng, int(rng.integers(0, 44)), max_mod=0.99))
-        f = as_rational_f(seq)
+        f = _backward_schur(seq.alphas)
         assert f.num(0) == seq.alpha(0) and f.den(0) == 1
         worst = max(worst, _wall_gap(f, wall_polys(seq, len(seq) - 1)))
     assert worst < 1e-13
 
 
 def test_f_builds_no_wall_product(wall_builds):
-    as_rational_f(VerblunskySequence([2.0, 0.5j, -0.3]))
+    _backward_schur([2.0, 0.5j, -0.3])
     tail_schur(VerblunskySequence([2.0, 0.5j, -0.3]), 1)
     assert wall_builds == []
 
@@ -227,7 +227,7 @@ def test_caratheodory_routes_agree():
     for _ in range(12):
         seq = random_nonclassical(rng, require_growth_window=False)
         F = as_rational_F(seq)
-        f = as_rational_f(seq)
+        f = _backward_schur(seq.alphas)
         bad = list(pole_set(seq))
         if f.den.degree >= 1:
             bad += poly_roots(f.den)
@@ -246,29 +246,89 @@ def test_caratheodory_routes_agree():
 
 
 # ---------------------------------------------------------------------------
-# inverse steps
+# inverse steps, each through the recovery from F_* = (1 + z f)/(1 - z f),
+# whose Moebius seed is f
+
+
+def _caratheodory(f: RationalFn) -> RationalFn:
+    zf = f.num.shifted(1)
+    return RationalFn(f.den + zf, f.den - zf)
 
 
 def test_step_constant_two():
-    step = inverse_schur_step(RationalFn(ComplexPoly([2]), ComplexPoly([1])))
-    assert step.alpha == 2
-    assert step.next_fn.num.is_zero()
+    # f = 2: alpha = 2 and the next iterate is the zero function
+    res = recover_coefficients(_caratheodory(RationalFn(ComplexPoly([2]), ComplexPoly([1]))), 3)
+    assert res.alphas == (2, 0, 0) and res.termination is None
 
 
 def test_step_identity_map():
-    step = inverse_schur_step(RationalFn(ComplexPoly([0, 1]), ComplexPoly([1])))
-    assert step.alpha == 0
-    assert step.next_fn.num.coeffs == (1,) and step.next_fn.den.coeffs == (1,)
+    # f = z: alpha = 0 and the next iterate is exactly 1/1
+    res = recover_coefficients(_caratheodory(RationalFn(ComplexPoly([0, 1]), ComplexPoly([1]))), 3)
+    assert res.alphas == (0, 1) and res.termination == "unimodular"
 
 
 def test_step_zero_function():
-    step = inverse_schur_step(RationalFn(ComplexPoly([0]), ComplexPoly([1])))
-    assert step.alpha == 0 and step.next_fn.num.is_zero()
+    res = recover_coefficients(_caratheodory(RationalFn(ComplexPoly([0]), ComplexPoly([1]))), 3)
+    assert res.alphas == (0, 0, 0) and res.termination is None
 
 
 def test_step_unimodular_flagged():
-    step = inverse_schur_step(RationalFn(ComplexPoly([1]), ComplexPoly([1])))
-    assert step.next_fn is None and step.alpha == 1
+    res = recover_coefficients(_caratheodory(RationalFn(ComplexPoly([1]), ComplexPoly([1]))), 3)
+    assert res.alphas == (1,) and res.termination == "unimodular"
+
+
+def _wide_coefficients(rng: np.random.Generator, kind: str) -> list[complex]:
+    """1 to 8 coefficients of modulus 10^U(-300, 300) ("wide") or in (0, 3),
+    at random phases; "real" ones have imaginary part +0 or -0, and about
+    one in four of them is an exact zero.  The first is never 0."""
+    n = int(rng.integers(1, 9))
+    mods = 10.0 ** rng.uniform(-300.0, 300.0, n) if kind == "wide" else rng.uniform(0.0, 3.0, n)
+    phases = rng.uniform(0.0, 2.0 * np.pi, n)
+    if kind == "real":
+        cs = [complex(m * np.sign(np.cos(t)), -0.0 if rng.random() < 0.3 else 0.0)
+              for m, t in zip(mods, phases)]
+        cs = [0j if rng.random() < 0.25 else c for c in cs]
+    else:
+        cs = [complex(m * np.exp(1j * t)) for m, t in zip(mods, phases)]
+    if cs[0] == 0:
+        cs[0] = 1 + 0j
+    return cs
+
+
+def _assert_recovers_as_the_reference(fstar: RationalFn, max_n: int) -> None:
+    """The same repr of every alpha, signed zeros included, and the same
+    termination as the reference; or the same refusal."""
+    try:
+        want = reference_recover_coefficients(fstar, max_n)
+    except (ValueError, ArithmeticError) as exc:  # F_*(0) = 0, or 0 to rounding
+        with pytest.raises(type(exc)):
+            recover_coefficients(fstar, max_n)
+        return
+    got = recover_coefficients(fstar, max_n)
+    assert ([repr(a) for a in got.alphas], got.termination) == \
+        ([repr(a) for a in want[0]], want[1]), (fstar, max_n)
+
+
+def test_recovery_matches_the_polynomial_reference_bit_for_bit():
+    # the loop on coefficient lists against one ComplexPoly step per
+    # coefficient, on 1,500 seeded rational F_* with moduli 1e+-300 (so
+    # products underflow to exact zeros), in (0, 3), or real with exact zeros
+    rng = np.random.default_rng(36)
+    for k in range(1500):
+        kind = ("wide", "plain", "real")[k % 3]
+        _assert_recovers_as_the_reference(
+            RationalFn(ComplexPoly(_wide_coefficients(rng, kind)),
+                       ComplexPoly(_wide_coefficients(rng, kind))),
+            int(rng.integers(0, 12)))
+
+
+def test_recovery_matches_the_reference_on_sequences_with_exact_zeros():
+    # F = Psi_L*/Phi_L* of 200 draw_wide sequences, read 3 past their end;
+    # about a third recover, the rest are refused alike
+    rng = np.random.default_rng(93)
+    for _ in range(200):
+        seq = draw_wide(rng)
+        _assert_recovers_as_the_reference(as_rational_F(seq), len(seq) + 3)
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +362,16 @@ def test_recover_unimodular_termination():
 @pytest.mark.parametrize("off", [-2e-8, 2e-8])
 def test_steps_just_outside_the_unimodular_band_build_the_next_iterate(off):
     # |alpha_0| = 1 + off clears the 1e-8 band, and the next iterate's den(0)
-    # = 1 - |alpha_0|^2, about 4e-8, is far from the exact 0 that RationalFn
-    # refuses: each step builds the next iterate or stops as "unimodular"
+    # = 1 - |alpha_0|^2, about 4e-8, is far from 0: each step builds the next
+    # iterate, from f = A/B and from F = Psi_L*/Phi_L* alike
     for theta in np.random.default_rng(47).uniform(0.0, 2.0 * np.pi, 100):
         alpha0 = (1.0 + off) * complex(np.exp(1j * theta))
         seq = VerblunskySequence([alpha0, 0.5, -0.3j])
-        step = inverse_schur_step(as_rational_f(seq))
-        assert step.alpha == alpha0 and step.next_fn is not None
-        assert recover_coefficients(as_rational_F(seq), 3).termination in (None, "unimodular")
+        for fstar in (_caratheodory(_backward_schur(seq.alphas)), as_rational_F(seq)):
+            res = recover_coefficients(fstar, 3)
+            assert res.termination is None and len(res.alphas) == 3
+            assert abs(res.alphas[0] - alpha0) < 1e-15
+            assert max(abs(a - b) for a, b in zip(res.alphas, seq.alphas)) < 1e-7
 
 
 def test_recover_rejects_vanishing_normalization():
